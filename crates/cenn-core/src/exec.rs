@@ -102,33 +102,15 @@ impl TilePlan {
             rows > 0 && cols > 0 && pe_rows > 0 && pe_cols > 0,
             "tile plan dimensions must be non-zero"
         );
-        let n_pes = pe_rows * pe_cols;
-        let n_shards = n_pes.div_ceil(PES_PER_L2);
-        let mut tiles: Vec<Tile> = (0..n_shards)
-            .map(|s| Tile {
-                shard: s,
-                pe_base: s * PES_PER_L2,
-                cells: Vec::new(),
-                flats: Vec::new(),
-                pes: Vec::new(),
-            })
-            .collect();
-        for r in 0..rows {
-            for c in 0..cols {
-                let pe = (r % pe_rows) * pe_cols + (c % pe_cols);
-                let tile = &mut tiles[pe / PES_PER_L2];
-                tile.cells.push((r as u32, c as u32));
-                tile.flats.push((r * cols + c) as u32);
-                tile.pes.push(pe as u32);
-            }
-        }
-        Self {
+        let mut plan = Self {
             rows,
             cols,
             pe_rows,
             pe_cols,
-            tiles,
-        }
+            tiles: Vec::new(),
+        };
+        plan.tiles = plan.window(0, rows, |r| r);
+        plan
     }
 
     /// The per-shard tiles, indexed by shard id.
@@ -158,8 +140,9 @@ impl TilePlan {
     }
 
     /// Decomposes one *window* of grid rows `[row0, row1)` into per-shard
-    /// tiles — the windowed sweep schedule of the streamed out-of-core
-    /// engine ([`crate::stream`]).
+    /// tiles — the windowed sweep schedule of the engine (the full plan is
+    /// the one window `[0, rows)`; the spooled store of [`crate::stream`]
+    /// cuts the grid into several).
     ///
     /// Cells and PE ids stay **global**, so each shard's LUT cache walks
     /// exactly the subsequence of the full-grid sweep that falls in the

@@ -1,32 +1,32 @@
-//! Streamed out-of-core execution: windowed sweeps with halo exchange over
-//! state chunks spilled to disk.
+//! Streamed out-of-core execution: the spooled state store.
 //!
-//! [`StreamSim`] evolves the same [`CennModel`] semantics as [`CennSim`],
-//! but never materializes the full state slab. The grid's rows are split
-//! into fixed-height **chunks**; each integrator pass sweeps the chunks in
-//! ascending row order as **windows**, where a window keeps resident only
-//! its chunk rows plus the halo rows its templates read (boundary-resolved,
-//! so periodic wrap rows are included). State chunks are filled from and
-//! spilled to an on-disk **spool** whose chunk files reuse the `CENNCKPT`
-//! v1 framing of `cenn-guard` checkpoints, and a text **journal** records
-//! every completed window so a partially swept step is restartable via
-//! [`StreamSim::recover`].
+//! [`StreamSim`] is the sweep [`Engine`] over the [`Spooled`] store, so it
+//! runs the same window schedule, kernels, integrator updates, and step
+//! accounting as the in-core [`CennSim`] — but never materializes the
+//! full state slab. The grid's rows are split into fixed-height
+//! **chunks**; each integrator pass sweeps the chunks in ascending row
+//! order as **windows**, where a window keeps resident only its chunk
+//! rows plus the halo rows its templates read (boundary-resolved, so
+//! periodic wrap rows are included). State chunks are filled from and
+//! spilled to an on-disk **spool** of `CENNCKPT` v1 files (the same codec
+//! as `cenn-guard` checkpoints, see [`SimSnapshot::decode_ckpt`]), and a
+//! text **journal** records every completed window so a partially swept
+//! step is restartable via [`StreamSim::recover`].
 //!
 //! # Determinism
 //!
-//! Per window the engine runs the untouched in-core kernels — the same
-//! lane lowering ([`crate::sim`]'s `build_lanes`), the same batched LUT
-//! weight pass, the same unrolled MAC template pass — over tiles produced
-//! by [`TilePlan::window`], whose cells and PE ids stay global. Windows in
-//! ascending row order therefore concatenate to exactly the serial
-//! row-major per-shard cell sequence of the in-core sweep, so **states are
-//! bit-identical to [`CennSim`] at every thread count and every window
-//! size**. LUT hit/miss counters are additionally bit-identical whenever a
-//! single layer carries dynamic weight sites (the per-shard lookup
-//! sequence is then the in-core sequence split at window boundaries, and
-//! the batched row path only memoizes provable L1 hits per call); with
-//! several LUT-bearing layers the windowed interleaving differs, and only
-//! access *totals* are preserved.
+//! Per window the store builds the window's tiles with
+//! [`TilePlan::window`], whose cells and PE ids stay global, and lowers
+//! the templates over them. Windows in ascending row order therefore
+//! concatenate to exactly the serial row-major per-shard cell sequence of
+//! the in-core sweep, so **states are bit-identical to [`CennSim`] at
+//! every thread count and every window size**. LUT hit/miss counters are
+//! additionally bit-identical whenever a single layer carries dynamic
+//! weight sites (the per-shard lookup sequence is then the in-core
+//! sequence split at window boundaries, and the batched row path only
+//! memoizes provable L1 hits per call); with several LUT-bearing layers
+//! the windowed interleaving differs, and only access *totals* are
+//! preserved.
 //!
 //! # Restart semantics
 //!
@@ -35,37 +35,31 @@
 //! [`StreamSim::recover`] replays the journal, resumes at the first
 //! unjournaled window, and reconstructs the in-flight step's cell and
 //! residual accounting from the spooled chunks. As with
-//! [`SimSnapshot`](crate::SimSnapshot) restore, LUT cache *statistics* are
+//! [`SimSnapshot`] restore, LUT cache *statistics* are
 //! not restored — replayed look-ups are real look-ups — so counters after
 //! a restart differ from an uninterrupted run while states do not.
 
 use std::fs;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use cenn_lut::{LutHierarchy, LutShard, LutStats};
-use cenn_obs::{
-    CounterId, Event, GaugeId, MetricsHub, Phase, RecorderHandle, RunSummary, TraceHandle,
-};
-use fixedpt::{MacAcc, Q16_16};
+use cenn_lut::LutStats;
+use cenn_obs::{CounterId, GaugeId, MetricsHub, Phase};
+use fixedpt::Q16_16;
 
 use crate::boundary::Boundary;
 use crate::error::ModelError;
-use crate::exec::{ExecEngine, StepStats, TilePlan};
+use crate::exec::{Tile, TilePlan};
 use crate::grid::{Grid, SoaGrid};
 use crate::layer::{LayerId, LayerKind};
 use crate::model::{CennModel, Integrator};
 use crate::sim::{
-    build_lanes, compile, make_work, push_halo_span, resolve_layer, sweep_shard, CennSim, EvalCtx,
-    LayerLanes, LayerPlan, ShardBuf, SimSnapshot, StepReport,
+    CennSim, Core, Engine, FuncEval, LayerLanes, ShardBuf, StepReport, Store, WindowMut,
 };
+use crate::snapshot::{self, CkptView, SimSnapshot};
 
-/// Chunk-file magic — byte-compatible with `cenn-guard`'s `CENNCKPT`
-/// checkpoint format, so spooled chunks parse as ordinary checkpoints.
-const MAGIC: &[u8; 8] = b"CENNCKPT";
-/// Chunk-file format version (`CENNCKPT` v1).
-const VERSION: u32 = 1;
 /// Journal header tag and version.
 const JOURNAL_MAGIC: &str = "CENNJRNL 1";
 
@@ -159,7 +153,7 @@ impl From<ModelError> for StreamError {
     }
 }
 
-/// The on-disk chunk spool: one `CENNCKPT`-framed file per (stream, chunk)
+/// The on-disk chunk spool: one `CENNCKPT` file per (stream, chunk)
 /// pair, written atomically via temp file + rename.
 #[derive(Debug, Clone)]
 struct Spool {
@@ -171,45 +165,23 @@ impl Spool {
         self.dir.join(format!("{stream}_{idx:05}.ckpt"))
     }
 
-    /// Serializes and atomically writes one chunk; returns bytes written.
-    #[allow(clippy::too_many_arguments)]
-    fn write_chunk(
+    /// Encodes and atomically writes one chunk, with `(steps, time)` in
+    /// its header; returns bytes written.
+    fn write_chunk<'g>(
         &self,
         stream: &str,
         idx: usize,
-        steps: u64,
-        time: f64,
-        cells: usize,
-        layers: &[ChunkSrc<'_>],
+        (steps, time): (u64, f64),
+        layers: impl ExactSizeIterator<Item = &'g [Q16_16]>,
         stage: &mut Vec<u8>,
     ) -> Result<u64, StreamError> {
         stage.clear();
-        stage.extend_from_slice(MAGIC);
-        stage.extend_from_slice(&VERSION.to_le_bytes());
-        stage.extend_from_slice(&steps.to_le_bytes());
-        stage.extend_from_slice(&time.to_bits().to_le_bytes());
-        stage.extend_from_slice(&0u64.to_le_bytes()); // run_cells (unused)
-        for _ in 0..6 {
-            stage.extend_from_slice(&0u64.to_le_bytes()); // LutStats (unused)
-        }
-        stage.extend_from_slice(&(layers.len() as u32).to_le_bytes());
-        for src in layers {
-            stage.extend_from_slice(&(cells as u32).to_le_bytes());
-            match src {
-                ChunkSrc::Bits(bits) => {
-                    debug_assert_eq!(bits.len(), cells);
-                    for b in *bits {
-                        stage.extend_from_slice(&b.to_le_bytes());
-                    }
-                }
-                ChunkSrc::Fx(vals) => {
-                    debug_assert_eq!(vals.len(), cells);
-                    for v in *vals {
-                        stage.extend_from_slice(&v.to_bits().to_le_bytes());
-                    }
-                }
-            }
-        }
+        snapshot::encode(
+            stage,
+            (steps, time, 0),
+            &LutStats::default(),
+            layers.map(|l| l.iter().map(|v| v.to_bits())),
+        );
         let path = self.chunk_path(stream, idx);
         let tmp = path.with_extension("ckpt.tmp");
         fs::write(&tmp, &stage)?;
@@ -217,69 +189,37 @@ impl Spool {
         Ok(stage.len() as u64)
     }
 
-    /// Reads one chunk into `stage` and returns the byte offset of each
-    /// layer's payload (`cells × 4` bytes of little-endian `i32`).
-    fn read_chunk(
+    /// Reads one chunk into `stage` and checks it holds `n_layers` layers
+    /// of `cells` cells.
+    fn read_chunk<'s>(
         &self,
         stream: &str,
         idx: usize,
         n_layers: usize,
         cells: usize,
-        stage: &mut Vec<u8>,
-    ) -> Result<Vec<usize>, StreamError> {
+        stage: &'s mut Vec<u8>,
+    ) -> Result<CkptView<'s>, StreamError> {
         let path = self.chunk_path(stream, idx);
         *stage = fs::read(&path)?;
         let err = |m: &str| StreamError::Corrupt(format!("{}: {m}", path.display()));
-        let header = 8 + 4 + 8 + 8 + 8 + 6 * 8 + 4;
-        if stage.len() < header {
-            return Err(err("truncated header"));
-        }
-        if &stage[..8] != MAGIC {
-            return Err(err("bad magic"));
-        }
-        if u32::from_le_bytes(stage[8..12].try_into().unwrap()) != VERSION {
-            return Err(err("unsupported version"));
-        }
-        let got_layers = u32::from_le_bytes(stage[header - 4..header].try_into().unwrap()) as usize;
-        if got_layers != n_layers {
+        let stage: &'s Vec<u8> = stage;
+        let view = CkptView::parse(stage).map_err(|m| err(&m))?;
+        if view.n_layers() != n_layers {
             return Err(err("layer count mismatch"));
         }
-        let mut offsets = Vec::with_capacity(n_layers);
-        let mut pos = header;
-        for _ in 0..n_layers {
-            if pos + 4 > stage.len() {
-                return Err(err("truncated layer header"));
-            }
-            let len = u32::from_le_bytes(stage[pos..pos + 4].try_into().unwrap()) as usize;
-            if len != cells {
-                return Err(err("cell count mismatch"));
-            }
-            pos += 4;
-            if pos + cells * 4 > stage.len() {
-                return Err(err("truncated layer payload"));
-            }
-            offsets.push(pos);
-            pos += cells * 4;
+        if (0..n_layers).any(|l| view.layer_len(l) != cells) {
+            return Err(err("cell count mismatch"));
         }
-        if pos != stage.len() {
-            return Err(err("trailing bytes"));
-        }
-        Ok(offsets)
+        Ok(view)
     }
 }
 
-/// A layer payload source for [`Spool::write_chunk`].
-enum ChunkSrc<'a> {
-    /// Raw Q16.16 bits (seed path from a [`SimSnapshot`]).
-    Bits(&'a [i32]),
-    /// Fixed-point values (hot path from the window buffers).
-    Fx(&'a [Q16_16]),
-}
-
-/// Reads a little-endian `i32` at `off` from a chunk payload.
-#[inline]
-fn read_i32(stage: &[u8], off: usize) -> i32 {
-    i32::from_le_bytes(stage[off..off + 4].try_into().unwrap())
+/// `range` of every layer of `grid`, as chunk payloads.
+fn chunk_layers(
+    grid: &SoaGrid<Q16_16>,
+    range: Range<usize>,
+) -> impl ExactSizeIterator<Item = &[Q16_16]> {
+    (0..grid.n_layers()).map(move |l| &grid.layer_slice(l)[range.clone()])
 }
 
 /// Append-only recovery journal (one line per completed window / step).
@@ -295,62 +235,61 @@ impl Journal {
         f.flush()?;
         Ok(())
     }
-}
 
-fn integrator_tag(i: Integrator) -> &'static str {
-    match i {
-        Integrator::Euler => "euler",
-        Integrator::Heun => "heun",
+    /// Records the step baseline `core` has reached.
+    fn step(&self, core: &Core) -> Result<(), StreamError> {
+        self.append(&format!(
+            "step {} {:016x} {}",
+            core.steps,
+            core.time.to_bits(),
+            core.run_cells
+        ))
     }
 }
 
-/// Rows a window keeps resident, and its chunk bounds.
-struct WindowGeom {
-    r0: usize,
-    r1: usize,
-    /// Sorted global rows resident for this window (chunk + halo).
-    resident: Vec<usize>,
+/// The journal's geometry record, which pins the spool to its model.
+fn grid_record(model: &CennModel, chunk_rows: usize) -> String {
+    let integrator = match model.integrator() {
+        Integrator::Euler => "euler",
+        Integrator::Heun => "heun",
+    };
+    format!(
+        "grid {} {} {} {chunk_rows} {integrator} {:016x}",
+        model.rows(),
+        model.cols(),
+        model.n_layers(),
+        model.dt().to_bits()
+    )
 }
 
-/// The streamed out-of-core simulator. See the module docs for the
-/// execution model and determinism contract; construction is via
-/// [`from_sim`](Self::from_sim) (spooling an in-core sim's state) or
-/// [`recover`](Self::recover) (resuming an existing spool).
+/// The spooled state store: chunk spool, journal, halo-row residency,
+/// and a per-window lane build with a gather remap onto the resident
+/// rows. See the module docs for the execution model.
 ///
 /// Scope: every layer must be [`LayerKind::Dynamic`] — algebraic layers
 /// form declaration-order chains that need whole-grid barriers between
 /// layers, which defeats windowed residency. Both integrators are
 /// supported (Heun spills its predictor and `k₁` streams).
 #[derive(Debug)]
-pub struct StreamSim {
-    model: CennModel,
-    plan: Vec<LayerPlan>,
-    hierarchy: LutHierarchy,
-    engine: ExecEngine,
+pub struct Spooled {
+    /// The full-grid tile plan the windows are cut from.
     tiles: TilePlan,
-    shard_bufs: Vec<ShardBuf>,
-    stats_before: Vec<LutStats>,
-    eval: crate::sim::FuncEval,
     /// Distinct source-layer boundaries (for halo row resolution).
     boundaries: Vec<Boundary>,
     /// Template halo radius in rows.
     halo: usize,
     /// Any lane tap gathers from the external-input slab.
     uses_inputs: bool,
-    /// Scratch-sizing maxima (same derivation as the in-core sim).
-    max_sites: usize,
-    max_factors: usize,
     chunk_rows: usize,
-    n_windows: usize,
     spool: Spool,
     journal: Journal,
     /// Resident state window (chunk + halo rows), local row-major.
     resident: SoaGrid<Q16_16>,
     /// Resident input window (1 row when no layer gathers inputs).
     resident_in: SoaGrid<Q16_16>,
-    /// RHS / update output for the chunk rows of the current window.
+    /// RHS of the current window's chunk rows, chunk-local row-major.
     out_buf: SoaGrid<Q16_16>,
-    /// Heun-only chunk-row scratch: predictor out, then x₀ / k₁ re-reads.
+    /// Heun-only chunk-row buffers: the corrector's `x₀` and `k₁`.
     heun_buf: Option<(SoaGrid<Q16_16>, SoaGrid<Q16_16>)>,
     /// Global row → resident-local row (`u32::MAX` when not resident).
     row_map: Vec<u32>,
@@ -358,25 +297,14 @@ pub struct StreamSim {
     stage: Vec<u8>,
     /// Write staging (chunk spills).
     wstage: Vec<u8>,
-    // --- mid-step cursor ----------------------------------------------
-    pass: usize,
-    window: usize,
-    pending: StepStats,
-    stats_captured: bool,
-    step_track: bool,
-    pass_rhs_nanos: u64,
-    pass_update_nanos: u64,
-    step_wall_nanos: u64,
-    residual_raw: i64,
-    // --- counters ------------------------------------------------------
-    time: f64,
-    steps: u64,
-    run_cells: u64,
-    run_nanos: u64,
-    last_step: StepStats,
-    track_residual: bool,
-    recorder: Option<RecorderHandle>,
-    tracer: Option<TraceHandle>,
+    // --- the window in memory --------------------------------------------
+    /// Chunk rows `[r0, r1)`.
+    rows: (usize, usize),
+    /// Sorted global rows resident for the window (chunk + halo).
+    win_rows: Vec<usize>,
+    win_tiles: Vec<Tile>,
+    win_lanes: Vec<LayerLanes>,
+    // --- counters --------------------------------------------------------
     peak_resident: u64,
     spill_bytes: u64,
     fill_bytes: u64,
@@ -396,7 +324,13 @@ struct StreamMetrics {
     peak: GaugeId,
 }
 
-impl StreamSim {
+/// The streamed out-of-core simulator: the engine over the [`Spooled`]
+/// store. Construction is via [`from_sim`](Self::from_sim) (spooling an
+/// in-core sim's state) or [`recover`](Self::recover) (resuming an
+/// existing spool).
+pub type StreamSim = Engine<Spooled>;
+
+impl Engine<Spooled> {
     /// Spools an in-core sim's current state (and inputs) to a fresh
     /// chunk spool and returns a streamed engine positioned at the same
     /// step/time counters. The spool directory is created if absent; an
@@ -408,51 +342,22 @@ impl StreamSim {
     /// [`StreamError::Unsupported`] if the model has non-dynamic layers,
     /// [`StreamError::Io`] on spool I/O failure.
     pub fn from_sim(sim: &CennSim, cfg: StreamConfig) -> Result<Self, StreamError> {
-        let model = sim.model().clone();
-        let snap = sim.snapshot();
-        let mut s = Self::build(model, cfg, None, sim.eval_mode())?;
-        s.steps = snap.steps;
-        s.time = snap.time;
-        s.run_cells = snap.run_cells;
+        let counters = (sim.core.steps, sim.core.time, sim.core.run_cells);
+        let mut s = Self::open(sim.model().clone(), cfg, sim.eval_mode(), counters, true)?;
         // Seed the spool: state chunks on the current parity, inputs once.
-        let cols = s.model.cols();
-        let inputs = sim.inputs();
-        for w in 0..s.n_windows {
-            let (r0, r1) = s.window_bounds(w);
-            let cells = (r1 - r0) * cols;
-            let state_layers: Vec<ChunkSrc<'_>> = snap
-                .states
-                .iter()
-                .map(|l| ChunkSrc::Bits(&l[r0 * cols..r1 * cols]))
-                .collect();
-            s.spill_bytes += s.spool.write_chunk(
-                parity_stream(s.steps),
-                w,
-                s.steps,
-                s.time,
-                cells,
-                &state_layers,
-                &mut s.wstage,
-            )?;
-            let input_layers: Vec<ChunkSrc<'_>> = (0..s.model.n_layers())
-                .map(|l| ChunkSrc::Fx(&inputs.layer_slice(l)[r0 * cols..r1 * cols]))
-                .collect();
-            s.spill_bytes += s.spool.write_chunk(
-                "in",
-                w,
-                s.steps,
-                s.time,
-                cells,
-                &input_layers,
-                &mut s.wstage,
-            )?;
+        let now = (s.core.steps, s.core.time);
+        let cols = s.core.model.cols();
+        let st = &mut s.store;
+        for w in 0..st.n_windows() {
+            let (r0, r1) = st.window_bounds(w);
+            for (stream, grid) in [(parity_stream(now.0), sim.states()), ("in", sim.inputs())] {
+                let layers = chunk_layers(grid, r0 * cols..r1 * cols);
+                st.spill_bytes += st
+                    .spool
+                    .write_chunk(stream, w, now, layers, &mut st.wstage)?;
+            }
         }
-        s.journal.append(&format!(
-            "step {} {:016x} {}",
-            s.steps,
-            s.time.to_bits(),
-            s.run_cells
-        ))?;
+        st.journal.step(&s.core)?;
         Ok(s)
     }
 
@@ -480,120 +385,94 @@ impl StreamSim {
         let (_, grid_line) = lines
             .next()
             .ok_or_else(|| corrupt(2, "missing grid line"))?;
-        let parts: Vec<&str> = grid_line.split_whitespace().collect();
-        if parts.len() != 7 || parts[0] != "grid" {
-            return Err(corrupt(2, "bad grid line"));
-        }
-        let parse = |s: &str| {
-            s.parse::<usize>()
-                .map_err(|_| corrupt(2, "bad grid number"))
-        };
-        let (rows, cols, layers, chunk_rows) = (
-            parse(parts[1])?,
-            parse(parts[2])?,
-            parse(parts[3])?,
-            parse(parts[4])?,
-        );
-        if rows != model.rows()
-            || cols != model.cols()
-            || layers != model.n_layers()
-            || parts[5] != integrator_tag(model.integrator())
-            || parts[6] != format!("{:016x}", model.dt().to_bits())
-        {
+        let chunk_rows = grid_line
+            .split_whitespace()
+            .nth(4)
+            .and_then(|g| g.parse::<usize>().ok())
+            .ok_or_else(|| corrupt(2, "bad grid line"))?;
+        if grid_line != grid_record(&model, chunk_rows) {
             return Err(corrupt(2, "journal does not match the model"));
         }
         // Fold the completion records. A torn final line (killed mid-append)
         // is tolerated; malformed interior lines are not.
+        let step = |s: &str, t: &str, c: &str| {
+            let time = f64::from_bits(u64::from_str_radix(t, 16).ok()?);
+            Some((s.parse().ok()?, time, c.parse().ok()?))
+        };
+        let win = |p: &str, w: &str| Some((p.parse().ok()?, w.parse().ok()?));
         let mut baseline: Option<(u64, f64, u64)> = None;
         let mut wins: Vec<(usize, usize)> = Vec::new();
         while let Some((n, line)) = lines.next() {
             let last = lines.peek().is_none();
             let fields: Vec<&str> = line.split_whitespace().collect();
             let parsed = match fields.as_slice() {
-                ["step", s, t, c] => match (
-                    s.parse::<u64>(),
-                    u64::from_str_radix(t, 16),
-                    c.parse::<u64>(),
-                ) {
-                    (Ok(s), Ok(t), Ok(c)) => {
-                        baseline = Some((s, f64::from_bits(t), c));
-                        wins.clear();
-                        true
-                    }
-                    _ => false,
-                },
-                ["win", p, w] => match (p.parse::<usize>(), w.parse::<usize>()) {
-                    (Ok(p), Ok(w)) => {
-                        wins.push((p, w));
-                        true
-                    }
-                    _ => false,
-                },
-                _ => false,
+                ["step", s, t, c] => step(s, t, c).map(|b| {
+                    baseline = Some(b);
+                    wins.clear();
+                }),
+                ["win", p, w] => win(p, w).map(|pw| wins.push(pw)),
+                _ => None,
             };
-            if !parsed {
+            if parsed.is_none() {
                 if last {
                     break; // torn tail from a mid-append kill
                 }
                 return Err(corrupt(n + 1, "unrecognized record"));
             }
         }
-        let (steps, time, run_cells) =
+        let baseline =
             baseline.ok_or_else(|| StreamError::Corrupt("journal has no step baseline".into()))?;
 
-        let mut s = Self::build(
-            model,
-            StreamConfig {
-                chunk_rows: Some(chunk_rows),
-                ..cfg
-            },
-            Some(()),
-            crate::sim::FuncEval::Lut,
-        )?;
-        s.steps = steps;
-        s.time = time;
-        s.run_cells = run_cells;
+        let cfg = StreamConfig {
+            chunk_rows: Some(chunk_rows),
+            ..cfg
+        };
+        let mut s = Self::open(model, cfg, FuncEval::Lut, baseline, false)?;
         // Validate the window sequence and rebuild the in-flight cursor.
+        let n_windows = s.store.n_windows();
         for (k, &(p, w)) in wins.iter().enumerate() {
-            if (p, w) != (k / s.n_windows, k % s.n_windows) {
+            if (p, w) != (k / n_windows, k % n_windows) {
                 return Err(StreamError::Corrupt(format!(
                     "journal window sequence broken at ({p}, {w})"
                 )));
             }
         }
-        let passes = s.passes();
-        if wins.len() >= passes * s.n_windows {
+        let passes = s.core.passes();
+        if wins.len() >= passes * n_windows {
             return Err(StreamError::Corrupt(
                 "journal records more windows than a step has".into(),
             ));
         }
-        s.pass = wins.len() / s.n_windows;
-        s.window = wins.len() % s.n_windows;
+        s.core.pass = wins.len() / n_windows;
+        s.core.window = wins.len() % n_windows;
         if !wins.is_empty() {
-            s.begin_step();
-            let n_layers = s.model.n_layers() as u64;
+            s.core.begin_step();
+            let n_layers = s.core.model.n_layers() as u64;
+            let cols = s.core.model.cols();
             for &(p, w) in &wins {
-                let (r0, r1) = s.window_bounds(w);
-                s.pending.cells += n_layers * ((r1 - r0) * s.model.cols()) as u64;
+                let (r0, r1) = s.store.window_bounds(w);
+                s.core.pending.cells += n_layers * ((r1 - r0) * cols) as u64;
                 if p + 1 == passes {
                     s.fold_recovered_residual(w)?;
                 }
             }
-            for _ in 0..s.pass {
-                s.pending.sweeps.push(("dynamic".into(), 0));
-                s.pending.sweeps.push(("update".into(), 0));
+            for _ in 0..s.core.pass {
+                s.core.pending.sweeps.push(("dynamic".into(), 0));
+                s.core.pending.sweeps.push(("update".into(), 0));
             }
         }
         Ok(s)
     }
 
-    /// Shared construction: model checks, LUT hierarchy, window geometry,
-    /// resident buffers. `recovering` skips journal creation.
-    fn build(
+    /// Shared construction: model checks, the engine core positioned at
+    /// the `(steps, time, run_cells)` counters, window geometry, resident
+    /// buffers. `fresh` starts a new journal.
+    fn open(
         model: CennModel,
         cfg: StreamConfig,
-        recovering: Option<()>,
-        eval: crate::sim::FuncEval,
+        eval: FuncEval,
+        (steps, time, run_cells): (u64, f64, u64),
+        fresh: bool,
     ) -> Result<Self, StreamError> {
         for id in model.layer_ids() {
             if model.layer(id).kind() != LayerKind::Dynamic {
@@ -603,29 +482,15 @@ impl StreamSim {
                 )));
             }
         }
-        let lut_cfg = model.lut_config();
-        let specs: Vec<_> = model
-            .library()
-            .iter()
-            .map(|(id, _)| lut_cfg.spec_for(id))
-            .collect();
-        let hierarchy = LutHierarchy::build_with_specs(
-            model.library(),
-            &specs,
-            lut_cfg.l1_blocks,
-            lut_cfg.l2_capacity,
-            lut_cfg.n_pes(),
-        )
-        .map_err(|e| StreamError::Model(e.into()))?;
-        let plan = compile(&model);
-        let tiles = TilePlan::new(model.rows(), model.cols(), lut_cfg.pe_rows, lut_cfg.pe_cols);
+        let mut core = Core::new(model, eval)?;
+        (core.steps, core.time, core.run_cells) = (steps, time, run_cells);
+        let m = &core.model;
+        let (rows, cols, n) = (m.rows(), m.cols(), m.n_layers());
+        let lut_cfg = m.lut_config();
+        let tiles = TilePlan::new(rows, cols, lut_cfg.pe_rows, lut_cfg.pe_cols);
         // Geometry-only lanes (no tiles) expose tap/site/factor counts for
         // scratch sizing and the budget solver without building gathers.
-        let spec_of = |f| model.lut_config().spec_for(f);
-        let geom: Vec<LayerLanes> = plan
-            .iter()
-            .map(|p| build_lanes(p, &[], model.rows(), model.cols(), &spec_of))
-            .collect();
+        let geom = core.lanes(&[]);
         let uses_inputs = geom.iter().any(|l| l.taps.iter().any(|t| t.input));
         let lut_layers = geom.iter().filter(|l| !l.sites.is_empty()).count();
         if lut_layers > 1 {
@@ -635,47 +500,26 @@ impl StreamSim {
             );
         }
         let n_taps: usize = geom.iter().map(|l| l.taps.len()).sum();
-        let max_sites: usize = geom.iter().map(|l| l.sites.len()).sum();
-        let max_factors = geom
-            .iter()
-            .map(|l| l.sites.iter().map(|s| s.factors.len()).sum::<usize>())
-            .max()
-            .unwrap_or(0);
         let mut boundaries: Vec<Boundary> = Vec::new();
-        for id in model.layer_ids() {
-            let b = model.layer(id).boundary();
+        for id in m.layer_ids() {
+            let b = m.layer(id).boundary();
             if !boundaries.contains(&b) {
                 boundaries.push(b);
             }
         }
-        let halo = (model.kernel_size() - 1) / 2;
-        let heun = model.integrator() == Integrator::Heun;
-        let rows = model.rows();
+        let halo = (m.kernel_size() - 1) / 2;
+        let heun = m.integrator() == Integrator::Heun;
+        core.size_scratch(&geom, tiles.tiles().iter().map(|_| 0));
+        let (_, max_sites, max_factors) = core.scratch;
         let chunk_rows = match (cfg.chunk_rows, cfg.memory_budget) {
             (Some(g), _) => g.clamp(1, rows),
             (None, Some(b)) => {
-                solve_chunk_rows(&model, halo, n_taps, max_sites, max_factors, heun, b)
+                solve_chunk_rows(&core.model, halo, n_taps, max_sites, max_factors, heun, b)
             }
             (None, None) => rows,
         };
-        let n_windows = rows.div_ceil(chunk_rows);
-        let n = model.n_layers();
-        let cols = model.cols();
         let r_max = rows.min(chunk_rows + 2 * halo);
-        let resident = SoaGrid::new(n, r_max, cols, Q16_16::ZERO);
-        let resident_in = SoaGrid::new(n, if uses_inputs { r_max } else { 1 }, cols, Q16_16::ZERO);
-        let out_buf = SoaGrid::new(n, chunk_rows, cols, Q16_16::ZERO);
-        let heun_buf = heun.then(|| {
-            (
-                SoaGrid::new(n, chunk_rows, cols, Q16_16::ZERO),
-                SoaGrid::new(n, chunk_rows, cols, Q16_16::ZERO),
-            )
-        });
-        let shard_bufs = tiles
-            .tiles()
-            .iter()
-            .map(|_| ShardBuf::new(0, n.max(1), max_sites, max_factors))
-            .collect();
+        let chunk_grid = || SoaGrid::new(n, chunk_rows, cols, Q16_16::ZERO);
         let spool = Spool {
             dir: cfg.spool_dir.clone(),
         };
@@ -683,134 +527,77 @@ impl StreamSim {
         let journal = Journal {
             path: spool.dir.join("journal.txt"),
         };
-        if recovering.is_none() {
-            fs::write(&journal.path, String::new())?;
-            journal.append(JOURNAL_MAGIC)?;
-            journal.append(&format!(
-                "grid {} {} {} {} {} {:016x}",
-                rows,
-                cols,
-                n,
-                chunk_rows,
-                integrator_tag(model.integrator()),
-                model.dt().to_bits()
-            ))?;
+        if fresh {
+            let header = grid_record(&core.model, chunk_rows);
+            fs::write(&journal.path, format!("{JOURNAL_MAGIC}\n{header}\n"))?;
         }
-        Ok(Self {
-            plan,
-            hierarchy,
-            engine: ExecEngine::serial(),
+        let store = Spooled {
             tiles,
-            shard_bufs,
-            stats_before: Vec::new(),
-            eval,
             boundaries,
             halo,
             uses_inputs,
-            max_sites,
-            max_factors,
             chunk_rows,
-            n_windows,
             spool,
             journal,
-            resident,
-            resident_in,
-            out_buf,
-            heun_buf,
+            resident: SoaGrid::new(n, r_max, cols, Q16_16::ZERO),
+            resident_in: SoaGrid::new(n, if uses_inputs { r_max } else { 1 }, cols, Q16_16::ZERO),
+            out_buf: chunk_grid(),
+            heun_buf: heun.then(|| (chunk_grid(), chunk_grid())),
             row_map: vec![u32::MAX; rows],
             stage: Vec::new(),
             wstage: Vec::new(),
-            pass: 0,
-            window: 0,
-            pending: StepStats::default(),
-            stats_captured: false,
-            step_track: false,
-            pass_rhs_nanos: 0,
-            pass_update_nanos: 0,
-            step_wall_nanos: 0,
-            residual_raw: 0,
-            time: 0.0,
-            steps: 0,
-            run_cells: 0,
-            run_nanos: 0,
-            last_step: StepStats::default(),
-            track_residual: false,
-            recorder: None,
-            tracer: None,
+            rows: (0, 0),
+            win_rows: Vec::new(),
+            win_tiles: Vec::new(),
+            win_lanes: Vec::new(),
             peak_resident: 0,
             spill_bytes: 0,
             fill_bytes: 0,
             lut_layers,
             metrics: None,
-            model,
-        })
-    }
-
-    // --- accessors (mirroring `CennSim`) -------------------------------
-
-    /// The model being simulated.
-    pub fn model(&self) -> &CennModel {
-        &self.model
-    }
-
-    /// Simulated time `t`.
-    pub fn time(&self) -> f64 {
-        self.time
-    }
-
-    /// Number of completed steps.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Cumulative wall-clock nanoseconds spent advancing windows.
-    pub fn run_nanos(&self) -> u64 {
-        self.run_nanos
+        };
+        Ok(Self { core, store })
     }
 
     /// Chunk height in rows.
     pub fn chunk_rows(&self) -> usize {
-        self.chunk_rows
+        self.store.chunk_rows
     }
 
     /// Windows per integrator pass (`ceil(rows / chunk_rows)`).
     pub fn n_windows(&self) -> usize {
-        self.n_windows
+        self.store.n_windows()
     }
 
     /// The spool directory.
     pub fn spool_dir(&self) -> &Path {
-        &self.spool.dir
+        &self.store.spool.dir
     }
 
     /// Cumulative bytes spilled to the chunk spool (seed + per-window
     /// writes). Deterministic for a given model/geometry.
     pub fn spill_bytes(&self) -> u64 {
-        self.spill_bytes
+        self.store.spill_bytes
     }
 
     /// Largest resident working set observed so far: window buffers,
     /// per-shard scratch, gather tables, tile bookkeeping and I/O staging.
     /// Geometry-derived, so identical at every thread count.
     pub fn peak_resident_bytes(&self) -> u64 {
-        self.peak_resident
+        self.store.peak_resident
     }
 
     /// Cumulative bytes filled (read back) from the chunk spool: halo
     /// fills plus the Heun corrector's `x₀`/`k₁` re-reads.
     pub fn fill_bytes(&self) -> u64 {
-        self.fill_bytes
+        self.store.fill_bytes
     }
 
     /// `"exact"` when LUT hit/miss counters are bit-identical to the
     /// in-core engine (at most one LUT-bearing layer), `"totals-only"`
     /// when windowed interleaving preserves only access totals.
     pub fn lut_counters_mode(&self) -> &'static str {
-        if self.lut_layers > 1 {
-            "totals-only"
-        } else {
-            "exact"
-        }
+        self.store.lut_counters()
     }
 
     /// Routes streaming instruments into `hub`: counter
@@ -819,115 +606,13 @@ impl StreamSim {
     /// per swept window and on [`record_summary`](Self::record_summary) —
     /// never inside kernel loops.
     pub fn set_metrics(&mut self, hub: MetricsHub) {
-        self.metrics = Some(StreamMetrics {
+        self.store.metrics = Some(StreamMetrics {
             windows: hub.counter("stream.windows_swept_total"),
             spill: hub.gauge("stream.spill_bytes"),
             fill: hub.gauge("stream.fill_bytes"),
             peak: hub.gauge("stream.peak_resident_bytes"),
             hub,
         });
-    }
-
-    /// Pushes the cumulative I/O gauges (and `swept` freshly completed
-    /// windows) into the attached hub; no-op without one.
-    fn publish_metrics(&self, swept: u64) {
-        let Some(m) = &self.metrics else { return };
-        if swept > 0 {
-            m.hub.inc(m.windows, swept);
-        }
-        m.hub.gauge_set(m.spill, self.spill_bytes as i64);
-        m.hub.gauge_set(m.fill, self.fill_bytes as i64);
-        m.hub.gauge_max(m.peak, self.peak_resident as i64);
-    }
-
-    /// Sets the worker-thread count (zero clamps to one). As with the
-    /// in-core engine, thread count never changes results.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.engine = ExecEngine::new(threads);
-    }
-
-    /// Worker threads currently configured.
-    pub fn threads(&self) -> usize {
-        self.engine.threads()
-    }
-
-    /// Cumulative LUT statistics.
-    pub fn lut_stats(&self) -> LutStats {
-        self.hierarchy.stats()
-    }
-
-    /// Measured `(mr_L1, mr_L2)` miss rates.
-    pub fn miss_rates(&self) -> (f64, f64) {
-        self.hierarchy.miss_rates()
-    }
-
-    /// Timing and LUT-traffic observability for the most recent completed
-    /// step; default-empty before the first.
-    pub fn step_stats(&self) -> &StepStats {
-        &self.last_step
-    }
-
-    /// Attaches a metric recorder (same event stream as the in-core sim).
-    pub fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder = Some(recorder);
-    }
-
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&RecorderHandle> {
-        self.recorder.as_ref()
-    }
-
-    /// Attaches a span tracer. Halo-exchange I/O (chunk fills and spills)
-    /// is attributed to `halo_sync`; sweep phases match the in-core sim.
-    pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.tracer = Some(tracer);
-    }
-
-    /// The attached tracer, if any.
-    pub fn tracer(&self) -> Option<&TraceHandle> {
-        self.tracer.as_ref()
-    }
-
-    /// Forces the per-step residual scan on even without a recorder.
-    pub fn set_residual_tracking(&mut self, on: bool) {
-        self.track_residual = on;
-    }
-
-    /// Emits one `span_summary` event per active phase (no-op without
-    /// both a tracer and an enabled recorder).
-    pub fn record_span_summaries(&self) {
-        if let (Some(tracer), Some(rec)) = (&self.tracer, &self.recorder) {
-            tracer.record_summaries(rec);
-        }
-    }
-
-    /// Emits the end-of-run [`RunSummary`] with this engine's measured
-    /// `peak_resident_bytes` and `spill_bytes`. No-op without an enabled
-    /// recorder.
-    pub fn record_summary(&self) {
-        let Some(rec) = &self.recorder else { return };
-        if !rec.enabled() {
-            return;
-        }
-        let lut = self.lut_stats();
-        let (mr_l1, mr_l2) = self.miss_rates();
-        rec.record(&Event::RunSummary(RunSummary {
-            steps: self.steps,
-            time: self.time,
-            threads: self.engine.threads() as u64,
-            cells: self.run_cells,
-            total_nanos: self.run_nanos,
-            accesses: lut.accesses,
-            mr_l1,
-            mr_l2,
-            mr_combined: lut.combined_miss_rate(),
-            residual: self.last_step.residual,
-            lut: lut.level_metrics(),
-            peak_resident_bytes: self.peak_resident,
-            spill_bytes: self.spill_bytes,
-            lut_counters: self.lut_counters_mode().into(),
-        }));
-        self.publish_metrics(0);
     }
 
     /// Assembles a bit-exact [`SimSnapshot`] from the current-parity
@@ -938,26 +623,32 @@ impl StreamSim {
     ///
     /// [`StreamError::Io`] / [`StreamError::Corrupt`] on spool problems.
     pub fn snapshot(&self) -> Result<SimSnapshot, StreamError> {
-        let (n, cols) = (self.model.n_layers(), self.model.cols());
-        let cells = self.model.rows() * cols;
-        let mut states = vec![vec![0i32; cells]; n];
+        let (n, cols) = (self.core.model.n_layers(), self.core.model.cols());
+        let mut states = vec![vec![0i32; self.core.model.rows() * cols]; n];
         let mut stage = Vec::new();
-        for w in 0..self.n_windows {
-            let (r0, r1) = self.window_bounds(w);
-            let chunk_cells = (r1 - r0) * cols;
-            let offs =
-                self.spool
-                    .read_chunk(parity_stream(self.steps), w, n, chunk_cells, &mut stage)?;
-            for (l, &off) in offs.iter().enumerate() {
-                for j in 0..chunk_cells {
-                    states[l][r0 * cols + j] = read_i32(&stage, off + j * 4);
+        for w in 0..self.store.n_windows() {
+            let (r0, r1) = self.store.window_bounds(w);
+            let cells = (r1 - r0) * cols;
+            let view = self.store.spool.read_chunk(
+                parity_stream(self.core.steps),
+                w,
+                n,
+                cells,
+                &mut stage,
+            )?;
+            for (l, layer) in states.iter_mut().enumerate() {
+                for (slot, v) in layer[r0 * cols..r1 * cols]
+                    .iter_mut()
+                    .zip(view.words(l, 0, cells))
+                {
+                    *slot = v;
                 }
             }
         }
         Ok(SimSnapshot {
-            steps: self.steps,
-            time: self.time,
-            run_cells: self.run_cells,
+            steps: self.core.steps,
+            time: self.core.time,
+            run_cells: self.core.run_cells,
             states,
         })
     }
@@ -969,27 +660,11 @@ impl StreamSim {
     /// Propagates spool read failures.
     pub fn state_f64(&self, layer: LayerId) -> Result<Grid<f64>, StreamError> {
         let snap = self.snapshot()?;
-        let (rows, cols) = (self.model.rows(), self.model.cols());
+        let cols = self.core.model.cols();
         let bits = &snap.states[layer.index()];
-        Ok(Grid::from_fn(rows, cols, |r, c| {
+        Ok(Grid::from_fn(self.core.model.rows(), cols, |r, c| {
             Q16_16::from_bits(bits[r * cols + c]).to_f64()
         }))
-    }
-
-    // --- stepping -------------------------------------------------------
-
-    /// Integrator passes per step.
-    fn passes(&self) -> usize {
-        match self.model.integrator() {
-            Integrator::Euler => 1,
-            Integrator::Heun => 2,
-        }
-    }
-
-    /// Chunk row bounds of window `w`.
-    fn window_bounds(&self, w: usize) -> (usize, usize) {
-        let r0 = w * self.chunk_rows;
-        (r0, (r0 + self.chunk_rows).min(self.model.rows()))
     }
 
     /// Advances one full time step (all windows of all passes).
@@ -999,12 +674,7 @@ impl StreamSim {
     /// Propagates spool I/O failures; the journal then still reflects the
     /// last completed window, so [`recover`](Self::recover) can resume.
     pub fn step(&mut self) -> Result<StepReport, StreamError> {
-        while !self.advance_window()? {}
-        Ok(StepReport {
-            time: self.time,
-            steps: self.steps,
-            lut: self.hierarchy.stats(),
-        })
+        self.step_once()
     }
 
     /// Runs `n` full steps.
@@ -1013,15 +683,7 @@ impl StreamSim {
     ///
     /// Propagates spool I/O failures.
     pub fn run(&mut self, n: u64) -> Result<StepReport, StreamError> {
-        let mut report = StepReport {
-            time: self.time,
-            steps: self.steps,
-            lut: self.hierarchy.stats(),
-        };
-        for _ in 0..n {
-            report = self.step()?;
-        }
-        Ok(report)
+        self.run_steps(n)
     }
 
     /// Advances exactly `n` window executions — the restartability hook:
@@ -1033,112 +695,50 @@ impl StreamSim {
     /// Propagates spool I/O failures.
     pub fn step_windows(&mut self, n: usize) -> Result<(), StreamError> {
         for _ in 0..n {
-            self.advance_window()?;
+            self.advance()?;
         }
         Ok(())
     }
 
-    /// Initializes the per-step accounting at the first window of a step.
-    fn begin_step(&mut self) {
-        self.stats_before.clear();
-        self.stats_before
-            .extend(self.hierarchy.shards().iter().map(LutShard::stats));
-        self.pending = StepStats {
-            threads: self.engine.threads(),
-            ..StepStats::default()
-        };
-        self.step_track = self.recording() || self.track_residual;
-        self.pass_rhs_nanos = 0;
-        self.pass_update_nanos = 0;
-        self.step_wall_nanos = 0;
-        self.residual_raw = 0;
-        self.stats_captured = true;
-    }
-
-    fn recording(&self) -> bool {
-        self.recorder.as_ref().is_some_and(RecorderHandle::enabled)
-    }
-
-    /// Executes the cursor's window; returns `true` when it completed a
-    /// full step.
-    fn advance_window(&mut self) -> Result<bool, StreamError> {
-        if !self.stats_captured {
-            self.begin_step();
-        }
-        let t0 = Instant::now();
-        let w = self.window;
-        match (self.model.integrator(), self.pass) {
-            (Integrator::Euler, 0) => self.euler_window(w)?,
-            (Integrator::Heun, 0) => self.heun_predictor_window(w)?,
-            (Integrator::Heun, 1) => self.heun_corrector_window(w)?,
-            _ => unreachable!("cursor pass out of range"),
-        }
-        self.step_wall_nanos += t0.elapsed().as_nanos() as u64;
-        self.journal
-            .append(&format!("win {} {}", self.pass, self.window))?;
-        self.window += 1;
-        if self.window < self.n_windows {
-            return Ok(false);
-        }
-        self.window = 0;
-        self.pending
-            .sweeps
-            .push(("dynamic".into(), self.pass_rhs_nanos));
-        self.pending
-            .sweeps
-            .push(("update".into(), self.pass_update_nanos));
-        self.pass_rhs_nanos = 0;
-        self.pass_update_nanos = 0;
-        self.pass += 1;
-        if self.pass < self.passes() {
-            return Ok(false);
-        }
-        self.pass = 0;
-        self.finish_step()?;
-        Ok(true)
-    }
-
-    /// Closes out a completed step: counters, stats, journal, Step event.
-    fn finish_step(&mut self) -> Result<(), StreamError> {
-        self.steps += 1;
-        self.time += self.model.dt();
-        self.pending.total_nanos = self.step_wall_nanos;
-        if self.step_track {
-            self.pending.residual = self.residual_raw as f64 / f64::from(1u32 << 16);
-        }
-        self.pending.shard_lut = self
-            .hierarchy
-            .shards()
-            .iter()
-            .zip(&self.stats_before)
-            .map(|(s, b)| s.stats().since(b))
-            .collect();
-        self.run_cells += self.pending.cells;
-        self.run_nanos += self.pending.total_nanos;
-        self.last_step = std::mem::take(&mut self.pending);
-        self.stats_captured = false;
-        self.journal.append(&format!(
-            "step {} {:016x} {}",
-            self.steps,
-            self.time.to_bits(),
-            self.run_cells
-        ))?;
-        if self.recording() {
-            if let Some(rec) = &self.recorder {
-                rec.record(&Event::Step(
-                    self.last_step.to_metrics(self.steps, self.time),
-                ));
+    /// Recovery helper: folds `max |Δx|` between the old- and new-parity
+    /// chunks of a final-pass window completed before a kill, so the
+    /// resumed step's residual matches an uninterrupted run.
+    fn fold_recovered_residual(&mut self, w: usize) -> Result<(), StreamError> {
+        let (r0, r1) = self.store.window_bounds(w);
+        let (n, steps) = (self.core.model.n_layers(), self.core.steps);
+        let cells = (r1 - r0) * self.core.model.cols();
+        let st = &mut self.store;
+        let mut next = Vec::new();
+        let old = st
+            .spool
+            .read_chunk(parity_stream(steps), w, n, cells, &mut st.stage)?;
+        let new = st
+            .spool
+            .read_chunk(parity_stream(steps + 1), w, n, cells, &mut next)?;
+        let mut max_raw = self.core.residual_raw;
+        for l in 0..n {
+            for (o, nv) in old.words(l, 0, cells).zip(new.words(l, 0, cells)) {
+                max_raw = max_raw.max((i64::from(nv) - i64::from(o)).abs());
             }
         }
+        self.core.residual_raw = max_raw;
         Ok(())
+    }
+}
+
+impl Spooled {
+    /// Chunk row bounds of window `w`.
+    fn window_bounds(&self, w: usize) -> (usize, usize) {
+        let r0 = w * self.chunk_rows;
+        (r0, (r0 + self.chunk_rows).min(self.row_map.len()))
     }
 
     /// Resident rows for the window `[r0, r1)`: the chunk rows plus every
     /// row any layer's boundary resolves a within-halo neighbour to
     /// (clamped rows for zero-flux, wrapped rows for periodic) — a
     /// superset of all rows the window's gather tables reference.
-    fn resident_rows(&self, r0: usize, r1: usize) -> Vec<usize> {
-        let (rows, cols) = (self.model.rows(), self.model.cols());
+    fn halo_rows(&self, r0: usize, r1: usize) -> Vec<usize> {
+        let (rows, cols) = self.tiles.shape();
         let mut mark = vec![false; rows];
         for r in r0..r1 {
             mark[r] = true;
@@ -1155,179 +755,65 @@ impl StreamSim {
         (0..rows).filter(|&r| mark[r]).collect()
     }
 
-    /// Fills a resident buffer from a chunk stream for the given rows;
-    /// returns bytes read.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_resident(
-        spool: &Spool,
-        stream: &str,
-        chunk_rows: usize,
-        cols: usize,
-        resident: &[usize],
-        row_map: &[u32],
-        grid: &mut SoaGrid<Q16_16>,
-        stage: &mut Vec<u8>,
-    ) -> Result<u64, StreamError> {
-        let n = grid.n_layers();
-        let mut bytes = 0u64;
+    /// Pushes the cumulative I/O gauges (and `swept` freshly completed
+    /// windows) into the attached hub; no-op without one.
+    fn publish_metrics(&self, swept: u64) {
+        let Some(m) = &self.metrics else { return };
+        if swept > 0 {
+            m.hub.inc(m.windows, swept);
+        }
+        m.hub.gauge_set(m.spill, self.spill_bytes as i64);
+        m.hub.gauge_set(m.fill, self.fill_bytes as i64);
+        m.hub.gauge_max(m.peak, self.peak_resident as i64);
+    }
+
+    /// Fills the window's resident rows of the state (or, with `inputs`,
+    /// the input) buffer from a chunk stream.
+    fn fill_rows(&mut self, stream: &str, inputs: bool) -> Result<(), StreamError> {
+        let grid = if inputs {
+            &mut self.resident_in
+        } else {
+            &mut self.resident
+        };
+        let (n, cols) = (grid.n_layers(), grid.cols());
+        let rows = &self.win_rows;
         let mut i = 0;
-        while i < resident.len() {
-            let chunk = resident[i] / chunk_rows;
-            let c0 = chunk * chunk_rows;
-            let c1 = (c0 + chunk_rows).min(row_map.len());
-            let cells = (c1 - c0) * cols;
-            let offs = spool.read_chunk(stream, chunk, n, cells, stage)?;
-            while i < resident.len() && resident[i] / chunk_rows == chunk {
-                let r = resident[i];
-                let local = row_map[r] as usize;
-                for (l, &off) in offs.iter().enumerate() {
-                    let src = off + (r - c0) * cols * 4;
+        while i < rows.len() {
+            let chunk = rows[i] / self.chunk_rows;
+            let c0 = chunk * self.chunk_rows;
+            let c1 = (c0 + self.chunk_rows).min(self.row_map.len());
+            let view =
+                self.spool
+                    .read_chunk(stream, chunk, n, (c1 - c0) * cols, &mut self.stage)?;
+            while i < rows.len() && rows[i] / self.chunk_rows == chunk {
+                let local = self.row_map[rows[i]] as usize;
+                for l in 0..n {
                     let dst = &mut grid.layer_mut(l)[local * cols..(local + 1) * cols];
-                    for (j, slot) in dst.iter_mut().enumerate() {
-                        *slot = Q16_16::from_bits(read_i32(stage, src + j * 4));
+                    for (slot, v) in dst
+                        .iter_mut()
+                        .zip(view.words(l, (rows[i] - c0) * cols, cols))
+                    {
+                        *slot = Q16_16::from_bits(v);
                     }
                 }
                 i += 1;
             }
-            bytes += stage.len() as u64;
+            self.fill_bytes += self.stage.len() as u64;
         }
-        Ok(bytes)
+        Ok(())
     }
 
-    /// Runs the RHS sweep of one window with the resident states filled
-    /// from `src_stream`, leaving the per-layer RHS in `out_buf` (chunk
-    /// rows, chunk-local row-major). Returns the window geometry (the
-    /// caller clears `row_map` after its update phase).
-    fn rhs_window(&mut self, w: usize, src_stream: &str) -> Result<WindowGeom, StreamError> {
-        let (r0, r1) = self.window_bounds(w);
-        let resident = self.resident_rows(r0, r1);
-        debug_assert!(resident.len() <= self.resident.rows());
-        let epoch = self.tracer.as_ref().map(TraceHandle::epoch);
-        // Halo fill: map resident rows and read them from the spool.
-        let t_fill = Instant::now();
-        for (local, &r) in resident.iter().enumerate() {
-            self.row_map[r] = local as u32;
-        }
-        let cols = self.model.cols();
-        self.fill_bytes += Self::fill_resident(
-            &self.spool,
-            src_stream,
-            self.chunk_rows,
-            cols,
-            &resident,
-            &self.row_map,
-            &mut self.resident,
-            &mut self.stage,
-        )?;
-        if self.uses_inputs {
-            self.fill_bytes += Self::fill_resident(
-                &self.spool,
-                "in",
-                self.chunk_rows,
-                cols,
-                &resident,
-                &self.row_map,
-                &mut self.resident_in,
-                &mut self.stage,
-            )?;
-        }
-        if let (Some(tr), Some(epoch)) = (&self.tracer, epoch) {
-            tr.record(
-                Phase::HaloSync,
-                0,
-                t_fill.saturating_duration_since(epoch).as_nanos() as u64,
-                t_fill.elapsed().as_nanos() as u64,
-            );
-        }
-        // Window tiles + lanes: global cells/PEs, resident-local flats and
-        // gathers (build_lanes emits global flats; remap through row_map).
-        let t_rhs = Instant::now();
-        let row_map = &self.row_map;
-        let win_tiles = self.tiles.window(r0, r1, |r| row_map[r] as usize);
-        let spec_of = |f| self.model.lut_config().spec_for(f);
-        let mut win_lanes: Vec<LayerLanes> = self
-            .plan
-            .iter()
-            .map(|p| build_lanes(p, &win_tiles, self.model.rows(), cols, &spec_of))
-            .collect();
-        for lanes in &mut win_lanes {
-            for tap in &mut lanes.taps {
-                for g in &mut tap.gather {
-                    if *g != u32::MAX {
-                        let local = row_map[*g as usize / cols];
-                        debug_assert_ne!(local, u32::MAX, "gather row not resident");
-                        *g = local * cols as u32 + *g % cols as u32;
-                    }
-                }
-            }
-        }
-        let tile_offsets: Vec<usize> = win_tiles
-            .iter()
-            .scan(0usize, |acc, t| {
-                let off = *acc;
-                *acc += t.len();
-                Some(off)
-            })
-            .collect();
-        let n_layers = self.model.n_layers();
-        for (buf, tile) in self.shard_bufs.iter_mut().zip(&win_tiles) {
-            buf.ensure(
-                tile.len(),
-                n_layers.max(1),
-                self.max_sites,
-                self.max_factors,
-            );
-        }
-        // The fused dynamic sweep, exactly as the in-core engine runs it.
-        let ctx = EvalCtx {
-            lib: self.model.library(),
-            eval: self.eval,
-        };
-        let sweep: Vec<_> = (0..n_layers)
-            .map(|i| resolve_layer(&self.plan[i], &win_lanes[i], i, true))
-            .collect();
-        let lut_phase = sweep.iter().any(|sl| !sl.lanes.sites.is_empty());
-        let (tables, shards) = self.hierarchy.split();
-        let states = &self.resident;
-        let inputs = &self.resident_in;
-        let sweep_ref = &sweep[..];
-        let ctx_ref = &ctx;
-        let offs = &tile_offsets;
-        let mut work = make_work(shards, &win_tiles, &mut self.shard_bufs, epoch.is_some());
-        self.engine.for_each_mut(&mut work, |i, item| {
-            let (shard, tile, buf, ring) = item;
-            sweep_shard(
-                shard, tables, tile, offs[i], sweep_ref, states, inputs, ctx_ref, buf, lut_phase,
-                true, ring, epoch,
-            );
-        });
-        for (_, tile, buf, ring) in &mut work {
-            let t0 = ring.is_enabled().then(Instant::now);
-            let cells = tile.len();
-            for li in 0..n_layers {
-                let seg = &buf.out[li * cells..(li + 1) * cells];
-                let dest = self.out_buf.layer_mut(li);
-                for (&(r, c), &v) in tile.cells().iter().zip(seg) {
-                    dest[(r as usize - r0) * cols + c as usize] = Q16_16::from_bits(v);
-                }
-            }
-            push_halo_span(ring, tile, t0, epoch);
-        }
-        if let Some(tr) = &self.tracer {
-            for (_, _, _, ring) in &mut work {
-                tr.sink_ring(ring);
-            }
-        }
-        drop(work);
-        self.pending.cells += (n_layers * (r1 - r0) * cols) as u64;
-        self.pass_rhs_nanos += t_rhs.elapsed().as_nanos() as u64;
-        // Resident-footprint watermark (geometry-derived, deterministic).
-        let lanes_bytes: u64 = win_lanes
+    /// Records the resident working set of the window just built: window
+    /// buffers, per-shard scratch, gather tables, tile bookkeeping and
+    /// I/O staging (geometry-derived, deterministic).
+    fn note_peak(&mut self, bufs: &[ShardBuf]) {
+        let lanes_bytes: u64 = self
+            .win_lanes
             .iter()
             .map(|l| l.taps.iter().map(|t| t.gather.len() * 4).sum::<usize>() as u64)
             .sum();
-        let tiles_bytes: u64 = win_tiles.iter().map(|t| t.len() as u64 * 16).sum();
-        let buf_bytes: u64 = self.shard_bufs.iter().map(ShardBuf::bytes).sum();
+        let tiles_bytes: u64 = self.win_tiles.iter().map(|t| t.len() as u64 * 16).sum();
+        let buf_bytes: u64 = bufs.iter().map(ShardBuf::bytes).sum();
         let word = std::mem::size_of::<Q16_16>() as u64;
         let mut fixed = (self.resident.slab().len()
             + self.resident_in.slab().len()
@@ -1340,228 +826,166 @@ impl StreamSim {
         self.peak_resident = self
             .peak_resident
             .max(fixed + lanes_bytes + tiles_bytes + buf_bytes);
-        self.publish_metrics(1);
-        Ok(WindowGeom { r0, r1, resident })
+    }
+}
+
+impl Store for Spooled {
+    type Error = StreamError;
+
+    fn n_windows(&self) -> usize {
+        self.row_map.len().div_ceil(self.chunk_rows)
     }
 
-    /// Clears the rows a window mapped into `row_map`.
-    fn clear_window(&mut self, geom: &WindowGeom) {
-        for &r in &geom.resident {
+    /// Halo fill from the spool (the current-parity state, or Heun's
+    /// predictor on the corrector pass), then the window's tiles and
+    /// lanes: global cells and PEs, resident-local flats and gathers
+    /// (`build_lanes` emits global flats; they are remapped through the
+    /// row map).
+    fn fill(&mut self, core: &mut Core, pass: usize, w: usize) -> Result<(), StreamError> {
+        let src = if pass == 0 {
+            parity_stream(core.steps)
+        } else {
+            "pred"
+        };
+        let (r0, r1) = self.window_bounds(w);
+        let cols = self.tiles.shape().1;
+        let t_fill = Instant::now();
+        self.win_rows = self.halo_rows(r0, r1);
+        for (local, &r) in self.win_rows.iter().enumerate() {
+            self.row_map[r] = local as u32;
+        }
+        self.fill_rows(src, false)?;
+        if self.uses_inputs {
+            self.fill_rows("in", true)?;
+        }
+        if let Some(tr) = &core.tracer {
+            tr.record(
+                Phase::HaloSync,
+                0,
+                t_fill.saturating_duration_since(tr.epoch()).as_nanos() as u64,
+                t_fill.elapsed().as_nanos() as u64,
+            );
+        }
+        let row_map = &self.row_map;
+        self.win_tiles = self.tiles.window(r0, r1, |r| row_map[r] as usize);
+        self.win_lanes = core.lanes(&self.win_tiles);
+        for tap in self.win_lanes.iter_mut().flat_map(|l| &mut l.taps) {
+            for g in &mut tap.gather {
+                if *g != u32::MAX {
+                    let local = row_map[*g as usize / cols];
+                    debug_assert_ne!(local, u32::MAX, "gather row not resident");
+                    *g = local * cols as u32 + *g % cols as u32;
+                }
+            }
+        }
+        for (buf, tile) in core.shard_bufs.iter_mut().zip(&self.win_tiles) {
+            buf.ensure(tile.len(), core.scratch);
+        }
+        self.rows = (r0, r1);
+        self.note_peak(&core.shard_bufs);
+        self.publish_metrics(1);
+        Ok(())
+    }
+
+    fn window(&mut self, pass: usize) -> WindowMut<'_> {
+        WindowMut {
+            rows: self.rows,
+            base: self.row_map[self.rows.0] as usize,
+            tiles: &self.win_tiles,
+            lanes: &self.win_lanes,
+            states: &mut self.resident,
+            inputs: &self.resident_in,
+            rhs: &mut self.out_buf,
+            heun: self
+                .heun_buf
+                .as_ref()
+                .filter(|_| pass == 1)
+                .map(|(x0, k1)| (x0, k1)),
+        }
+    }
+
+    /// Drops the window's lanes and, on Heun's corrector pass, re-reads
+    /// the pre-step state and `k₁` for exactly the chunk rows.
+    fn prepare_update(&mut self, core: &Core, pass: usize, w: usize) -> Result<(), StreamError> {
+        self.win_tiles.clear();
+        self.win_lanes.clear();
+        let Some((x0, k1)) = self.heun_buf.as_mut().filter(|_| pass == 1) else {
+            return Ok(());
+        };
+        let n = core.model.n_layers();
+        let cells = (self.rows.1 - self.rows.0) * core.model.cols();
+        for (stream, dest) in [(parity_stream(core.steps), x0), ("k1", k1)] {
+            let view = self
+                .spool
+                .read_chunk(stream, w, n, cells, &mut self.stage)?;
+            for l in 0..n {
+                for (slot, v) in dest.layer_mut(l)[..cells]
+                    .iter_mut()
+                    .zip(view.words(l, 0, cells))
+                {
+                    *slot = Q16_16::from_bits(v);
+                }
+            }
+            self.fill_bytes += self.stage.len() as u64;
+        }
+        Ok(())
+    }
+
+    /// Euler and Heun's corrector spill the updated chunk rows to the
+    /// next-parity state stream; Heun's predictor pass spills `k₁` and
+    /// the predictor state for the corrector to read back.
+    fn spill(&mut self, core: &Core, pass: usize, w: usize) -> Result<(), StreamError> {
+        let (r0, r1) = self.rows;
+        let cols = core.model.cols();
+        let lo = self.row_map[r0] as usize * cols;
+        let chunk = lo..lo + (r1 - r0) * cols;
+        let now = (core.steps, core.time);
+        if pass + 1 < core.passes() {
+            let k1 = chunk_layers(&self.out_buf, 0..chunk.len());
+            self.spill_bytes += self.spool.write_chunk("k1", w, now, k1, &mut self.wstage)?;
+            let pred = chunk_layers(&self.resident, chunk);
+            self.spill_bytes += self
+                .spool
+                .write_chunk("pred", w, now, pred, &mut self.wstage)?;
+        } else {
+            let next = (core.steps + 1, core.time + core.model.dt());
+            let x = chunk_layers(&self.resident, chunk);
+            self.spill_bytes +=
+                self.spool
+                    .write_chunk(parity_stream(next.0), w, next, x, &mut self.wstage)?;
+        }
+        for &r in &self.win_rows {
             self.row_map[r] = u32::MAX;
         }
-    }
-
-    /// Records one `integrate` span on track 0 (matching the in-core
-    /// convention that the update pass runs on the driving thread).
-    fn push_integrate_span(&self, t0: Instant, nanos: u64) {
-        if let Some(tr) = &self.tracer {
-            let start = t0.saturating_duration_since(tr.epoch()).as_nanos() as u64;
-            tr.record(Phase::Integrate, 0, start, nanos);
-        }
-    }
-
-    /// Euler: fused RHS + pointwise update per window, spilled to the
-    /// next-parity state stream (no intermediate `k` spill).
-    fn euler_window(&mut self, w: usize) -> Result<(), StreamError> {
-        let geom = self.rhs_window(w, parity_stream(self.steps))?;
-        let t0 = Instant::now();
-        let (r0, r1) = (geom.r0, geom.r1);
-        let cols = self.model.cols();
-        let dt = self.model.dt_fx();
-        let track = self.step_track;
-        let mut max_raw = 0i64;
-        for l in 0..self.model.n_layers() {
-            let xs = self.resident.layer_slice(l);
-            let out = self.out_buf.layer_mut(l);
-            for r in r0..r1 {
-                let local = self.row_map[r] as usize;
-                for c in 0..cols {
-                    let x = xs[local * cols + c];
-                    let slot = &mut out[(r - r0) * cols + c];
-                    let mut acc = MacAcc::<16>::with_init(x);
-                    acc.mac(dt, *slot);
-                    let xn = acc.resolve();
-                    if track {
-                        let d = (i64::from(xn.to_bits()) - i64::from(x.to_bits())).abs();
-                        max_raw = max_raw.max(d);
-                    }
-                    *slot = xn;
-                }
-            }
-        }
-        self.residual_raw = self.residual_raw.max(max_raw);
-        self.spill_window_state(w, r0, r1)?;
-        let nanos = t0.elapsed().as_nanos() as u64;
-        self.pass_update_nanos += nanos;
-        self.push_integrate_span(t0, nanos);
-        self.clear_window(&geom);
         Ok(())
     }
 
-    /// Heun pass 1: RHS on the current state, then the predictor
-    /// `x* = x + dt·k₁`; spills both the `k1` and `pred` streams.
-    fn heun_predictor_window(&mut self, w: usize) -> Result<(), StreamError> {
-        let geom = self.rhs_window(w, parity_stream(self.steps))?;
-        let t0 = Instant::now();
-        let (r0, r1) = (geom.r0, geom.r1);
-        let cols = self.model.cols();
-        let cells = (r1 - r0) * cols;
-        let dt = self.model.dt_fx();
-        let n = self.model.n_layers();
-        let (pred_buf, _) = self.heun_buf.as_mut().expect("heun buffers allocated");
-        for l in 0..n {
-            let xs = self.resident.layer_slice(l);
-            let k1 = self.out_buf.layer_slice(l);
-            let pred = pred_buf.layer_mut(l);
-            for r in r0..r1 {
-                let local = self.row_map[r] as usize;
-                for c in 0..cols {
-                    let j = (r - r0) * cols + c;
-                    let mut acc = MacAcc::<16>::with_init(xs[local * cols + c]);
-                    acc.mac(dt, k1[j]);
-                    pred[j] = acc.resolve();
-                }
-            }
-        }
-        let k1_layers: Vec<ChunkSrc<'_>> = (0..n)
-            .map(|l| ChunkSrc::Fx(&self.out_buf.layer_slice(l)[..cells]))
-            .collect();
-        self.spill_bytes += self.spool.write_chunk(
-            "k1",
-            w,
-            self.steps,
-            self.time,
-            cells,
-            &k1_layers,
-            &mut self.wstage,
-        )?;
-        let (pred_buf, _) = self.heun_buf.as_ref().expect("heun buffers allocated");
-        let pred_layers: Vec<ChunkSrc<'_>> = (0..n)
-            .map(|l| ChunkSrc::Fx(&pred_buf.layer_slice(l)[..cells]))
-            .collect();
-        self.spill_bytes += self.spool.write_chunk(
-            "pred",
-            w,
-            self.steps,
-            self.time,
-            cells,
-            &pred_layers,
-            &mut self.wstage,
-        )?;
-        let nanos = t0.elapsed().as_nanos() as u64;
-        self.pass_update_nanos += nanos;
-        self.push_integrate_span(t0, nanos);
-        self.clear_window(&geom);
-        Ok(())
+    fn window_done(&mut self, pass: usize, w: usize) -> Result<(), StreamError> {
+        self.journal.append(&format!("win {pass} {w}"))
     }
 
-    /// Heun pass 2: RHS on the spilled predictor, then the corrector
-    /// `x ← x₀ + dt/2·(k₁ + k₂)` against the re-read `x₀`/`k₁` chunks,
-    /// spilled to the next-parity state stream.
-    fn heun_corrector_window(&mut self, w: usize) -> Result<(), StreamError> {
-        let geom = self.rhs_window(w, "pred")?;
-        let t0 = Instant::now();
-        let (r0, r1) = (geom.r0, geom.r1);
-        let cols = self.model.cols();
-        let cells = (r1 - r0) * cols;
-        let dt_half = Q16_16::from_f64(self.model.dt() / 2.0);
-        let n = self.model.n_layers();
-        let track = self.step_track;
-        // Re-read the pre-step state and k₁ for exactly the chunk rows.
-        let (x0_buf, k1_buf) = self.heun_buf.as_mut().expect("heun buffers allocated");
-        let x0_offs =
-            self.spool
-                .read_chunk(parity_stream(self.steps), w, n, cells, &mut self.stage)?;
-        self.fill_bytes += self.stage.len() as u64;
-        for (l, &off) in x0_offs.iter().enumerate() {
-            for (j, slot) in x0_buf.layer_mut(l)[..cells].iter_mut().enumerate() {
-                *slot = Q16_16::from_bits(read_i32(&self.stage, off + j * 4));
-            }
-        }
-        let k1_offs = self.spool.read_chunk("k1", w, n, cells, &mut self.stage)?;
-        self.fill_bytes += self.stage.len() as u64;
-        for (l, &off) in k1_offs.iter().enumerate() {
-            for (j, slot) in k1_buf.layer_mut(l)[..cells].iter_mut().enumerate() {
-                *slot = Q16_16::from_bits(read_i32(&self.stage, off + j * 4));
-            }
-        }
-        let mut max_raw = 0i64;
-        for l in 0..n {
-            let x0s = x0_buf.layer_slice(l);
-            let k1s = k1_buf.layer_slice(l);
-            let out = self.out_buf.layer_mut(l);
-            for j in 0..cells {
-                let x0 = x0s[j];
-                let mut acc = MacAcc::<16>::with_init(x0);
-                acc.mac(dt_half, k1s[j]);
-                acc.mac(dt_half, out[j]);
-                let xn = acc.resolve();
-                if track {
-                    let d = (i64::from(xn.to_bits()) - i64::from(x0.to_bits())).abs();
-                    max_raw = max_raw.max(d);
-                }
-                out[j] = xn;
-            }
-        }
-        self.residual_raw = self.residual_raw.max(max_raw);
-        self.spill_window_state(w, r0, r1)?;
-        let nanos = t0.elapsed().as_nanos() as u64;
-        self.pass_update_nanos += nanos;
-        self.push_integrate_span(t0, nanos);
-        self.clear_window(&geom);
-        Ok(())
+    fn step_done(&mut self, core: &Core) -> Result<(), StreamError> {
+        self.journal.step(core)
     }
 
-    /// Spills `out_buf` (the window's updated state) to the next-parity
-    /// stream.
-    fn spill_window_state(&mut self, w: usize, r0: usize, r1: usize) -> Result<(), StreamError> {
-        let cols = self.model.cols();
-        let cells = (r1 - r0) * cols;
-        let layers: Vec<ChunkSrc<'_>> = (0..self.model.n_layers())
-            .map(|l| ChunkSrc::Fx(&self.out_buf.layer_slice(l)[..cells]))
-            .collect();
-        self.spill_bytes += self.spool.write_chunk(
-            parity_stream(self.steps + 1),
-            w,
-            self.steps + 1,
-            self.time + self.model.dt(),
-            cells,
-            &layers,
-            &mut self.wstage,
-        )?;
-        Ok(())
+    fn peak_resident_bytes(&self) -> u64 {
+        self.peak_resident
     }
 
-    /// Recovery helper: folds `max |Δx|` between the old- and new-parity
-    /// chunks of a final-pass window completed before a kill, so the
-    /// resumed step's residual matches an uninterrupted run.
-    fn fold_recovered_residual(&mut self, w: usize) -> Result<(), StreamError> {
-        let (r0, r1) = self.window_bounds(w);
-        let cols = self.model.cols();
-        let cells = (r1 - r0) * cols;
-        let n = self.model.n_layers();
-        let old = self
-            .spool
-            .read_chunk(parity_stream(self.steps), w, n, cells, &mut self.stage)?
-            .iter()
-            .map(|&off| {
-                (0..cells)
-                    .map(|j| read_i32(&self.stage, off + j * 4))
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>();
-        let new_offs =
-            self.spool
-                .read_chunk(parity_stream(self.steps + 1), w, n, cells, &mut self.stage)?;
-        let mut max_raw = self.residual_raw;
-        for (l, &off) in new_offs.iter().enumerate() {
-            for (j, &o) in old[l].iter().enumerate() {
-                let nv = read_i32(&self.stage, off + j * 4);
-                max_raw = max_raw.max((i64::from(nv) - i64::from(o)).abs());
-            }
+    fn spill_bytes(&self) -> u64 {
+        self.spill_bytes
+    }
+
+    fn lut_counters(&self) -> &'static str {
+        if self.lut_layers > 1 {
+            "totals-only"
+        } else {
+            "exact"
         }
-        self.residual_raw = max_raw;
-        Ok(())
+    }
+
+    fn summarize(&self) {
+        self.publish_metrics(0);
     }
 }
 
@@ -1725,15 +1149,13 @@ mod tests {
         let vals: Vec<Q16_16> = (0..12).map(|i| Q16_16::from_f64(i as f64 * 0.5)).collect();
         let mut stage = Vec::new();
         spool
-            .write_chunk("x0", 3, 7, 0.35, 12, &[ChunkSrc::Fx(&vals)], &mut stage)
+            .write_chunk("x0", 3, (7, 0.35), [&vals[..]].into_iter(), &mut stage)
             .unwrap();
         let bytes = fs::read(spool.chunk_path("x0", 3)).unwrap();
-        assert_eq!(&bytes[..8], b"CENNCKPT", "guard-compatible magic");
+        assert_eq!(&bytes[..8], snapshot::MAGIC, "guard-compatible magic");
         assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
-        let offs = spool.read_chunk("x0", 3, 1, 12, &mut stage).unwrap();
-        for (j, v) in vals.iter().enumerate() {
-            assert_eq!(read_i32(&stage, offs[0] + j * 4), v.to_bits());
-        }
+        let view = spool.read_chunk("x0", 3, 1, 12, &mut stage).unwrap();
+        assert!(view.words(0, 0, 12).eq(vals.iter().map(|v| v.to_bits())));
         assert!(spool.read_chunk("x0", 3, 2, 12, &mut stage).is_err());
         assert!(spool.read_chunk("x0", 3, 1, 11, &mut stage).is_err());
         let _ = fs::remove_dir_all(&dir);

@@ -9,11 +9,6 @@ use std::path::Path;
 use cenn_core::{CennSim, SimSnapshot};
 use cenn_lut::LutStats;
 
-/// File magic: `CENNCKPT`.
-const MAGIC: &[u8; 8] = b"CENNCKPT";
-/// Checkpoint file format version.
-const VERSION: u32 = 1;
-
 /// A bit-exact restore point: the sim snapshot (raw Q16.16 grid bits plus
 /// step/time counters) and the cumulative LUT statistics at capture time.
 ///
@@ -43,38 +38,20 @@ impl Checkpoint {
         self.snapshot.steps
     }
 
-    /// Serializes to the `CENNCKPT` v1 little-endian binary format.
+    /// Serializes to the `CENNCKPT` v1 little-endian binary format (see
+    /// [`SimSnapshot::encode_ckpt`]).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn write_to(&self, mut out: impl Write) -> std::io::Result<()> {
-        out.write_all(MAGIC)?;
-        out.write_all(&VERSION.to_le_bytes())?;
-        out.write_all(&self.snapshot.steps.to_le_bytes())?;
-        out.write_all(&self.snapshot.time.to_bits().to_le_bytes())?;
-        out.write_all(&self.snapshot.run_cells.to_le_bytes())?;
-        for v in [
-            self.lut.accesses,
-            self.lut.l1_hits,
-            self.lut.l2_hits,
-            self.lut.dram_fetches,
-            self.lut.dram_points,
-            self.lut.exact_hits,
-        ] {
-            out.write_all(&v.to_le_bytes())?;
-        }
-        out.write_all(&(self.snapshot.states.len() as u32).to_le_bytes())?;
-        for layer in &self.snapshot.states {
-            out.write_all(&(layer.len() as u32).to_le_bytes())?;
-            for bits in layer {
-                out.write_all(&bits.to_le_bytes())?;
-            }
-        }
-        Ok(())
+        let mut bytes = Vec::new();
+        self.snapshot.encode_ckpt(&self.lut, &mut bytes);
+        out.write_all(&bytes)
     }
 
-    /// Parses the `CENNCKPT` binary format.
+    /// Parses the `CENNCKPT` binary format (see
+    /// [`SimSnapshot::decode_ckpt`]).
     ///
     /// # Errors
     ///
@@ -82,54 +59,8 @@ impl Checkpoint {
     pub fn read_from(mut input: impl Read) -> Result<Self, CheckpointError> {
         let mut buf = Vec::new();
         input.read_to_end(&mut buf)?;
-        let mut r = Reader { buf: &buf, pos: 0 };
-        if r.take(8)? != MAGIC {
-            return Err(CheckpointError::Format("bad magic".into()));
-        }
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(CheckpointError::Format(format!(
-                "unsupported checkpoint version {version} (expected {VERSION})"
-            )));
-        }
-        let steps = r.u64()?;
-        let time = f64::from_bits(r.u64()?);
-        let run_cells = r.u64()?;
-        let lut = LutStats {
-            accesses: r.u64()?,
-            l1_hits: r.u64()?,
-            l2_hits: r.u64()?,
-            dram_fetches: r.u64()?,
-            dram_points: r.u64()?,
-            exact_hits: r.u64()?,
-        };
-        let n_layers = r.u32()? as usize;
-        if n_layers > 64 {
-            return Err(CheckpointError::Format(format!(
-                "implausible layer count {n_layers}"
-            )));
-        }
-        let mut states = Vec::with_capacity(n_layers);
-        for _ in 0..n_layers {
-            let len = r.u32()? as usize;
-            let mut layer = Vec::with_capacity(len);
-            for _ in 0..len {
-                layer.push(r.i32()?);
-            }
-            states.push(layer);
-        }
-        if r.pos != buf.len() {
-            return Err(CheckpointError::Format("trailing bytes".into()));
-        }
-        Ok(Self {
-            snapshot: SimSnapshot {
-                steps,
-                time,
-                run_cells,
-                states,
-            },
-            lut,
-        })
+        let (snapshot, lut) = SimSnapshot::decode_ckpt(&buf).map_err(CheckpointError::Format)?;
+        Ok(Self { snapshot, lut })
     }
 
     /// Writes the checkpoint to a file (truncating).
@@ -150,40 +81,6 @@ impl Checkpoint {
     /// Returns [`CheckpointError`] on I/O failure or malformed content.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
         Self::read_from(std::fs::File::open(path)?)
-    }
-}
-
-/// Byte-slice reader for the checkpoint format.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.buf.len() {
-            return Err(CheckpointError::Format("truncated file".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn i32(&mut self) -> Result<i32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
     }
 }
 
@@ -325,6 +222,30 @@ mod tests {
         let mut bad = buf.clone();
         bad.push(0);
         assert!(Checkpoint::read_from(&bad[..]).is_err());
+    }
+
+    #[test]
+    fn oversized_layer_length_is_rejected_before_allocating() {
+        // A 92-byte file: a valid header claiming one layer of 2^32 - 1
+        // cells, with no payload behind it.
+        let mut buf = Vec::new();
+        Checkpoint {
+            snapshot: SimSnapshot {
+                steps: 0,
+                time: 0.0,
+                run_cells: 0,
+                states: vec![Vec::new()],
+            },
+            lut: LutStats::default(),
+        }
+        .write_to(&mut buf)
+        .unwrap();
+        buf[88..92].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(buf.len(), 92);
+        assert!(matches!(
+            Checkpoint::read_from(&buf[..]),
+            Err(CheckpointError::Format(_))
+        ));
     }
 
     #[test]
