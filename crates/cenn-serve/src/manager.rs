@@ -650,6 +650,9 @@ impl SessionManager {
 
     /// Creates a session for the named system on a `rows × cols` grid.
     ///
+    /// `corr` is the client's request id, stamped onto the `submitted`
+    /// event as its correlation id (0 for none).
+    ///
     /// # Errors
     ///
     /// [`ErrorCode::UnknownSystem`] for names outside the registry,
@@ -658,23 +661,7 @@ impl SessionManager {
     /// [`ErrorCode::Overloaded`] while the live-session count is at
     /// `max_sessions` (load shedding, retryable), and
     /// [`ErrorCode::Internal`] for model-build failures.
-    pub fn submit(&self, system: &str, rows: u32, cols: u32) -> Result<u64, ServeError> {
-        self.submit_corr(system, rows, cols, 0)
-    }
-
-    /// [`submit`](Self::submit) carrying the client's request id as the
-    /// correlation id stamped onto the `submitted` event.
-    ///
-    /// # Errors
-    ///
-    /// As in [`submit`](Self::submit).
-    pub fn submit_corr(
-        &self,
-        system: &str,
-        rows: u32,
-        cols: u32,
-        corr: u64,
-    ) -> Result<u64, ServeError> {
+    pub fn submit(&self, system: &str, rows: u32, cols: u32, corr: u64) -> Result<u64, ServeError> {
         if rows == 0 || cols == 0 {
             return Err(ServeError::new(
                 ErrorCode::BadRequest,
@@ -799,6 +786,10 @@ impl SessionManager {
     /// Queues `n` steps and blocks until the worker pool has executed
     /// them. Returns `(total steps, cells fired in this batch)`.
     ///
+    /// `corr` is the client's request id: the correlation id stamped onto
+    /// the `stepped` event and onto the quantum marks the workers record
+    /// while this batch runs (0 for none).
+    ///
     /// # Errors
     ///
     /// [`ErrorCode::NoSuchSession`], [`ErrorCode::SessionSuspended`],
@@ -806,18 +797,7 @@ impl SessionManager {
     /// batch is in flight, or [`ErrorCode::Overloaded`] when queueing `n`
     /// more steps would push the total backlog past `max_pending`
     /// (load shedding, retryable).
-    pub fn step(&self, id: u64, n: u64) -> Result<(u64, u64), ServeError> {
-        self.step_corr(id, n, 0)
-    }
-
-    /// [`step`](Self::step) carrying the client's request id as the
-    /// correlation id: stamped onto the `stepped` event and onto the
-    /// quantum marks the workers record while this batch runs.
-    ///
-    /// # Errors
-    ///
-    /// As in [`step`](Self::step).
-    pub fn step_corr(&self, id: u64, n: u64, corr: u64) -> Result<(u64, u64), ServeError> {
+    pub fn step(&self, id: u64, n: u64, corr: u64) -> Result<(u64, u64), ServeError> {
         let mut inner = self.lock();
         if inner.crashed {
             return Err(ServeError::crashed());
@@ -960,22 +940,15 @@ impl SessionManager {
     /// the session's durability point: a crash after `suspend` returns
     /// loses nothing.
     ///
+    /// `corr` is the client's request id, stamped onto the `suspended`
+    /// event as its correlation id (0 for none).
+    ///
     /// # Errors
     ///
     /// Session-shape errors as in [`step`](Self::step);
     /// [`ErrorCode::Internal`] if the checkpoint or manifest cannot be
     /// written.
-    pub fn suspend(&self, id: u64) -> Result<u64, ServeError> {
-        self.suspend_corr(id, 0)
-    }
-
-    /// [`suspend`](Self::suspend) carrying the client's request id as
-    /// the correlation id stamped onto the `suspended` event.
-    ///
-    /// # Errors
-    ///
-    /// As in [`suspend`](Self::suspend).
-    pub fn suspend_corr(&self, id: u64, corr: u64) -> Result<u64, ServeError> {
+    pub fn suspend(&self, id: u64, corr: u64) -> Result<u64, ServeError> {
         let mut inner = self.wait_active_idle(id)?;
         let s = inner.sessions.get_mut(&id).expect("held across wait");
         let Slot::Active {
@@ -1045,23 +1018,16 @@ impl SessionManager {
     /// the session's crash-recovery point until the next suspend
     /// overwrites them or `close` deletes them.
     ///
+    /// `corr` is the client's request id, stamped onto the `resumed`
+    /// event as its correlation id (0 for none).
+    ///
     /// # Errors
     ///
     /// [`ErrorCode::NoSuchSession`]; [`ErrorCode::SessionBusy`] if the
     /// session is not suspended; [`ErrorCode::CorruptCheckpoint`] if the
     /// spooled file is missing, fails its manifest digest, or does not
     /// decode; [`ErrorCode::Internal`] if the model cannot be rebuilt.
-    pub fn resume(&self, id: u64) -> Result<u64, ServeError> {
-        self.resume_corr(id, 0)
-    }
-
-    /// [`resume`](Self::resume) carrying the client's request id as the
-    /// correlation id stamped onto the `resumed` event.
-    ///
-    /// # Errors
-    ///
-    /// As in [`resume`](Self::resume).
-    pub fn resume_corr(&self, id: u64, corr: u64) -> Result<u64, ServeError> {
+    pub fn resume(&self, id: u64, corr: u64) -> Result<u64, ServeError> {
         let internal = |m: String| ServeError::new(ErrorCode::Internal, m);
         let corrupt = |m: String| ServeError::new(ErrorCode::CorruptCheckpoint, m);
         // Snapshot the spec, path, and expected digest under the lock,
@@ -1155,20 +1121,13 @@ impl SessionManager {
     /// The session's deterministic end-state digest (blocks until idle).
     /// Returns `(steps, digest)`.
     ///
+    /// `corr` is the client's request id, stamped onto the `digest`
+    /// event as its correlation id (0 for none).
+    ///
     /// # Errors
     ///
     /// Session-shape errors as in [`step`](Self::step).
-    pub fn digest(&self, id: u64) -> Result<(u64, u64), ServeError> {
-        self.digest_corr(id, 0)
-    }
-
-    /// [`digest`](Self::digest) carrying the client's request id as the
-    /// correlation id stamped onto the `digest` event.
-    ///
-    /// # Errors
-    ///
-    /// As in [`digest`](Self::digest).
-    pub fn digest_corr(&self, id: u64, corr: u64) -> Result<(u64, u64), ServeError> {
+    pub fn digest(&self, id: u64, corr: u64) -> Result<(u64, u64), ServeError> {
         let inner = self.wait_active_idle(id)?;
         let s = inner.sessions.get(&id).expect("held across wait");
         let Slot::Active {
@@ -1200,20 +1159,13 @@ impl SessionManager {
     /// Closes a session (active or suspended), deleting any spooled
     /// checkpoint. Waits for an in-flight quantum to finish first.
     ///
+    /// `corr` is the client's request id, stamped onto the `closed`
+    /// event as its correlation id (0 for none).
+    ///
     /// # Errors
     ///
     /// [`ErrorCode::NoSuchSession`].
-    pub fn close(&self, id: u64) -> Result<(), ServeError> {
-        self.close_corr(id, 0)
-    }
-
-    /// [`close`](Self::close) carrying the client's request id as the
-    /// correlation id stamped onto the `closed` event.
-    ///
-    /// # Errors
-    ///
-    /// As in [`close`](Self::close).
-    pub fn close_corr(&self, id: u64, corr: u64) -> Result<(), ServeError> {
+    pub fn close(&self, id: u64, corr: u64) -> Result<(), ServeError> {
         let mut inner = self.lock();
         // Wait until the runner is checked in (a worker may be mid-quantum);
         // suspended sessions are closable directly.
@@ -1341,16 +1293,16 @@ mod tests {
         for workers in [1usize, 3] {
             let cfg = ManagerConfig::new(spool(&format!("lc{workers}")));
             with_workers(cfg, workers, |mgr| {
-                let a = mgr.submit("fisher", 8, 8).unwrap();
-                let b = mgr.submit("heat", 8, 8).unwrap();
-                let (steps, _) = mgr.step(a, 70).unwrap();
+                let a = mgr.submit("fisher", 8, 8, 0).unwrap();
+                let b = mgr.submit("heat", 8, 8, 0).unwrap();
+                let (steps, _) = mgr.step(a, 70, 0).unwrap();
                 assert_eq!(steps, 70);
-                mgr.step(b, 35).unwrap();
+                mgr.step(b, 35, 0).unwrap();
                 let (_, _, bits) = mgr.stream_state(a, 0).unwrap();
                 assert_eq!(bits.len(), 64);
-                digests.push((mgr.digest(a).unwrap(), mgr.digest(b).unwrap()));
-                mgr.close(a).unwrap();
-                mgr.close(b).unwrap();
+                digests.push((mgr.digest(a, 0).unwrap(), mgr.digest(b, 0).unwrap()));
+                mgr.close(a, 0).unwrap();
+                mgr.close(b, 0).unwrap();
                 assert!(mgr.session_ids().is_empty());
             });
         }
@@ -1362,22 +1314,22 @@ mod tests {
         let cfg = ManagerConfig::new(spool("sr"));
         with_workers(cfg, 2, |mgr| {
             // Uninterrupted control run.
-            let control = mgr.submit("gray-scott", 8, 8).unwrap();
-            mgr.step(control, 60).unwrap();
-            let (_, want) = mgr.digest(control).unwrap();
+            let control = mgr.submit("gray-scott", 8, 8, 0).unwrap();
+            mgr.step(control, 60, 0).unwrap();
+            let (_, want) = mgr.digest(control, 0).unwrap();
 
             // Suspended run: same total steps, spooled to disk halfway.
-            let s = mgr.submit("gray-scott", 8, 8).unwrap();
-            mgr.step(s, 30).unwrap();
-            let at = mgr.suspend(s).unwrap();
+            let s = mgr.submit("gray-scott", 8, 8, 0).unwrap();
+            mgr.step(s, 30, 0).unwrap();
+            let at = mgr.suspend(s, 0).unwrap();
             assert_eq!(at, 30);
             assert!(matches!(
-                mgr.step(s, 1).unwrap_err().code,
+                mgr.step(s, 1, 0).unwrap_err().code,
                 ErrorCode::SessionSuspended
             ));
-            assert_eq!(mgr.resume(s).unwrap(), 30);
-            mgr.step(s, 30).unwrap();
-            let (steps, got) = mgr.digest(s).unwrap();
+            assert_eq!(mgr.resume(s, 0).unwrap(), 30);
+            mgr.step(s, 30, 0).unwrap();
+            let (steps, got) = mgr.digest(s, 0).unwrap();
             assert_eq!(steps, 60);
             assert_eq!(got, want, "suspend/resume must not perturb one bit");
         });
@@ -1388,21 +1340,24 @@ mod tests {
         let cfg = ManagerConfig::new(spool("err"));
         with_workers(cfg, 1, |mgr| {
             assert_eq!(
-                mgr.submit("not-a-system", 4, 4).unwrap_err().code,
+                mgr.submit("not-a-system", 4, 4, 0).unwrap_err().code,
                 ErrorCode::UnknownSystem
             );
             assert_eq!(
-                mgr.submit("heat", 0, 4).unwrap_err().code,
+                mgr.submit("heat", 0, 4, 0).unwrap_err().code,
                 ErrorCode::BadRequest
             );
-            assert_eq!(mgr.step(99, 1).unwrap_err().code, ErrorCode::NoSuchSession);
-            let id = mgr.submit("heat", 4, 4).unwrap();
+            assert_eq!(
+                mgr.step(99, 1, 0).unwrap_err().code,
+                ErrorCode::NoSuchSession
+            );
+            let id = mgr.submit("heat", 4, 4, 0).unwrap();
             assert_eq!(
                 mgr.stream_state(id, 7).unwrap_err().code,
                 ErrorCode::BadRequest
             );
-            assert_eq!(mgr.resume(id).unwrap_err().code, ErrorCode::SessionBusy);
-            mgr.close(id).unwrap();
+            assert_eq!(mgr.resume(id, 0).unwrap_err().code, ErrorCode::SessionBusy);
+            mgr.close(id, 0).unwrap();
         });
     }
 }

@@ -194,18 +194,18 @@ impl Server {
         match req {
             Request::SubmitSystem { system, rows, cols } => as_resp(
                 self.manager
-                    .submit_corr(&system, rows, cols, req_id)
+                    .submit(&system, rows, cols, req_id)
                     .map(|session| Response::Submitted { session }),
             ),
-            Request::Step { session, n } => as_resp(
-                self.manager
-                    .step_corr(session, n, req_id)
-                    .map(|(steps, fired)| Response::Stepped {
+            Request::Step { session, n } => {
+                as_resp(self.manager.step(session, n, req_id).map(|(steps, fired)| {
+                    Response::Stepped {
                         session,
                         steps,
                         fired,
-                    }),
-            ),
+                    }
+                }))
+            }
             Request::StreamState { session, layer } => as_resp(
                 self.manager
                     .stream_state(session, layer)
@@ -219,26 +219,28 @@ impl Server {
             ),
             Request::Suspend { session } => as_resp(
                 self.manager
-                    .suspend_corr(session, req_id)
+                    .suspend(session, req_id)
                     .map(|steps| Response::Suspended { session, steps }),
             ),
             Request::Resume { session } => as_resp(
                 self.manager
-                    .resume_corr(session, req_id)
+                    .resume(session, req_id)
                     .map(|steps| Response::Resumed { session, steps }),
             ),
             Request::Close { session } => as_resp(
                 self.manager
-                    .close_corr(session, req_id)
+                    .close(session, req_id)
                     .map(|()| Response::Closed { session }),
             ),
-            Request::Digest { session } => as_resp(self.manager.digest_corr(session, req_id).map(
-                |(steps, digest)| Response::Digest {
-                    session,
-                    steps,
-                    digest,
-                },
-            )),
+            Request::Digest { session } => {
+                as_resp(self.manager.digest(session, req_id).map(|(steps, digest)| {
+                    Response::Digest {
+                        session,
+                        steps,
+                        digest,
+                    }
+                }))
+            }
             Request::Ping => Response::Pong,
             Request::Shutdown => Response::ShuttingDown,
             Request::Stats => Response::Stats {
@@ -269,7 +271,7 @@ impl Server {
                 // Silent connection: park its sessions durably, hang up.
                 Err(FrameError::IdleTimeout) => {
                     for id in owned.drain(..) {
-                        let _ = self.manager.suspend(id);
+                        let _ = self.manager.suspend(id, 0);
                     }
                     return false;
                 }
