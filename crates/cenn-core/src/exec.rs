@@ -77,6 +77,15 @@ impl Tile {
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
     }
+
+    /// Moves every cell `by` rows (up when negative), leaving flats and PE
+    /// ids as they are: the spooled store re-targets a window's tiles at
+    /// the next window of the same geometry this way.
+    pub(crate) fn shift_rows(&mut self, by: i64) {
+        for (r, _) in &mut self.cells {
+            *r = (i64::from(*r) + by) as u32;
+        }
+    }
 }
 
 /// The static decomposition of a grid over LUT shards for a given PE

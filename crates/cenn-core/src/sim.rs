@@ -81,8 +81,8 @@ pub(crate) struct LaneTap {
     /// constant, raw bits.
     const_bits: i32,
     /// Flat source index per cell, tile-concatenated; `u32::MAX` means
-    /// "use `const_bits`". The spooled store rewrites these from global
-    /// to resident-window indices after building a window's lanes.
+    /// "use `const_bits`". Rows are those of the slab the lanes were
+    /// built for: the grid in-core, the resident window when spooled.
     pub(crate) gather: Vec<u32>,
 }
 
@@ -412,12 +412,17 @@ impl Core {
         self.stepping = true;
     }
 
-    /// Lowers every layer's templates over `tiles` (see [`build_lanes`]).
-    pub(crate) fn lanes(&self, tiles: &[Tile]) -> Vec<LayerLanes> {
+    /// Lowers every layer's templates over `tiles`, with gather rows
+    /// mapped through `local_row_of` (see [`build_lanes`]).
+    pub(crate) fn lanes(
+        &self,
+        tiles: &[Tile],
+        local_row_of: impl Fn(usize) -> usize + Copy,
+    ) -> Vec<LayerLanes> {
         let m = &self.model;
         self.plan
             .iter()
-            .map(|p| build_lanes(p, tiles, m.rows(), m.cols(), m.lut_config()))
+            .map(|p| build_lanes(p, tiles, m.rows(), m.cols(), local_row_of, m.lut_config()))
             .collect()
     }
 
@@ -1027,7 +1032,7 @@ impl Engine<Resident> {
         let (rows, cols, n) = (m.rows(), m.cols(), m.n_layers());
         let cfg = m.lut_config();
         let tiles = TilePlan::new(rows, cols, cfg.pe_rows, cfg.pe_cols);
-        let lanes = core.lanes(tiles.tiles());
+        let lanes = core.lanes(tiles.tiles(), |r| r);
         core.size_scratch(&lanes, tiles.tiles().iter().map(Tile::len));
         let blank = SoaGrid::new(n, rows, cols, Q16_16::ZERO);
         Ok(Self {
@@ -1408,14 +1413,15 @@ fn compile(model: &CennModel) -> Vec<LayerPlan> {
 ///
 /// `tiles` is the tile set the gather tables are concatenated over — the
 /// full [`TilePlan::tiles`] for the resident store, or one window's
-/// [`TilePlan::window`] tiles for the spooled store (gather indices are
-/// always global grid flats; the spooled store remaps them to its
-/// resident rows afterwards).
+/// [`TilePlan::window`] tiles for the spooled store. A gather addresses
+/// source row `local_row_of(r)` for the boundary-resolved grid row `r`
+/// (the identity in-core, the resident window's row when spooled).
 fn build_lanes(
     plan: &LayerPlan,
     tiles: &[Tile],
     rows: usize,
     cols: usize,
+    local_row_of: impl Fn(usize) -> usize,
     cfg: &LutConfig,
 ) -> LayerLanes {
     let n_cells: usize = tiles.iter().map(Tile::len).sum();
@@ -1439,7 +1445,7 @@ fn build_lanes(
                     let idx = conv
                         .boundary
                         .resolve(rows, cols, r as usize, c as usize, dr, dc)
-                        .map(|(nr, nc)| (nr * cols + nc) as u32)
+                        .map(|(nr, nc)| (local_row_of(nr) * cols + nc) as u32)
                         .unwrap_or(u32::MAX);
                     gather.push(idx);
                 }

@@ -16,7 +16,7 @@ pub(crate) const MAGIC: &[u8; 8] = b"CENNCKPT";
 /// `CENNCKPT` format version.
 const VERSION: u32 = 1;
 /// Bytes before the first layer record.
-const HEADER_LEN: usize = 8 + 4 + 3 * 8 + 6 * 8 + 4;
+pub(crate) const HEADER_LEN: usize = 8 + 4 + 3 * 8 + 6 * 8 + 4;
 
 /// A bit-exact snapshot of the simulator's restorable state: the raw
 /// Q16.16 bits of every layer grid plus the step/time counters. Produced
@@ -113,6 +113,39 @@ pub(crate) fn encode<L>(
     }
 }
 
+/// A `CENNCKPT` v1 fixed header: the `(steps, time, run_cells)` counters,
+/// the LUT counters, and the layer count.
+pub(crate) type Header = ((u64, f64, u64), LutStats, usize);
+
+/// Checks the fixed header at the start of `bytes` (length, magic,
+/// version) and returns it.
+pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, String> {
+    if bytes.len() < HEADER_LEN {
+        return Err("truncated header".into());
+    }
+    if &bytes[..8] != MAGIC {
+        return Err("bad magic".into());
+    }
+    let u32_at = |pos: usize| u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+    let u64_at = |pos: usize| u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
+    let version = u32_at(8);
+    if version != VERSION {
+        return Err(format!(
+            "unsupported version {version} (expected {VERSION})"
+        ));
+    }
+    let counters = (u64_at(12), f64::from_bits(u64_at(20)), u64_at(28));
+    let lut = LutStats {
+        accesses: u64_at(36),
+        l1_hits: u64_at(44),
+        l2_hits: u64_at(52),
+        dram_fetches: u64_at(60),
+        dram_points: u64_at(68),
+        exact_hits: u64_at(76),
+    };
+    Ok((counters, lut, u32_at(HEADER_LEN - 4) as usize))
+}
+
 /// A validated `CENNCKPT` v1 image, borrowed: the header fields plus
 /// where each layer's payload lies, so callers copy words straight out of
 /// the input without an intermediate buffer.
@@ -130,30 +163,8 @@ impl<'a> CkptView<'a> {
     /// Validates the framing of `bytes` (see
     /// [`SimSnapshot::decode_ckpt`] for what is rejected).
     pub(crate) fn parse(bytes: &'a [u8]) -> Result<Self, String> {
-        if bytes.len() < HEADER_LEN {
-            return Err("truncated header".into());
-        }
-        if &bytes[..8] != MAGIC {
-            return Err("bad magic".into());
-        }
+        let (counters, lut, n_layers) = parse_header(bytes)?;
         let u32_at = |pos: usize| u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let u64_at = |pos: usize| u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-        let version = u32_at(8);
-        if version != VERSION {
-            return Err(format!(
-                "unsupported version {version} (expected {VERSION})"
-            ));
-        }
-        let counters = (u64_at(12), f64::from_bits(u64_at(20)), u64_at(28));
-        let lut = LutStats {
-            accesses: u64_at(36),
-            l1_hits: u64_at(44),
-            l2_hits: u64_at(52),
-            dram_fetches: u64_at(60),
-            dram_points: u64_at(68),
-            exact_hits: u64_at(76),
-        };
-        let n_layers = u32_at(HEADER_LEN - 4) as usize;
         let mut pos = HEADER_LEN;
         // Every layer record needs at least its 4-byte length.
         if n_layers > (bytes.len() - pos) / 4 {

@@ -13,34 +13,53 @@
 //! text **journal** records every completed window so a partially swept
 //! step is restartable via [`StreamSim::recover`].
 //!
+//! # Window lanes
+//!
+//! A window's tiles come from [`TilePlan::window`], whose cells and PE ids
+//! stay global while flats address the resident rows, and its lanes lower
+//! the templates over them with gathers on the resident rows. They are
+//! built once per window geometry. A window is *interior* when its
+//! resident rows are exactly `[r0 − halo, r1 + halo)` inside the grid, so
+//! no row goes through boundary resolution; two interior windows with the
+//! same height and the same `r0 mod pe_rows` have identical flats, PE
+//! ids, shard split and gathers. The store keeps the last window's tiles
+//! and lanes, and the next window reuses them, moving only the tiles'
+//! cells, when both are interior with the same key. Edge windows and key
+//! changes rebuild ([`StreamSim::lane_builds`] counts builds): a 1024-row
+//! grid in 48-row chunks over 8 PE rows builds 3 times per pass, not 22.
+//!
 //! # Determinism
 //!
-//! Per window the store builds the window's tiles with
-//! [`TilePlan::window`], whose cells and PE ids stay global, and lowers
-//! the templates over them. Windows in ascending row order therefore
-//! concatenate to exactly the serial row-major per-shard cell sequence of
-//! the in-core sweep, so **states are bit-identical to [`CennSim`] at
-//! every thread count and every window size**. LUT hit/miss counters are
-//! additionally bit-identical whenever a single layer carries dynamic
-//! weight sites (the per-shard lookup sequence is then the in-core
-//! sequence split at window boundaries, and the batched row path only
-//! memoizes provable L1 hits per call); with several LUT-bearing layers
-//! the windowed interleaving differs, and only access *totals* are
-//! preserved.
+//! Windows in ascending row order concatenate to exactly the serial
+//! row-major per-shard cell sequence of the in-core sweep, so **states
+//! are bit-identical to [`CennSim`] at every thread count and every
+//! window size**. LUT hit/miss counters are additionally bit-identical
+//! whenever a single layer carries dynamic weight sites (the per-shard
+//! lookup sequence is then the in-core sequence split at window
+//! boundaries, and the batched row path only memoizes provable L1 hits
+//! per call); with several LUT-bearing layers the windowed interleaving
+//! differs, and only access *totals* are preserved.
 //!
 //! # Restart semantics
 //!
-//! Chunk writes are atomic (temp file + rename) and journaled after the
-//! rename, so a killed process loses at most the window it was executing.
-//! [`StreamSim::recover`] replays the journal, resumes at the first
-//! unjournaled window, and reconstructs the in-flight step's cell and
+//! A window fills from its own chunk and only the halo rows of its
+//! neighbours, and writes each chunk over its existing file in place (no
+//! temp file, no rename), then appends its `win` line to the journal,
+//! which stays open for the engine's lifetime. A killed process loses at
+//! most the window it was executing, and may leave that window's output
+//! chunk torn. That is safe: a window never writes the parity stream it
+//! reads, and a chunk only counts once its `win` line is in the journal,
+//! so [`StreamSim::recover`] resumes at the unjournaled window and
+//! rewrites the torn chunk whole before any window reads it. `recover`
+//! replays the journal and reconstructs the in-flight step's cell and
 //! residual accounting from the spooled chunks. As with
 //! [`SimSnapshot`] restore, LUT cache *statistics* are
 //! not restored — replayed look-ups are real look-ups — so counters after
 //! a restart differ from an uninterrupted run while states do not.
 
+use std::fmt::Write as _;
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -58,7 +77,7 @@ use crate::model::{CennModel, Integrator};
 use crate::sim::{
     CennSim, Core, Engine, FuncEval, LayerLanes, ShardBuf, StepReport, Store, WindowMut,
 };
-use crate::snapshot::{self, CkptView, SimSnapshot};
+use crate::snapshot::{self, SimSnapshot, HEADER_LEN};
 
 /// Journal header tag and version.
 const JOURNAL_MAGIC: &str = "CENNJRNL 1";
@@ -154,7 +173,8 @@ impl From<ModelError> for StreamError {
 }
 
 /// The on-disk chunk spool: one `CENNCKPT` file per (stream, chunk)
-/// pair, written atomically via temp file + rename.
+/// pair, overwritten in place (see the module docs on restart
+/// semantics).
 #[derive(Debug, Clone)]
 struct Spool {
     dir: PathBuf,
@@ -165,8 +185,8 @@ impl Spool {
         self.dir.join(format!("{stream}_{idx:05}.ckpt"))
     }
 
-    /// Encodes and atomically writes one chunk, with `(steps, time)` in
-    /// its header; returns bytes written.
+    /// Encodes one chunk, with `(steps, time)` in its header, and writes
+    /// it over the chunk's file; returns bytes written.
     fn write_chunk<'g>(
         &self,
         stream: &str,
@@ -182,35 +202,106 @@ impl Spool {
             &LutStats::default(),
             layers.map(|l| l.iter().map(|v| v.to_bits())),
         );
-        let path = self.chunk_path(stream, idx);
-        let tmp = path.with_extension("ckpt.tmp");
-        fs::write(&tmp, &stage)?;
-        fs::rename(&tmp, &path)?;
-        Ok(stage.len() as u64)
+        let len = stage.len() as u64;
+        let mut f = fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(self.chunk_path(stream, idx))?;
+        if f.metadata()?.len() != len {
+            f.set_len(len)?;
+        }
+        f.write_all(stage)?;
+        Ok(len)
     }
 
-    /// Reads one chunk into `stage` and checks it holds `n_layers` layers
-    /// of `cells` cells.
-    fn read_chunk<'s>(
+    /// Stages cells `range` of every layer of one chunk holding `n_layers`
+    /// layers of `cells` cells: the whole chunk, or only the rows a window
+    /// needs. The file's length is checked before reading, then its magic,
+    /// version, layer count and layer lengths.
+    fn read_cells<'s>(
         &self,
         stream: &str,
         idx: usize,
-        n_layers: usize,
-        cells: usize,
+        (n_layers, cells): (usize, usize),
+        range: Range<usize>,
         stage: &'s mut Vec<u8>,
-    ) -> Result<CkptView<'s>, StreamError> {
+    ) -> Result<Staged<'s>, StreamError> {
         let path = self.chunk_path(stream, idx);
-        *stage = fs::read(&path)?;
         let err = |m: &str| StreamError::Corrupt(format!("{}: {m}", path.display()));
-        let stage: &'s Vec<u8> = stage;
-        let view = CkptView::parse(stage).map_err(|m| err(&m))?;
-        if view.n_layers() != n_layers {
+        let mut f = fs::File::open(&path)?;
+        let layer_bytes = 4 + 4 * cells;
+        if f.metadata()?.len() != (HEADER_LEN + n_layers * layer_bytes) as u64 {
+            return Err(err("file length mismatch"));
+        }
+        let k = range.len();
+        stage.clear();
+        stage.reserve_exact(HEADER_LEN + n_layers * (4 + 4 * k));
+        // The header, then per layer its length word and the cells, read
+        // as one seek + read per contiguous span of the file.
+        let spans = std::iter::once((0, HEADER_LEN)).chain((0..n_layers).flat_map(|l| {
+            let at = HEADER_LEN + l * layer_bytes;
+            [(at, 4), (at + 4 + 4 * range.start, 4 * k)]
+        }));
+        let mut run = (0, 0);
+        for (at, len) in spans {
+            if run.0 + run.1 != at {
+                read_span(&mut f, run, stage)?;
+                run = (at, 0);
+            }
+            run.1 += len;
+        }
+        read_span(&mut f, run, stage)?;
+        let staged = Staged {
+            bytes: stage,
+            cells: k,
+        };
+        let (_, _, layers) = snapshot::parse_header(staged.bytes).map_err(|m| err(&m))?;
+        if layers != n_layers {
             return Err(err("layer count mismatch"));
         }
-        if (0..n_layers).any(|l| view.layer_len(l) != cells) {
+        if (0..n_layers).any(|l| staged.layer_len(l) != cells) {
             return Err(err("cell count mismatch"));
         }
-        Ok(view)
+        Ok(staged)
+    }
+}
+
+/// Appends the file span `(at, len)` to `stage`.
+fn read_span(f: &mut fs::File, (at, len): (usize, usize), stage: &mut Vec<u8>) -> io::Result<()> {
+    f.seek(SeekFrom::Start(at as u64))?;
+    let start = stage.len();
+    stage.resize(start + len, 0);
+    f.read_exact(&mut stage[start..])
+}
+
+/// Cells staged by [`Spool::read_cells`], laid out as the chunk file with
+/// only those cells in each layer record: the header, then per layer its
+/// length word (the whole chunk's) and the staged cells.
+struct Staged<'s> {
+    bytes: &'s [u8],
+    /// Cells staged per layer.
+    cells: usize,
+}
+
+impl<'s> Staged<'s> {
+    /// Byte offset of layer `l`'s length word.
+    fn layer_at(&self, l: usize) -> usize {
+        HEADER_LEN + l * (4 + 4 * self.cells)
+    }
+
+    /// Layer `l`'s length word: the cells the chunk holds per layer.
+    fn layer_len(&self, l: usize) -> usize {
+        let at = self.layer_at(l);
+        u32::from_le_bytes(self.bytes[at..at + 4].try_into().unwrap()) as usize
+    }
+
+    /// `n` raw words of layer `l` from staged cell `start`.
+    fn words(&self, l: usize, start: usize, n: usize) -> impl Iterator<Item = i32> + 's {
+        let at = self.layer_at(l) + 4 + 4 * start;
+        self.bytes[at..at + 4 * n]
+            .chunks_exact(4)
+            .map(|b| i32::from_le_bytes(b.try_into().unwrap()))
     }
 }
 
@@ -222,23 +313,39 @@ fn chunk_layers(
     (0..grid.n_layers()).map(move |l| &grid.layer_slice(l)[range.clone()])
 }
 
-/// Append-only recovery journal (one line per completed window / step).
-#[derive(Debug, Clone)]
+/// Append-only recovery journal (one line per completed window / step),
+/// held open for the engine's lifetime.
+#[derive(Debug)]
 struct Journal {
-    path: PathBuf,
+    file: fs::File,
+    /// Line staging, so each record is one write.
+    line: String,
 }
 
 impl Journal {
-    fn append(&self, line: &str) -> Result<(), StreamError> {
-        let mut f = fs::OpenOptions::new().append(true).open(&self.path)?;
-        writeln!(f, "{line}")?;
-        f.flush()?;
+    /// Opens the journal at `path` for appending, first writing `header`
+    /// over it when starting a fresh one.
+    fn open(path: &Path, header: Option<&str>) -> Result<Self, StreamError> {
+        if let Some(header) = header {
+            fs::write(path, header)?;
+        }
+        Ok(Self {
+            file: fs::OpenOptions::new().append(true).open(path)?,
+            line: String::new(),
+        })
+    }
+
+    fn append(&mut self, record: std::fmt::Arguments<'_>) -> Result<(), StreamError> {
+        self.line.clear();
+        // Formatting into a `String` cannot fail.
+        let _ = writeln!(self.line, "{record}");
+        self.file.write_all(self.line.as_bytes())?;
         Ok(())
     }
 
     /// Records the step baseline `core` has reached.
-    fn step(&self, core: &Core) -> Result<(), StreamError> {
-        self.append(&format!(
+    fn step(&mut self, core: &Core) -> Result<(), StreamError> {
+        self.append(format_args!(
             "step {} {:016x} {}",
             core.steps,
             core.time.to_bits(),
@@ -263,8 +370,8 @@ fn grid_record(model: &CennModel, chunk_rows: usize) -> String {
 }
 
 /// The spooled state store: chunk spool, journal, halo-row residency,
-/// and a per-window lane build with a gather remap onto the resident
-/// rows. See the module docs for the execution model.
+/// and window lanes with gathers remapped onto the resident rows, built
+/// once per window geometry. See the module docs for the execution model.
 ///
 /// Scope: every layer must be [`LayerKind::Dynamic`] — algebraic layers
 /// form declaration-order chains that need whole-grid barriers between
@@ -302,12 +409,18 @@ pub struct Spooled {
     rows: (usize, usize),
     /// Sorted global rows resident for the window (chunk + halo).
     win_rows: Vec<usize>,
+    /// Tiles and lanes of the window, kept for the next window of the
+    /// same geometry.
     win_tiles: Vec<Tile>,
     win_lanes: Vec<LayerLanes>,
+    /// `(r0 mod pe_rows, height)` of the interior window the tiles and
+    /// lanes were built for; `None` after an edge window.
+    lanes_key: Option<(usize, usize)>,
     // --- counters --------------------------------------------------------
     peak_resident: u64,
     spill_bytes: u64,
     fill_bytes: u64,
+    lane_builds: u64,
     /// LUT-bearing layer count — decides `lut_counters` fidelity (module
     /// docs: >1 and windowed interleaving preserves only access totals).
     lut_layers: usize,
@@ -319,6 +432,7 @@ pub struct Spooled {
 struct StreamMetrics {
     hub: MetricsHub,
     windows: CounterId,
+    lane_builds: CounterId,
     spill: GaugeId,
     fill: GaugeId,
     peak: GaugeId,
@@ -344,13 +458,17 @@ impl Engine<Spooled> {
     pub fn from_sim(sim: &CennSim, cfg: StreamConfig) -> Result<Self, StreamError> {
         let counters = (sim.core.steps, sim.core.time, sim.core.run_cells);
         let mut s = Self::open(sim.model().clone(), cfg, sim.eval_mode(), counters, true)?;
-        // Seed the spool: state chunks on the current parity, inputs once.
+        // Seed the spool: state chunks on the current parity, and inputs
+        // once when a layer gathers them.
         let now = (s.core.steps, s.core.time);
         let cols = s.core.model.cols();
         let st = &mut s.store;
+        let inputs = st.uses_inputs.then_some(("in", sim.inputs()));
         for w in 0..st.n_windows() {
             let (r0, r1) = st.window_bounds(w);
-            for (stream, grid) in [(parity_stream(now.0), sim.states()), ("in", sim.inputs())] {
+            for (stream, grid) in
+                std::iter::once((parity_stream(now.0), sim.states())).chain(inputs)
+            {
                 let layers = chunk_layers(grid, r0 * cols..r1 * cols);
                 st.spill_bytes += st
                     .spool
@@ -490,7 +608,7 @@ impl Engine<Spooled> {
         let tiles = TilePlan::new(rows, cols, lut_cfg.pe_rows, lut_cfg.pe_cols);
         // Geometry-only lanes (no tiles) expose tap/site/factor counts for
         // scratch sizing and the budget solver without building gathers.
-        let geom = core.lanes(&[]);
+        let geom = core.lanes(&[], |r| r);
         let uses_inputs = geom.iter().any(|l| l.taps.iter().any(|t| t.input));
         let lut_layers = geom.iter().filter(|l| !l.sites.is_empty()).count();
         if lut_layers > 1 {
@@ -524,13 +642,11 @@ impl Engine<Spooled> {
             dir: cfg.spool_dir.clone(),
         };
         fs::create_dir_all(&spool.dir)?;
-        let journal = Journal {
-            path: spool.dir.join("journal.txt"),
-        };
-        if fresh {
-            let header = grid_record(&core.model, chunk_rows);
-            fs::write(&journal.path, format!("{JOURNAL_MAGIC}\n{header}\n"))?;
-        }
+        let header = fresh.then(|| {
+            let grid = grid_record(&core.model, chunk_rows);
+            format!("{JOURNAL_MAGIC}\n{grid}\n")
+        });
+        let journal = Journal::open(&spool.dir.join("journal.txt"), header.as_deref())?;
         let store = Spooled {
             tiles,
             boundaries,
@@ -550,9 +666,11 @@ impl Engine<Spooled> {
             win_rows: Vec::new(),
             win_tiles: Vec::new(),
             win_lanes: Vec::new(),
+            lanes_key: None,
             peak_resident: 0,
             spill_bytes: 0,
             fill_bytes: 0,
+            lane_builds: 0,
             lut_layers,
             metrics: None,
         };
@@ -587,10 +705,20 @@ impl Engine<Spooled> {
         self.store.peak_resident
     }
 
-    /// Cumulative bytes filled (read back) from the chunk spool: halo
-    /// fills plus the Heun corrector's `x₀`/`k₁` re-reads.
+    /// Cumulative bytes filled (read back) from the chunk spool: each
+    /// window's own chunk and its neighbours' halo rows, plus the Heun
+    /// corrector's `x₀`/`k₁` re-reads.
     pub fn fill_bytes(&self) -> u64 {
         self.store.fill_bytes
+    }
+
+    /// Window tile and lane builds so far. An interior window (its
+    /// resident rows are its chunk plus the halo rows either side, all
+    /// inside the grid) reuses the previous window's build when both have
+    /// the same height and first-row PE phase; every other window builds
+    /// its own. Geometry-derived, so identical at every thread count.
+    pub fn lane_builds(&self) -> u64 {
+        self.store.lane_builds
     }
 
     /// `"exact"` when LUT hit/miss counters are bit-identical to the
@@ -600,14 +728,16 @@ impl Engine<Spooled> {
         self.store.lut_counters()
     }
 
-    /// Routes streaming instruments into `hub`: counter
-    /// `stream.windows_swept_total`, gauges `stream.spill_bytes`,
-    /// `stream.fill_bytes` and `stream.peak_resident_bytes`. Updated once
-    /// per swept window and on [`record_summary`](Self::record_summary) —
-    /// never inside kernel loops.
+    /// Routes streaming instruments into `hub`: counters
+    /// `stream.windows_swept_total` and `stream.lane_builds_total`, gauges
+    /// `stream.spill_bytes`, `stream.fill_bytes` and
+    /// `stream.peak_resident_bytes`. Updated once per swept window and on
+    /// [`record_summary`](Self::record_summary) — never inside kernel
+    /// loops.
     pub fn set_metrics(&mut self, hub: MetricsHub) {
         self.store.metrics = Some(StreamMetrics {
             windows: hub.counter("stream.windows_swept_total"),
+            lane_builds: hub.counter("stream.lane_builds_total"),
             spill: hub.gauge("stream.spill_bytes"),
             fill: hub.gauge("stream.fill_bytes"),
             peak: hub.gauge("stream.peak_resident_bytes"),
@@ -629,11 +759,11 @@ impl Engine<Spooled> {
         for w in 0..self.store.n_windows() {
             let (r0, r1) = self.store.window_bounds(w);
             let cells = (r1 - r0) * cols;
-            let view = self.store.spool.read_chunk(
+            let view = self.store.spool.read_cells(
                 parity_stream(self.core.steps),
                 w,
-                n,
-                cells,
+                (n, cells),
+                0..cells,
                 &mut stage,
             )?;
             for (l, layer) in states.iter_mut().enumerate() {
@@ -709,12 +839,12 @@ impl Engine<Spooled> {
         let cells = (r1 - r0) * self.core.model.cols();
         let st = &mut self.store;
         let mut next = Vec::new();
-        let old = st
-            .spool
-            .read_chunk(parity_stream(steps), w, n, cells, &mut st.stage)?;
-        let new = st
-            .spool
-            .read_chunk(parity_stream(steps + 1), w, n, cells, &mut next)?;
+        let old =
+            st.spool
+                .read_cells(parity_stream(steps), w, (n, cells), 0..cells, &mut st.stage)?;
+        let new =
+            st.spool
+                .read_cells(parity_stream(steps + 1), w, (n, cells), 0..cells, &mut next)?;
         let mut max_raw = self.core.residual_raw;
         for l in 0..n {
             for (o, nv) in old.words(l, 0, cells).zip(new.words(l, 0, cells)) {
@@ -756,11 +886,15 @@ impl Spooled {
     }
 
     /// Pushes the cumulative I/O gauges (and `swept` freshly completed
-    /// windows) into the attached hub; no-op without one.
-    fn publish_metrics(&self, swept: u64) {
+    /// windows and `built` lane builds) into the attached hub; no-op
+    /// without one.
+    fn publish_metrics(&self, swept: u64, built: u64) {
         let Some(m) = &self.metrics else { return };
         if swept > 0 {
             m.hub.inc(m.windows, swept);
+        }
+        if built > 0 {
+            m.hub.inc(m.lane_builds, built);
         }
         m.hub.gauge_set(m.spill, self.spill_bytes as i64);
         m.hub.gauge_set(m.fill, self.fill_bytes as i64);
@@ -768,7 +902,8 @@ impl Spooled {
     }
 
     /// Fills the window's resident rows of the state (or, with `inputs`,
-    /// the input) buffer from a chunk stream.
+    /// the input) buffer from a chunk stream, reading from each chunk only
+    /// the span of rows the window needs.
     fn fill_rows(&mut self, stream: &str, inputs: bool) -> Result<(), StreamError> {
         let grid = if inputs {
             &mut self.resident_in
@@ -782,28 +917,66 @@ impl Spooled {
             let chunk = rows[i] / self.chunk_rows;
             let c0 = chunk * self.chunk_rows;
             let c1 = (c0 + self.chunk_rows).min(self.row_map.len());
-            let view =
-                self.spool
-                    .read_chunk(stream, chunk, n, (c1 - c0) * cols, &mut self.stage)?;
-            while i < rows.len() && rows[i] / self.chunk_rows == chunk {
-                let local = self.row_map[rows[i]] as usize;
+            let end = i + rows[i..].iter().take_while(|&&r| r < c1).count();
+            let first = rows[i];
+            let span = (first - c0) * cols..(rows[end - 1] + 1 - c0) * cols;
+            let view = self.spool.read_cells(
+                stream,
+                chunk,
+                (n, (c1 - c0) * cols),
+                span,
+                &mut self.stage,
+            )?;
+            for &r in &rows[i..end] {
+                let local = self.row_map[r] as usize;
                 for l in 0..n {
                     let dst = &mut grid.layer_mut(l)[local * cols..(local + 1) * cols];
-                    for (slot, v) in dst
-                        .iter_mut()
-                        .zip(view.words(l, (rows[i] - c0) * cols, cols))
-                    {
+                    for (slot, v) in dst.iter_mut().zip(view.words(l, (r - first) * cols, cols)) {
                         *slot = Q16_16::from_bits(v);
                     }
                 }
-                i += 1;
             }
             self.fill_bytes += self.stage.len() as u64;
+            i = end;
         }
         Ok(())
     }
 
-    /// Records the resident working set of the window just built: window
+    /// Points the window's tiles and lanes at chunk rows `[r0, r1)` and
+    /// returns whether that took a build. Two interior windows — resident
+    /// rows exactly `[r0 − halo, r1 + halo)`, all inside the grid, so no
+    /// row goes through boundary resolution — with the same height and
+    /// the same `r0 mod pe_rows` have identical flats, PE ids, shard split
+    /// and resident-local gathers: the next one only moves the tiles'
+    /// cells. Every other window builds its tiles (global cells and PEs)
+    /// and lanes, with flats and gathers on the resident rows.
+    fn place_lanes(&mut self, core: &Core, r0: usize, r1: usize) -> bool {
+        let rows = self.row_map.len();
+        let interior = r0 >= self.halo && r1 + self.halo <= rows;
+        let key = interior.then_some((r0 % self.tiles.pe_shape().0, r1 - r0));
+        if key.is_some() && key == self.lanes_key {
+            let by = r0 as i64 - self.rows.0 as i64;
+            for tile in &mut self.win_tiles {
+                tile.shift_rows(by);
+            }
+            return false;
+        }
+        // Drop the old build first, so two never coexist.
+        self.win_tiles.clear();
+        self.win_lanes.clear();
+        let row_map = &self.row_map;
+        let local = |r: usize| {
+            debug_assert_ne!(row_map[r], u32::MAX, "row {r} not resident");
+            row_map[r] as usize
+        };
+        self.win_tiles = self.tiles.window(r0, r1, local);
+        self.win_lanes = core.lanes(&self.win_tiles, local);
+        self.lanes_key = key;
+        self.lane_builds += 1;
+        true
+    }
+
+    /// Records the resident working set of the window in memory: window
     /// buffers, per-shard scratch, gather tables, tile bookkeeping and
     /// I/O staging (geometry-derived, deterministic).
     fn note_peak(&mut self, bufs: &[ShardBuf]) {
@@ -838,9 +1011,7 @@ impl Store for Spooled {
 
     /// Halo fill from the spool (the current-parity state, or Heun's
     /// predictor on the corrector pass), then the window's tiles and
-    /// lanes: global cells and PEs, resident-local flats and gathers
-    /// (`build_lanes` emits global flats; they are remapped through the
-    /// row map).
+    /// lanes (see [`place_lanes`](Spooled::place_lanes)).
     fn fill(&mut self, core: &mut Core, pass: usize, w: usize) -> Result<(), StreamError> {
         let src = if pass == 0 {
             parity_stream(core.steps)
@@ -848,7 +1019,6 @@ impl Store for Spooled {
             "pred"
         };
         let (r0, r1) = self.window_bounds(w);
-        let cols = self.tiles.shape().1;
         let t_fill = Instant::now();
         self.win_rows = self.halo_rows(r0, r1);
         for (local, &r) in self.win_rows.iter().enumerate() {
@@ -866,24 +1036,13 @@ impl Store for Spooled {
                 t_fill.elapsed().as_nanos() as u64,
             );
         }
-        let row_map = &self.row_map;
-        self.win_tiles = self.tiles.window(r0, r1, |r| row_map[r] as usize);
-        self.win_lanes = core.lanes(&self.win_tiles);
-        for tap in self.win_lanes.iter_mut().flat_map(|l| &mut l.taps) {
-            for g in &mut tap.gather {
-                if *g != u32::MAX {
-                    let local = row_map[*g as usize / cols];
-                    debug_assert_ne!(local, u32::MAX, "gather row not resident");
-                    *g = local * cols as u32 + *g % cols as u32;
-                }
-            }
-        }
+        let built = self.place_lanes(core, r0, r1);
         for (buf, tile) in core.shard_bufs.iter_mut().zip(&self.win_tiles) {
             buf.ensure(tile.len(), core.scratch);
         }
         self.rows = (r0, r1);
         self.note_peak(&core.shard_bufs);
-        self.publish_metrics(1);
+        self.publish_metrics(1, u64::from(built));
         Ok(())
     }
 
@@ -904,11 +1063,9 @@ impl Store for Spooled {
         }
     }
 
-    /// Drops the window's lanes and, on Heun's corrector pass, re-reads
-    /// the pre-step state and `k₁` for exactly the chunk rows.
+    /// On Heun's corrector pass, re-reads the pre-step state and `k₁` for
+    /// exactly the chunk rows.
     fn prepare_update(&mut self, core: &Core, pass: usize, w: usize) -> Result<(), StreamError> {
-        self.win_tiles.clear();
-        self.win_lanes.clear();
         let Some((x0, k1)) = self.heun_buf.as_mut().filter(|_| pass == 1) else {
             return Ok(());
         };
@@ -917,7 +1074,7 @@ impl Store for Spooled {
         for (stream, dest) in [(parity_stream(core.steps), x0), ("k1", k1)] {
             let view = self
                 .spool
-                .read_chunk(stream, w, n, cells, &mut self.stage)?;
+                .read_cells(stream, w, (n, cells), 0..cells, &mut self.stage)?;
             for l in 0..n {
                 for (slot, v) in dest.layer_mut(l)[..cells]
                     .iter_mut()
@@ -961,7 +1118,7 @@ impl Store for Spooled {
     }
 
     fn window_done(&mut self, pass: usize, w: usize) -> Result<(), StreamError> {
-        self.journal.append(&format!("win {pass} {w}"))
+        self.journal.append(format_args!("win {pass} {w}"))
     }
 
     fn step_done(&mut self, core: &Core) -> Result<(), StreamError> {
@@ -985,7 +1142,7 @@ impl Store for Spooled {
     }
 
     fn summarize(&self) {
-        self.publish_metrics(0);
+        self.publish_metrics(0, 0);
     }
 }
 
@@ -1142,6 +1299,79 @@ mod tests {
     }
 
     #[test]
+    fn chunks_overwrite_in_place_and_stage_row_spans() {
+        let dir = tmp_dir("span");
+        fs::create_dir_all(&dir).unwrap();
+        let spool = Spool { dir: dir.clone() };
+        let q = |n: usize, k: f64| -> Vec<Q16_16> {
+            (0..n)
+                .map(|i| Q16_16::from_f64(k + i as f64 * 0.25))
+                .collect()
+        };
+        let (a, b) = (q(12, 1.0), q(12, -2.0));
+        let (mut stage, mut wstage) = (Vec::new(), Vec::new());
+        let mut write = |layers: &[&[Q16_16]]| {
+            spool
+                .write_chunk("x1", 0, (1, 0.1), layers.iter().copied(), &mut wstage)
+                .unwrap()
+        };
+        let len = |s: &Spool| fs::metadata(s.chunk_path("x1", 0)).unwrap().len();
+        // A longer image, then a shorter one over it: the file shrinks to fit.
+        let long = write(&[&a, &b]);
+        let short = write(&[&a[..6]]);
+        assert!(short < long);
+        assert_eq!(len(&spool), short);
+        let view = spool.read_cells("x1", 0, (1, 6), 0..6, &mut stage).unwrap();
+        assert!(view.words(0, 0, 6).eq(a[..6].iter().map(|v| v.to_bits())));
+        // Row spans of a two-layer chunk: only the span's cells are staged.
+        write(&[&a, &b]);
+        for span in [0..4, 4..8, 8..12] {
+            let view = spool
+                .read_cells("x1", 0, (2, 12), span.clone(), &mut stage)
+                .unwrap();
+            for (l, layer) in [&a, &b].into_iter().enumerate() {
+                let want = layer[span.clone()].iter().map(|v| v.to_bits());
+                assert!(view.words(l, 0, 4).eq(want));
+            }
+            assert_eq!(stage.len(), HEADER_LEN + 2 * (4 + 4 * 4));
+        }
+        // A torn file is refused whether its length or its header is off.
+        let path = spool.chunk_path("x1", 0);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
+        assert!(spool
+            .read_cells("x1", 0, (2, 12), 8..12, &mut stage)
+            .is_err());
+        let mut garbled = bytes.clone();
+        garbled[..8].fill(0xA5);
+        fs::write(&path, &garbled).unwrap();
+        assert!(spool
+            .read_cells("x1", 0, (2, 12), 0..4, &mut stage)
+            .is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reused_tiles_name_the_current_windows_cells() {
+        let sim = fisher_sim(64, 9);
+        let mut streamed =
+            StreamSim::from_sim(&sim, StreamConfig::new(tmp_dir("tiles")).with_chunk_rows(8))
+                .unwrap();
+        for _ in 0..streamed.n_windows() {
+            streamed.step_windows(1).unwrap();
+            let st = &streamed.store;
+            let fresh = st.tiles.window(st.rows.0, st.rows.1, |_| 0);
+            for (kept, fresh) in st.win_tiles.iter().zip(&fresh) {
+                assert_eq!(kept.cells(), fresh.cells());
+                assert_eq!(kept.pes(), fresh.pes());
+            }
+        }
+        // The two edge windows and the first interior one.
+        assert_eq!(streamed.lane_builds(), 3);
+        let _ = fs::remove_dir_all(streamed.spool_dir());
+    }
+
+    #[test]
     fn chunk_files_round_trip_and_keep_ckpt_framing() {
         let dir = tmp_dir("ckpt");
         fs::create_dir_all(&dir).unwrap();
@@ -1154,10 +1384,16 @@ mod tests {
         let bytes = fs::read(spool.chunk_path("x0", 3)).unwrap();
         assert_eq!(&bytes[..8], snapshot::MAGIC, "guard-compatible magic");
         assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
-        let view = spool.read_chunk("x0", 3, 1, 12, &mut stage).unwrap();
+        let view = spool
+            .read_cells("x0", 3, (1, 12), 0..12, &mut stage)
+            .unwrap();
         assert!(view.words(0, 0, 12).eq(vals.iter().map(|v| v.to_bits())));
-        assert!(spool.read_chunk("x0", 3, 2, 12, &mut stage).is_err());
-        assert!(spool.read_chunk("x0", 3, 1, 11, &mut stage).is_err());
+        assert!(spool
+            .read_cells("x0", 3, (2, 12), 0..12, &mut stage)
+            .is_err());
+        assert!(spool
+            .read_cells("x0", 3, (1, 11), 0..11, &mut stage)
+            .is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 }

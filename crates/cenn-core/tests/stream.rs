@@ -1,7 +1,8 @@
 //! Property tests for the streamed out-of-core engine: bit-identity with
-//! the in-core simulator across window sizes and thread counts, canonical
-//! per-step observability equality, and mid-sweep kill/restart recovery
-//! from spilled chunks.
+//! the in-core simulator across window sizes and thread counts (including
+//! windows that reuse another window's lanes), canonical per-step
+//! observability equality, and mid-sweep kill/restart recovery from
+//! spilled chunks, torn ones included.
 
 use std::path::PathBuf;
 
@@ -9,6 +10,7 @@ use cenn_core::{
     mapping, Boundary, CennModelBuilder, CennSim, Factor, Grid, Integrator, LayerId, StreamConfig,
     StreamSim, Template, WeightExpr,
 };
+use cenn_obs::MetricsHub;
 use proptest::prelude::*;
 
 fn spool_dir(tag: &str, case: u64) -> PathBuf {
@@ -195,6 +197,124 @@ proptest! {
         let done = recovered.steps();
         prop_assert!(done >= 2);
         recovered.run(5 - done).unwrap();
+        let snap = recovered.snapshot().unwrap();
+        let want = reference.snapshot();
+        prop_assert_eq!(&snap.states, &want.states);
+        prop_assert_eq!(snap.steps, want.steps);
+        prop_assert_eq!(snap.time.to_bits(), want.time.to_bits());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    #[test]
+    fn reused_window_lanes_are_bit_identical_and_counted(
+        values in prop::collection::vec(0.02f64..0.9, 80 * 20),
+        case in 0u64..u64::MAX,
+    ) {
+        // Grids tall enough for several interior windows per pass. At 24
+        // rows only the 80-row grid has two interior windows in a row.
+        for (heun, rows, cols) in [(false, 64, 20), (true, 80, 13)] {
+            let init = Grid::from_fn(rows, cols, |r, c| values[r * cols + c]);
+            for chunk in [8usize, 16, 24, 12] {
+                for threads in [1usize, 4] {
+                    let mut in_core = if heun {
+                        heun_sim(rows, cols, &init)
+                    } else {
+                        fisher_sim(rows, cols, &init)
+                    };
+                    in_core.set_threads(threads);
+                    in_core.set_residual_tracking(true);
+                    let dir = spool_dir("reuse", case);
+                    let mut streamed = StreamSim::from_sim(
+                        &in_core,
+                        StreamConfig::new(&dir).with_chunk_rows(chunk),
+                    ).unwrap();
+                    let hub = MetricsHub::new();
+                    streamed.set_metrics(hub.clone());
+                    streamed.set_threads(threads);
+                    streamed.set_residual_tracking(true);
+                    let steps = 4u64;
+                    for _ in 0..steps {
+                        in_core.step();
+                        streamed.step().unwrap();
+                        prop_assert_eq!(
+                            step_fingerprint(in_core.step_stats()),
+                            step_fingerprint(streamed.step_stats())
+                        );
+                    }
+                    prop_assert_eq!(&streamed.snapshot().unwrap().states, &in_core.snapshot().states);
+                    prop_assert_eq!(streamed.lut_stats(), in_core.lut_stats());
+                    // The first and last windows touch a grid edge and
+                    // always build; one build then serves every interior
+                    // window, except at 12 rows, where the first row's PE
+                    // phase (r0 mod 8 PE rows) alternates 4, 0, 4, ...
+                    let windows = streamed.n_windows() as u64;
+                    let per_pass = if chunk == 12 { windows } else { 3 };
+                    let passes = if heun { 2 } else { 1 };
+                    prop_assert_eq!(streamed.lane_builds(), per_pass * passes * steps);
+                    let counters = hub.snapshot();
+                    prop_assert_eq!(
+                        counters.counter("stream.lane_builds_total"),
+                        Some(streamed.lane_builds())
+                    );
+                    prop_assert_eq!(
+                        counters.counter("stream.windows_swept_total"),
+                        Some(windows * passes * steps)
+                    );
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn torn_chunk_of_the_killed_window_is_rewritten_on_recover(
+        init in grid_strategy(12, 6),
+        chunk in 1usize..8,
+        kill_windows in 0usize..12,
+        heun in any::<bool>(),
+        truncate in any::<bool>(),
+        cut in 1usize..256,
+        case in 0u64..u64::MAX,
+    ) {
+        let mut reference = if heun {
+            heun_sim(12, 6, &init)
+        } else {
+            fisher_sim(12, 6, &init)
+        };
+        let dir = spool_dir("torn", case);
+        let cfg = StreamConfig::new(&dir).with_chunk_rows(chunk);
+        let mut streamed = StreamSim::from_sim(&reference, cfg.clone()).unwrap();
+        reference.run(5);
+        streamed.run(2).unwrap();
+        let n = streamed.n_windows();
+        let done = kill_windows % (n * if heun { 2 } else { 1 });
+        streamed.step_windows(done).unwrap();
+        // The window a kill interrupts mid-write: Euler and Heun's
+        // corrector write the next-parity state chunk, Heun's predictor
+        // writes `pred` and `k1`. Chunks are overwritten in place, so the
+        // kill leaves a truncated file or a new prefix over old bytes.
+        let (pass, w) = (done / n, done % n);
+        let next = if streamed.steps().is_multiple_of(2) { "x1" } else { "x0" };
+        let torn = if heun && pass == 0 { vec!["pred", "k1"] } else { vec![next] };
+        drop(streamed);
+        for stream in torn {
+            let path = dir.join(format!("{stream}_{w:05}.ckpt"));
+            let mut bytes = std::fs::read(&path).unwrap();
+            let cut = cut.min(bytes.len() - 1);
+            if truncate {
+                bytes.truncate(cut);
+            } else {
+                bytes[..cut].fill(0xA5);
+            }
+            std::fs::write(&path, bytes).unwrap();
+        }
+        let mut recovered = StreamSim::recover(reference.model().clone(), cfg).unwrap();
+        prop_assert_eq!(recovered.steps(), 2);
+        recovered.run(3).unwrap();
         let snap = recovered.snapshot().unwrap();
         let want = reference.snapshot();
         prop_assert_eq!(&snap.states, &want.states);
