@@ -173,9 +173,13 @@ pub fn cmd_top(args: &[String]) -> Result<String, CliError> {
     if opts.once {
         return Ok(render(&opts.connect, &stats, None));
     }
-    let mut prev: PrevSteps = stats.sessions.iter().map(|s| (s.session, s.steps)).collect();
+    let mut prev: PrevSteps = stats
+        .sessions
+        .iter()
+        .map(|s| (s.session, s.steps))
+        .collect();
     let mut last = Instant::now();
-    print!("\x1b[2J\x1b[H{}\n", render(&opts.connect, &stats, None));
+    println!("\x1b[2J\x1b[H{}", render(&opts.connect, &stats, None));
     let _ = std::io::stdout().flush();
     loop {
         std::thread::sleep(opts.interval);
@@ -186,12 +190,16 @@ pub fn cmd_top(args: &[String]) -> Result<String, CliError> {
         };
         let dt = last.elapsed();
         last = Instant::now();
-        print!(
-            "\x1b[2J\x1b[H{}\n",
+        println!(
+            "\x1b[2J\x1b[H{}",
             render(&opts.connect, &stats, Some((&prev, dt)))
         );
         let _ = std::io::stdout().flush();
-        prev = stats.sessions.iter().map(|s| (s.session, s.steps)).collect();
+        prev = stats
+            .sessions
+            .iter()
+            .map(|s| (s.session, s.steps))
+            .collect();
     }
 }
 

@@ -49,8 +49,8 @@ pub mod trace;
 
 pub use json::{parse as parse_json, parse_object_keys, JsonValue};
 pub use metrics::{
-    CounterId, GaugeId, HistogramId, HistogramSnapshot, LocalCounters, MetricsHub,
-    MetricsSnapshot, STATS_VERSION,
+    CounterId, GaugeId, HistogramId, HistogramSnapshot, LocalCounters, MetricsHub, MetricsSnapshot,
+    STATS_VERSION,
 };
 pub use recorder::{InMemoryRecorder, NullRecorder, Recorder, RecorderHandle};
 pub use schema::{

@@ -395,10 +395,7 @@ impl MetricsSnapshot {
 
     /// Looks up a gauge by name.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
     /// Looks up a histogram summary by name.
@@ -445,7 +442,10 @@ mod tests {
         let g = hub.gauge("stream.peak_resident_bytes");
         hub.gauge_max(g, 100);
         hub.gauge_max(g, 40);
-        assert_eq!(hub.snapshot().gauge("stream.peak_resident_bytes"), Some(100));
+        assert_eq!(
+            hub.snapshot().gauge("stream.peak_resident_bytes"),
+            Some(100)
+        );
     }
 
     #[test]
@@ -489,7 +489,13 @@ mod tests {
         let ch = canon.hist("serve.quantum_nanos").unwrap();
         assert_eq!(ch.count, 2, "exact counts survive");
         assert_eq!(
-            (ch.sum_nanos, ch.p50_nanos, ch.p90_nanos, ch.p99_nanos, ch.max_nanos),
+            (
+                ch.sum_nanos,
+                ch.p50_nanos,
+                ch.p90_nanos,
+                ch.p99_nanos,
+                ch.max_nanos
+            ),
             (0, 0, 0, 0, 0),
             "wall clock zeroed"
         );

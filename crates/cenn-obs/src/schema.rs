@@ -1099,9 +1099,7 @@ mod tests {
             Err(SchemaError::Constraint { .. })
         ));
         // A counter must not carry histogram fields.
-        let counter = line
-            .replacen("histogram", "counter", 1)
-            .replacen("\"count\":3", "\"count\":3", 1);
+        let counter = line.replacen("histogram", "counter", 1);
         assert!(matches!(
             validate_jsonl_line(&counter),
             Err(SchemaError::Constraint { .. })

@@ -289,7 +289,12 @@ impl ChaosDirector {
     }
 
     fn count_fault(&self, fault: &ChaosFault) {
-        if let Some(hub) = self.metrics.lock().expect("chaos director poisoned").as_ref() {
+        if let Some(hub) = self
+            .metrics
+            .lock()
+            .expect("chaos director poisoned")
+            .as_ref()
+        {
             hub.inc_name(fault.metric_name(), 1);
         }
     }

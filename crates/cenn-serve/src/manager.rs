@@ -594,7 +594,9 @@ impl SessionManager {
             self.cfg.metrics.observe(self.m.quantum_nanos, dur_nanos);
             self.cfg.metrics.inc(self.m.quanta, 1);
             self.cfg.metrics.inc(self.m.steps, quantum);
-            self.cfg.metrics.gauge_add(self.m.queue_depth, -(quantum as i64));
+            self.cfg
+                .metrics
+                .gauge_add(self.m.queue_depth, -(quantum as i64));
             if corr != 0 {
                 if let Some(tracer) = &self.cfg.tracer {
                     let end = tracer.now_nanos();

@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn garbage_request_line_gets_400() {
-        let srv = StatsHttpServer::start("127.0.0.1:0", || String::new()).unwrap();
+        let srv = StatsHttpServer::start("127.0.0.1:0", String::new).unwrap();
         let got = scrape(srv.addr(), "not-http\r\n\r\n");
         assert!(got.starts_with("HTTP/1.1 400"), "{got}");
         srv.shutdown();
@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_through_drop() {
-        let srv = StatsHttpServer::start("127.0.0.1:0", || String::new()).unwrap();
+        let srv = StatsHttpServer::start("127.0.0.1:0", String::new).unwrap();
         // Drop must join the accept thread without hanging; a second
         // implicit stop inside Drop after an explicit one is a no-op.
         drop(srv);

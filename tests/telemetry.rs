@@ -121,7 +121,11 @@ fn stats_frame_and_prometheus_scrape_agree() {
         let via_frame = stats.metrics.counter(family.0).unwrap();
         let via_scrape = prom_value(&text, family.1)
             .unwrap_or_else(|| panic!("{} missing from scrape:\n{text}", family.1));
-        assert_eq!(via_frame, via_scrape, "{} disagrees between doors", family.0);
+        assert_eq!(
+            via_frame, via_scrape,
+            "{} disagrees between doors",
+            family.0
+        );
     }
     assert_eq!(stats.metrics.counter("serve.steps_total"), Some(96));
     assert!(
