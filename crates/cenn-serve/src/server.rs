@@ -301,12 +301,12 @@ impl Server {
             if let Response::Submitted { session } = &resp {
                 owned.push(*session);
             }
+            // Counted before the write, so a client that has read its
+            // reply never observes the hub without it.
+            self.manager.metrics().inc_name("serve.frames_out_total", 1);
             if write_frame(&mut stream, &resp.encode_with_id(req_id)).is_err() {
                 return stop;
             }
-            self.manager
-                .metrics()
-                .inc_name("serve.frames_out_total", 1);
             if stop {
                 return true;
             }
