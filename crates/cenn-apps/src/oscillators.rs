@@ -18,13 +18,14 @@
 //! purest form.
 //!
 //! Phases wrap into `[−π, π)` each step
-//! ([`cenn_equations::PostStepRule::WrapPhase`]), keeping states inside
+//! ([`cenn_core::PostStepRule::WrapPhase`]), keeping states inside
 //! the sampled LUT domain.
 
 use cenn_core::{
-    mapping, Boundary, CennModelBuilder, Factor, Grid, ModelError, Template, WeightExpr,
+    mapping, Boundary, CennModelBuilder, Factor, Grid, ModelError, PostStepRule, Template,
+    WeightExpr,
 };
-use cenn_equations::{FixedRunner, PostStepRule, SystemSetup};
+use cenn_equations::{FixedRunner, SystemSetup};
 use cenn_lut::funcs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,6 +132,11 @@ impl KuramotoLattice {
         cfg.per_func_specs.push((f_sin, spec));
         cfg.per_func_specs.push((f_cos, spec));
         b.lut_config(cfg);
+        b.post_step(PostStepRule::WrapPhase {
+            layer: theta,
+            lo: -PI,
+            hi: PI,
+        });
         let model = b.build(self.dt)?;
 
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -142,11 +148,6 @@ impl KuramotoLattice {
             model,
             initial: vec![(theta, phases)],
             inputs: vec![(theta, freqs)],
-            post_step: Some(PostStepRule::WrapPhase {
-                layer: theta,
-                lo: -PI,
-                hi: PI,
-            }),
             observed: vec![(theta, "theta")],
         })
     }
@@ -201,7 +202,7 @@ mod tests {
         assert_eq!(m.wui_template_count(), 4);
         // Lookups: s(1) + c(1) + 4 taps * 2 templates = 10 per cell.
         assert_eq!(m.lookups_per_cell_step(), 10);
-        assert!(setup.post_step.is_some());
+        assert!(setup.model.post_step().is_some());
     }
 
     #[test]

@@ -235,11 +235,6 @@ impl FloatSim {
         self.states.layer(layer.index())
     }
 
-    /// Mutable access to a layer's state span (post-step rules).
-    pub fn state_mut(&mut self, layer: LayerId) -> &mut [f64] {
-        self.states.layer_mut(layer.index())
-    }
-
     /// Sets a layer's state.
     ///
     /// # Errors
@@ -610,22 +605,15 @@ impl FloatRunner {
         self.sim.record_summary();
     }
 
-    /// Advances one step (plus post-step rule); returns fired cells.
+    /// Advances one step, then applies the model's post-step rule cell by
+    /// cell in place on the state slab; returns fired cells.
     pub fn step(&mut self) -> usize {
         self.sim.step();
-        match self.setup.post_step {
-            None => 0,
-            Some(rule) => {
-                // Post-step rules keep their per-grid signature; convert
-                // around the slab (rules run rarely relative to sweeps).
-                let mut grids = self.sim.states.to_grids();
-                let fired = rule.apply_f64(&mut grids);
-                for (i, g) in grids.iter().enumerate() {
-                    self.sim.states.layer_mut(i).copy_from_slice(g.as_slice());
-                }
-                fired
-            }
-        }
+        let Some(rule) = self.setup.model.post_step() else {
+            return 0;
+        };
+        let cells = self.sim.states.cells_per_layer();
+        rule.apply(&mut self.sim.states, 0..cells, |v| v, |v| v) as usize
     }
 
     /// Runs `n` steps; returns total fired cells.

@@ -219,10 +219,7 @@ pub fn run_suite(opts: &BenchOpts) -> Result<BenchResults, CliError> {
             let tracer = TraceHandle::histograms_only();
             runner.set_tracer(tracer.clone());
             runner.run(w.steps);
-            walls.push(match runner.stream() {
-                Some(s) => s.run_nanos(),
-                None => runner.sim().run_nanos(),
-            });
+            walls.push(runner.run_nanos());
             if let Some((_, dir)) = &spool {
                 let _ = std::fs::remove_dir_all(dir);
             }

@@ -485,19 +485,11 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
             .map_err(|e| err(format!("writing {path}: {e}")))?;
     }
 
-    let digest = match runner.stream() {
-        Some(s) => {
-            let snap = s
-                .snapshot()
-                .map_err(|e| err(format!("reading spool: {e}")))?;
-            cenn::serve::snapshot_digest(&snap)
-        }
-        None => cenn::serve::state_digest(runner.sim()),
-    };
-    let time = match runner.stream() {
-        Some(s) => s.time(),
-        None => runner.sim().time(),
-    };
+    let digest = cenn::core::snapshot_digest(
+        &runner
+            .snapshot()
+            .map_err(|e| err(format!("reading spool: {e}")))?,
+    );
 
     let mut out = String::new();
     writeln!(
@@ -508,7 +500,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         opts.grid,
         setup.model.n_layers(),
         steps,
-        time
+        runner.time()
     )
     .unwrap();
     if threads > 1 {
@@ -521,13 +513,13 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
              peak resident {} bytes, spilled {} bytes",
             s.chunk_rows(),
             s.n_windows(),
-            s.peak_resident_bytes(),
-            s.spill_bytes()
+            runner.peak_resident_bytes(),
+            runner.spill_bytes()
         )
         .unwrap();
     }
     if let Some(fired) = fired {
-        if setup.post_step.is_some() {
+        if setup.model.post_step().is_some() {
             writeln!(out, "spikes fired: {fired}").unwrap();
         }
     }

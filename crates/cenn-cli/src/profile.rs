@@ -138,23 +138,11 @@ pub fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     };
     runner.set_tracer(tracer.clone());
     runner.run(steps);
-    let (wall, mem) = match runner.stream() {
-        Some(s) => (
-            s.run_nanos(),
-            MemLine {
-                peak_resident: s.peak_resident_bytes(),
-                spill: s.spill_bytes(),
-                windows: Some((s.chunk_rows(), s.n_windows())),
-            },
-        ),
-        None => (
-            runner.sim().run_nanos(),
-            MemLine {
-                peak_resident: runner.sim().resident_state_bytes(),
-                spill: 0,
-                windows: None,
-            },
-        ),
+    let wall = runner.run_nanos();
+    let mem = MemLine {
+        peak_resident: runner.peak_resident_bytes(),
+        spill: runner.spill_bytes(),
+        windows: runner.stream().map(|s| (s.chunk_rows(), s.n_windows())),
     };
     let summaries = tracer.summaries();
     if let Some((_, dir)) = &spool {

@@ -13,8 +13,8 @@
 //!   space/time-variant nonlinear templates of §2.2, generalized as
 //!   documented in DESIGN.md).
 //! * [`CennModel`] / [`CennModelBuilder`] — a complete multilayer program:
-//!   layers, inter-layer templates, offsets, nonlinear function library and
-//!   integration step.
+//!   layers, inter-layer templates, offsets, nonlinear function library,
+//!   integration step, and an optional per-cell [`PostStepRule`].
 //! * [`CennSim`] — the functional fixed-point simulator: Euler or Heun
 //!   evolution of eq. (1) with real-time template update through a
 //!   [`cenn_lut::LutHierarchy`], or through exact function evaluation for
@@ -65,8 +65,8 @@ pub use error::{FaultError, ModelError};
 pub use exec::{ExecEngine, StepStats, Tile, TilePlan};
 pub use grid::{Grid, LayerView, SoaGrid};
 pub use layer::{LayerId, LayerKind, LayerSpec};
-pub use model::{CennModel, CennModelBuilder, Integrator, LutConfig, TemplateKind};
+pub use model::{CennModel, CennModelBuilder, Integrator, LutConfig, PostStepRule, TemplateKind};
 pub use sim::{CennSim, Engine, FuncEval, Resident, StepReport};
-pub use snapshot::SimSnapshot;
+pub use snapshot::{fnv1a64, fnv1a64_init, snapshot_digest, state_digest, SimSnapshot};
 pub use stream::{Spooled, StreamConfig, StreamError, StreamSim};
 pub use template::{Factor, Stencil, Template, WeightExpr};

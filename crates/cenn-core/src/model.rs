@@ -1,10 +1,13 @@
 //! The complete multilayer CeNN model — the solver "program".
 
+use std::ops::Range;
+
 use cenn_lut::{FuncId, FuncLibrary, LutSpec, NonlinearFn};
 use fixedpt::Q16_16;
 
 use crate::boundary::Boundary;
 use crate::error::{ModelError, MAX_LAYERS};
+use crate::grid::SoaGrid;
 use crate::layer::{LayerId, LayerKind, LayerSpec};
 use crate::template::{Template, WeightExpr};
 
@@ -93,9 +96,123 @@ impl LutConfig {
     }
 }
 
+/// A discrete per-cell rule applied after every step's final integrator
+/// update, outside the template algebra.
+///
+/// The Izhikevich model's spike-and-reset is a *hybrid* discontinuity:
+/// `if v ≥ v_peak { v ← c; u ← u + d }`. In the hardware this is a
+/// comparator + conditional write in the PE (one cycle). Every engine
+/// applies it cell by cell right after the cell's last update — the sweep
+/// engine per window, before the window is spilled — and the
+/// floating-point reference applies the same rule, so the accuracy
+/// comparison stays apples-to-apples.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PostStepRule {
+    /// Izhikevich reset on `(v_layer, u_layer)`.
+    SpikeReset {
+        /// Membrane-potential layer checked against the threshold.
+        v_layer: LayerId,
+        /// Recovery-variable layer incremented on spike.
+        u_layer: LayerId,
+        /// Spike threshold `v_peak` (30 mV in \[18\]).
+        threshold: f64,
+        /// Reset value `c`.
+        reset_v: f64,
+        /// Recovery increment `d`.
+        bump_u: f64,
+    },
+    /// Wraps a phase layer into `[lo, hi)` (modular arithmetic, one
+    /// subtractor in the PE) — keeps oscillator phases inside the sampled
+    /// LUT domain.
+    WrapPhase {
+        /// The phase layer.
+        layer: LayerId,
+        /// Lower bound (inclusive).
+        lo: f64,
+        /// Upper bound (exclusive).
+        hi: f64,
+    },
+}
+
+impl PostStepRule {
+    /// Applies the rule to one cell, `x[l]` being the cell's value on
+    /// layer `l`; returns whether the rule fired.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is shorter than a layer the rule names.
+    pub fn apply_cell(&self, x: &mut [f64]) -> bool {
+        match *self {
+            PostStepRule::SpikeReset {
+                v_layer,
+                u_layer,
+                threshold,
+                reset_v,
+                bump_u,
+            } => {
+                let fired = x[v_layer.index()] >= threshold;
+                if fired {
+                    x[v_layer.index()] = reset_v;
+                    x[u_layer.index()] += bump_u;
+                }
+                fired
+            }
+            PostStepRule::WrapPhase { layer, lo, hi } => {
+                let v = x[layer.index()];
+                if (lo..hi).contains(&v) {
+                    return false;
+                }
+                let span = hi - lo;
+                x[layer.index()] = v - span * ((v - lo) / span).floor();
+                true
+            }
+        }
+    }
+
+    /// Applies the rule in place to the flat cells `cells` of every layer
+    /// of `states`: each cell's values go through `to_f64`, the rule,
+    /// and — where it fired — back through `from_f64`. Returns the cells
+    /// that fired.
+    pub fn apply<T: Copy>(
+        &self,
+        states: &mut SoaGrid<T>,
+        cells: Range<usize>,
+        to_f64: impl Fn(T) -> f64,
+        from_f64: impl Fn(f64) -> T,
+    ) -> u64 {
+        let stride = states.cells_per_layer();
+        let mut x = vec![0.0; states.n_layers()];
+        let slab = states.slab_mut();
+        let mut fired = 0;
+        for i in cells {
+            for (l, v) in x.iter_mut().enumerate() {
+                *v = to_f64(slab[l * stride + i]);
+            }
+            if self.apply_cell(&mut x) {
+                for (l, &v) in x.iter().enumerate() {
+                    slab[l * stride + i] = from_f64(v);
+                }
+                fired += 1;
+            }
+        }
+        fired
+    }
+
+    /// The layers the rule reads or writes.
+    fn layers(&self) -> impl Iterator<Item = LayerId> {
+        let (a, b) = match *self {
+            PostStepRule::SpikeReset {
+                v_layer, u_layer, ..
+            } => (v_layer, Some(u_layer)),
+            PostStepRule::WrapPhase { layer, .. } => (layer, None),
+        };
+        std::iter::once(a).chain(b)
+    }
+}
+
 /// A complete, validated multilayer CeNN program: layers, inter-layer
-/// templates, offsets, nonlinear function library, LUT configuration and
-/// integration step.
+/// templates, offsets, nonlinear function library, LUT configuration,
+/// integration step, and an optional post-step rule.
 ///
 /// Built with [`CennModelBuilder`]; executed by [`crate::CennSim`]
 /// (functional) and by the cycle-level simulator in `cenn-arch`.
@@ -112,6 +229,7 @@ pub struct CennModel {
     offsets: Vec<(LayerId, WeightExpr)>,
     lib: FuncLibrary,
     lut: LutConfig,
+    post_step: Option<PostStepRule>,
 }
 
 impl CennModel {
@@ -214,6 +332,12 @@ impl CennModel {
     /// The LUT configuration.
     pub fn lut_config(&self) -> &LutConfig {
         &self.lut
+    }
+
+    /// The per-cell rule applied after every step, if the system is
+    /// hybrid.
+    pub fn post_step(&self) -> Option<PostStepRule> {
+        self.post_step
     }
 
     /// A copy of this model with different on-chip LUT sizing — the LUT
@@ -319,6 +443,7 @@ pub struct CennModelBuilder {
     lib: FuncLibrary,
     lut: Option<LutConfig>,
     integrator: Integrator,
+    post_step: Option<PostStepRule>,
 }
 
 impl CennModelBuilder {
@@ -402,6 +527,13 @@ impl CennModelBuilder {
         self
     }
 
+    /// Sets the per-cell rule applied after every step (the spike-reset
+    /// comparator of hybrid systems).
+    pub fn post_step(&mut self, rule: PostStepRule) -> &mut Self {
+        self.post_step = Some(rule);
+        self
+    }
+
     fn check_weight(&self, w: &WeightExpr) -> Result<(), ModelError> {
         if let WeightExpr::Dyn { factors, .. } = w {
             for f in factors {
@@ -454,6 +586,14 @@ impl CennModelBuilder {
             }
             self.check_weight(w)?;
         }
+        if let Some(id) = self
+            .post_step
+            .iter()
+            .flat_map(PostStepRule::layers)
+            .find(|id| id.index() >= self.layers.len())
+        {
+            return Err(ModelError::UnknownLayer(id.index()));
+        }
         Ok(CennModel {
             rows: self.rows,
             cols: self.cols,
@@ -466,6 +606,7 @@ impl CennModelBuilder {
             offsets: self.offsets,
             lib: self.lib,
             lut: self.lut.unwrap_or_default(),
+            post_step: self.post_step,
         })
     }
 }

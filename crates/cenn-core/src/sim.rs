@@ -38,6 +38,8 @@ pub struct StepReport {
     pub steps: u64,
     /// Cumulative LUT statistics.
     pub lut: LutStats,
+    /// Cells the model's post-step rule fired on during the step.
+    pub fired: u64,
 }
 
 /// One compiled template application: all non-zero entries of a template
@@ -275,7 +277,7 @@ pub struct Core {
     last_step: StepStats,
     /// Optional metric sink; `None` (the default) keeps every step on the
     /// uninstrumented path.
-    recorder: Option<RecorderHandle>,
+    pub(crate) recorder: Option<RecorderHandle>,
     /// Optional span tracer; `None` (the default) keeps the span path to
     /// a single branch per sweep.
     pub(crate) tracer: Option<TraceHandle>,
@@ -296,6 +298,9 @@ pub struct Core {
     step_wall_nanos: u64,
     /// Max `|Δx|` of the step in flight, raw bits.
     pub(crate) residual_raw: i64,
+    /// Cells the post-step rule fired on in the step in flight (the last
+    /// step once it completes).
+    fired: u64,
 }
 
 impl Core {
@@ -345,6 +350,7 @@ impl Core {
             pass_update_nanos: 0,
             step_wall_nanos: 0,
             residual_raw: 0,
+            fired: 0,
             model,
         })
     }
@@ -409,6 +415,7 @@ impl Core {
         self.pass_update_nanos = 0;
         self.step_wall_nanos = 0;
         self.residual_raw = 0;
+        self.fired = 0;
         self.stepping = true;
     }
 
@@ -532,11 +539,13 @@ impl Core {
     /// MAC, Fig. 7): forward Euler `x ← x + dt·k` — also Heun's
     /// predictor — or Heun's corrector `x ← x₀ + dt/2·(k₁ + k₂)`. The
     /// final pass folds the exactly-applied `max |Δx|` into the residual
-    /// when the step tracks it.
+    /// when the step tracks it, then applies the model's post-step rule
+    /// to the chunk rows (the PE comparator and conditional write).
     fn update(&mut self, win: &mut WindowMut<'_>) {
         let cols = self.model.cols();
         let (lo, cells) = (win.base * cols, (win.rows.1 - win.rows.0) * cols);
-        let track = self.track && self.pass + 1 == self.passes();
+        let last = self.pass + 1 == self.passes();
+        let track = self.track && last;
         let dt = self.model.dt_fx();
         let dt_half = Q16_16::from_f64(self.model.dt() / 2.0);
         let mut max_raw = self.residual_raw;
@@ -560,6 +569,9 @@ impl Core {
             max_raw = max_raw.max(delta);
         }
         self.residual_raw = max_raw;
+        if let Some(rule) = self.model.post_step().filter(|_| last) {
+            self.fired += rule.apply(win.states, lo..lo + cells, Q16_16::to_f64, Q16_16::from_f64);
+        }
     }
 
     /// Closes a window's update: its `update` time and one `integrate`
@@ -855,11 +867,27 @@ impl<S: Store> Engine<S> {
         self.core.hierarchy.reset_stats();
     }
 
+    /// Largest resident working set so far, bytes: the state slabs
+    /// in-core; window buffers, per-shard scratch, gather tables and I/O
+    /// staging when spooled. Geometry-derived, so identical at every
+    /// thread count.
+    pub fn peak_resident_bytes(&self) -> u64 {
+        self.store.peak_resident_bytes()
+    }
+
+    /// Bytes written to backing storage so far: zero in-core; the seed
+    /// and per-window chunk writes when spooled. Deterministic for a given
+    /// model and geometry.
+    pub fn spill_bytes(&self) -> u64 {
+        self.store.spill_bytes()
+    }
+
     fn report(&self) -> StepReport {
         StepReport {
             time: self.core.time,
             steps: self.core.steps,
             lut: self.core.hierarchy.stats(),
+            fired: self.core.fired,
         }
     }
 
@@ -1052,14 +1080,6 @@ impl Engine<Resident> {
     /// The tile decomposition the sweeps run over.
     pub fn tile_plan(&self) -> &TilePlan {
         &self.store.tiles
-    }
-
-    /// Bytes of simulation state this fully resident engine keeps in
-    /// memory: the five `Q16.16` SoA slabs (states, two RHS buffers, the
-    /// Heun/rollback save, and inputs). Geometry-derived, so the value is
-    /// deterministic and identical for any thread count.
-    pub fn resident_state_bytes(&self) -> u64 {
-        self.store.peak_resident_bytes()
     }
 
     /// Current state map of a layer (a zero-copy view into the state

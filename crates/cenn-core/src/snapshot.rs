@@ -8,8 +8,21 @@
 //! magic "CENNCKPT" | version u32 | steps u64 | time f64 bits | run_cells u64
 //! | six LUT counters u64 | n_layers u32 | per layer: len u32, len × i32
 //! ```
+//!
+//! One digest, too: [`snapshot_digest`] folds a snapshot's *state
+//! trajectory* — step counter, simulated-time bits, cumulative cell
+//! evaluations, and every layer's raw Q16.16 words — through FNV-1a 64.
+//! It deliberately excludes LUT cache statistics: caches come up cold
+//! after a checkpoint resume, so hit counters legally differ between an
+//! interrupted and an uninterrupted run even though every state bit is
+//! identical. The digest covers exactly the bits the determinism contract
+//! freezes and nothing else, so in-core sims and streamed engines (whose
+//! snapshots are assembled from the chunk spool) compare digest for
+//! digest.
 
 use cenn_lut::LutStats;
+
+use crate::sim::CennSim;
 
 /// `CENNCKPT` file magic.
 pub(crate) const MAGIC: &[u8; 8] = b"CENNCKPT";
@@ -211,4 +224,43 @@ impl<'a> CkptView<'a> {
             .chunks_exact(4)
             .map(|b| i32::from_le_bytes(b.try_into().unwrap()))
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64 over a byte slice, continuing from `hash`.
+pub fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// Starts a fresh FNV-1a 64 accumulator.
+pub fn fnv1a64_init() -> u64 {
+    FNV_OFFSET
+}
+
+/// Digest of the sim's complete deterministic state.
+pub fn state_digest(sim: &CennSim) -> u64 {
+    snapshot_digest(&sim.snapshot())
+}
+
+/// Digest of an already-taken snapshot — the same bytes and fold as
+/// [`state_digest`].
+pub fn snapshot_digest(snap: &SimSnapshot) -> u64 {
+    let mut h = fnv1a64_init();
+    h = fnv1a64(h, &snap.steps.to_le_bytes());
+    h = fnv1a64(h, &snap.time.to_bits().to_le_bytes());
+    h = fnv1a64(h, &snap.run_cells.to_le_bytes());
+    h = fnv1a64(h, &(snap.states.len() as u64).to_le_bytes());
+    for layer in &snap.states {
+        h = fnv1a64(h, &(layer.len() as u64).to_le_bytes());
+        for bits in layer {
+            h = fnv1a64(h, &bits.to_le_bytes());
+        }
+    }
+    h
 }

@@ -55,7 +55,9 @@
 //! residual accounting from the spooled chunks. As with
 //! [`SimSnapshot`] restore, LUT cache *statistics* are
 //! not restored — replayed look-ups are real look-ups — so counters after
-//! a restart differ from an uninterrupted run while states do not.
+//! a restart differ from an uninterrupted run while states do not. Nor
+//! are the post-step rule's fired counts of the windows swept before the
+//! kill: the resumed step reports only its remaining windows' cells.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -376,7 +378,9 @@ fn grid_record(model: &CennModel, chunk_rows: usize) -> String {
 /// Scope: every layer must be [`LayerKind::Dynamic`] — algebraic layers
 /// form declaration-order chains that need whole-grid barriers between
 /// layers, which defeats windowed residency. Both integrators are
-/// supported (Heun spills its predictor and `k₁` streams).
+/// supported (Heun spills its predictor and `k₁` streams), and so are
+/// post-step rules: a rule acts on one cell at a time, so the final pass
+/// applies it to the window's chunk rows before spilling them.
 #[derive(Debug)]
 pub struct Spooled {
     /// The full-grid tile plan the windows are cut from.
@@ -447,7 +451,8 @@ pub type StreamSim = Engine<Spooled>;
 impl Engine<Spooled> {
     /// Spools an in-core sim's current state (and inputs) to a fresh
     /// chunk spool and returns a streamed engine positioned at the same
-    /// step/time counters. The spool directory is created if absent; an
+    /// step/time counters, with the sim's evaluation mode, thread count,
+    /// recorder and tracer. The spool directory is created if absent; an
     /// existing journal there is truncated (use [`recover`](Self::recover)
     /// to resume instead).
     ///
@@ -458,6 +463,9 @@ impl Engine<Spooled> {
     pub fn from_sim(sim: &CennSim, cfg: StreamConfig) -> Result<Self, StreamError> {
         let counters = (sim.core.steps, sim.core.time, sim.core.run_cells);
         let mut s = Self::open(sim.model().clone(), cfg, sim.eval_mode(), counters, true)?;
+        s.set_threads(sim.threads());
+        s.core.recorder = sim.core.recorder.clone();
+        s.core.tracer = sim.core.tracer.clone();
         // Seed the spool: state chunks on the current parity, and inputs
         // once when a layer gathers them.
         let now = (s.core.steps, s.core.time);
@@ -692,19 +700,6 @@ impl Engine<Spooled> {
         &self.store.spool.dir
     }
 
-    /// Cumulative bytes spilled to the chunk spool (seed + per-window
-    /// writes). Deterministic for a given model/geometry.
-    pub fn spill_bytes(&self) -> u64 {
-        self.store.spill_bytes
-    }
-
-    /// Largest resident working set observed so far: window buffers,
-    /// per-shard scratch, gather tables, tile bookkeeping and I/O staging.
-    /// Geometry-derived, so identical at every thread count.
-    pub fn peak_resident_bytes(&self) -> u64 {
-        self.store.peak_resident
-    }
-
     /// Cumulative bytes filled (read back) from the chunk spool: each
     /// window's own chunk and its neighbours' halo rows, plus the Heun
     /// corrector's `x₀`/`k₁` re-reads.
@@ -719,13 +714,6 @@ impl Engine<Spooled> {
     /// its own. Geometry-derived, so identical at every thread count.
     pub fn lane_builds(&self) -> u64 {
         self.store.lane_builds
-    }
-
-    /// `"exact"` when LUT hit/miss counters are bit-identical to the
-    /// in-core engine (at most one LUT-bearing layer), `"totals-only"`
-    /// when windowed interleaving preserves only access totals.
-    pub fn lut_counters_mode(&self) -> &'static str {
-        self.store.lut_counters()
     }
 
     /// Routes streaming instruments into `hub`: counters

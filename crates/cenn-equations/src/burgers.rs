@@ -90,7 +90,6 @@ impl DynamicalSystem for Burgers {
             model,
             initial: vec![(u, init)],
             inputs: vec![],
-            post_step: None,
             observed: vec![(u, "u")],
         })
     }

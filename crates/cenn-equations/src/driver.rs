@@ -1,15 +1,41 @@
 //! Executes a benchmark setup on the fixed-point functional simulator.
 
+use std::path::PathBuf;
+
 use cenn_core::{
-    CennSim, FuncEval, Grid, LayerId, ModelError, StreamConfig, StreamError, StreamSim,
+    CennSim, FuncEval, Grid, LayerId, ModelError, SimSnapshot, StreamConfig, StreamError, StreamSim,
 };
 use cenn_lut::LutStats;
 
 use crate::system::SystemSetup;
 
-/// Drives a [`SystemSetup`] on the hardware-accurate fixed-point simulator,
-/// applying initial conditions, external inputs, and the post-step rule
-/// (spike resets) every step.
+/// The one engine a runner steps: in-core until a memory budget swaps in
+/// the streamed engine. Boxed, so the switch moves a pointer.
+#[derive(Debug)]
+enum Sim {
+    InCore(Box<CennSim>),
+    Streamed(Box<StreamSim>),
+}
+
+/// Evaluates `$body` with `$e` bound to whichever engine `$sim` holds —
+/// both are the same [`cenn_core::Engine`] over different stores.
+macro_rules! each {
+    ($sim:expr, $e:ident => $body:expr) => {
+        match $sim {
+            Sim::InCore($e) => $body,
+            Sim::Streamed($e) => $body,
+        }
+    };
+}
+
+/// Why [`FixedRunner::sim`] has nothing to hand out.
+const STREAMED: &str = "the runner streams under a memory budget: its state lives in the \
+                        chunk spool (read it through snapshot() or state_f64())";
+
+/// Drives a [`SystemSetup`] on the hardware-accurate fixed-point simulator:
+/// applies initial conditions and external inputs, then steps one engine
+/// — in-core, or streamed once a memory budget is set. The model's
+/// post-step rule (spike resets) runs inside every step.
 ///
 /// # Examples
 ///
@@ -23,12 +49,8 @@ use crate::system::SystemSetup;
 /// ```
 #[derive(Debug)]
 pub struct FixedRunner {
-    sim: CennSim,
+    sim: Sim,
     setup: SystemSetup,
-    /// Streamed out-of-core engine, active once a memory budget is set.
-    /// When present, it owns the live state; `sim` keeps the seeding
-    /// state it was spooled from.
-    stream: Option<StreamSim>,
 }
 
 impl FixedRunner {
@@ -59,62 +81,71 @@ impl FixedRunner {
             sim.set_input_f64(*layer, grid)?;
         }
         Ok(Self {
-            sim,
+            sim: Sim::InCore(Box::new(sim)),
             setup,
-            stream: None,
         })
     }
 
     /// Switches the runner to streamed out-of-core execution under a
-    /// resident-memory budget: the current state is spooled to
-    /// `spool_dir` and every subsequent step sweeps the grid in bounded
-    /// windows with halo exchange through the spool (see
-    /// [`StreamSim`]). Results stay bit-identical to in-core execution
-    /// at every thread count. The attached recorder/tracer and thread
-    /// count carry over.
+    /// resident-memory budget: the in-core engine's state is spooled to
+    /// `spool_dir`, the streamed engine (see [`StreamSim`]) replaces it,
+    /// and every subsequent step sweeps the grid in bounded windows with
+    /// halo exchange through the spool. Results stay bit-identical to
+    /// in-core execution at every thread count. The thread count,
+    /// recorder and tracer carry over.
     ///
     /// # Errors
     ///
-    /// [`StreamError::Unsupported`] for systems with a post-step rule
-    /// (spike resets need whole-grid scans each step) or non-dynamic
-    /// layers; [`StreamError::Io`] on spool failures.
+    /// [`StreamError::Unsupported`] when the runner already streams (a
+    /// second switch would rewind the run) or the model has non-dynamic
+    /// layers; [`StreamError::Io`] on spool failures. On error the runner
+    /// keeps stepping the engine it had.
     pub fn set_memory_budget(
         &mut self,
         bytes: u64,
-        spool_dir: impl Into<std::path::PathBuf>,
+        spool_dir: impl Into<PathBuf>,
     ) -> Result<(), StreamError> {
-        if self.setup.post_step.is_some() {
+        let Sim::InCore(sim) = &self.sim else {
             return Err(StreamError::Unsupported(
-                "post-step rules (spike resets) need in-core execution".into(),
+                "the runner already streams under a memory budget".into(),
             ));
-        }
+        };
         let cfg = StreamConfig::new(spool_dir).with_memory_budget(bytes);
-        let mut stream = StreamSim::from_sim(&self.sim, cfg)?;
-        stream.set_threads(self.sim.threads());
-        if let Some(rec) = self.sim.recorder() {
-            stream.set_recorder(rec.clone());
-        }
-        if let Some(tr) = self.sim.tracer() {
-            stream.set_tracer(tr.clone());
-        }
-        self.stream = Some(stream);
+        self.sim = Sim::Streamed(Box::new(StreamSim::from_sim(sim, cfg)?));
         Ok(())
     }
 
     /// The streamed engine, when a memory budget is active.
     pub fn stream(&self) -> Option<&StreamSim> {
-        self.stream.as_ref()
+        match &self.sim {
+            Sim::Streamed(s) => Some(s.as_ref()),
+            Sim::InCore(_) => None,
+        }
     }
 
-    /// The underlying simulator.
+    /// The in-core simulator.
+    ///
+    /// # Panics
+    ///
+    /// On a streamed runner, whose state lives in the chunk spool.
     pub fn sim(&self) -> &CennSim {
-        &self.sim
+        match &self.sim {
+            Sim::InCore(s) => s,
+            Sim::Streamed(_) => panic!("{STREAMED}"),
+        }
     }
 
-    /// Mutable access to the underlying simulator (fault injection,
-    /// mid-run state edits).
+    /// Mutable access to the in-core simulator (fault injection, mid-run
+    /// state edits).
+    ///
+    /// # Panics
+    ///
+    /// On a streamed runner, whose state lives in the chunk spool.
     pub fn sim_mut(&mut self) -> &mut CennSim {
-        &mut self.sim
+        match &mut self.sim {
+            Sim::InCore(s) => s,
+            Sim::Streamed(_) => panic!("{STREAMED}"),
+        }
     }
 
     /// The setup this runner executes.
@@ -125,53 +156,48 @@ impl FixedRunner {
     /// Sets the worker-thread count of the simulator's tile sweeps.
     /// Results are bit-identical for any count.
     pub fn set_threads(&mut self, threads: usize) {
-        self.sim.set_threads(threads);
-        if let Some(stream) = &mut self.stream {
-            stream.set_threads(threads);
-        }
+        each!(&mut self.sim, s => s.set_threads(threads));
     }
 
     /// Steps executed so far.
     pub fn steps(&self) -> u64 {
-        match &self.stream {
-            Some(s) => s.steps(),
-            None => self.sim.steps(),
-        }
+        each!(&self.sim, s => s.steps())
     }
 
-    /// Advances one step and applies the post-step rule; returns the number
-    /// of cells the rule fired on (spikes), or 0 when there is no rule.
+    /// Simulated time `t`.
+    pub fn time(&self) -> f64 {
+        each!(&self.sim, s => s.time())
+    }
+
+    /// Cumulative wall-clock nanoseconds spent stepping.
+    pub fn run_nanos(&self) -> u64 {
+        each!(&self.sim, s => s.run_nanos())
+    }
+
+    /// Largest resident working set so far, bytes (see
+    /// [`cenn_core::Engine::peak_resident_bytes`]).
+    pub fn peak_resident_bytes(&self) -> u64 {
+        each!(&self.sim, s => s.peak_resident_bytes())
+    }
+
+    /// Bytes spilled to the chunk spool so far; zero in-core.
+    pub fn spill_bytes(&self) -> u64 {
+        each!(&self.sim, s => s.spill_bytes())
+    }
+
+    /// Advances one step; returns the number of cells the model's
+    /// post-step rule fired on (spikes), or 0 when there is no rule.
     ///
     /// # Panics
     ///
     /// In streamed mode, on spool I/O failure (the journal still reflects
     /// the last completed window, so the spool remains recoverable).
     pub fn step(&mut self) -> usize {
-        if let Some(stream) = &mut self.stream {
-            stream.step().expect("streamed step: spool I/O failed");
-            return 0; // post-step rules are rejected in streamed mode
-        }
-        self.sim.step();
-        match self.setup.post_step {
-            None => 0,
-            Some(rule) => {
-                // Apply the reset on the fixed-point states: read, clip,
-                // write back (the hardware comparator does this in place).
-                let n = self.sim.model().n_layers();
-                let mut states: Vec<Grid<f64>> = (0..n)
-                    .map(|i| self.sim.state_f64(LayerId::from_index(i)))
-                    .collect();
-                let fired = rule.apply_f64(&mut states);
-                if fired > 0 {
-                    for (i, g) in states.iter().enumerate() {
-                        self.sim
-                            .set_state_f64(LayerId::from_index(i), g)
-                            .expect("shape preserved");
-                    }
-                }
-                fired
-            }
-        }
+        let report = match &mut self.sim {
+            Sim::InCore(s) => s.step(),
+            Sim::Streamed(s) => s.step().expect("streamed step: spool I/O failed"),
+        };
+        report.fired as usize
     }
 
     /// Runs `n` steps; returns total fired cells.
@@ -181,38 +207,36 @@ impl FixedRunner {
 
     /// Runs `n` steps under a [`cenn_guard::Guard`]: the guard scrubs and
     /// checkpoints on its cadence, injects any scheduled faults, and
-    /// recovers per its policy, while the setup's post-step rule (spike
-    /// resets) is applied after every step exactly as [`step`](Self::step)
-    /// does.
+    /// recovers per its policy.
     ///
     /// # Errors
     ///
     /// Propagates [`cenn_guard::GuardError`] when the guard aborts or
     /// cannot recover.
+    ///
+    /// # Panics
+    ///
+    /// On a streamed runner: guarded execution is in-core only (streamed
+    /// mode has its own journal and spool recovery path).
     pub fn run_guarded(
         &mut self,
         guard: &mut cenn_guard::Guard,
         n: u64,
     ) -> Result<cenn_guard::GuardReport, cenn_guard::GuardError> {
-        assert!(
-            self.stream.is_none(),
-            "guarded execution is in-core only; streamed mode has its own \
-             journal/spool recovery path"
-        );
-        let Self { sim, setup, .. } = self;
-        guard.run_with(sim, n, |sim| {
-            let Some(rule) = setup.post_step else { return };
-            let n_layers = sim.model().n_layers();
-            let mut states: Vec<Grid<f64>> = (0..n_layers)
-                .map(|i| sim.state_f64(LayerId::from_index(i)))
-                .collect();
-            if rule.apply_f64(&mut states) > 0 {
-                for (i, g) in states.iter().enumerate() {
-                    sim.set_state_f64(LayerId::from_index(i), g)
-                        .expect("shape preserved");
-                }
-            }
-        })
+        guard.run(self.sim_mut(), n)
+    }
+
+    /// A bit-exact snapshot of the current state, assembled from the
+    /// chunk spool in streamed mode.
+    ///
+    /// # Errors
+    ///
+    /// In streamed mode, on spool read failure.
+    pub fn snapshot(&self) -> Result<SimSnapshot, StreamError> {
+        match &self.sim {
+            Sim::InCore(s) => Ok(s.snapshot()),
+            Sim::Streamed(s) => s.snapshot(),
+        }
     }
 
     /// A layer's state as `f64`.
@@ -221,9 +245,9 @@ impl FixedRunner {
     ///
     /// In streamed mode, on spool read failure.
     pub fn state_f64(&self, layer: LayerId) -> Grid<f64> {
-        match &self.stream {
-            Some(s) => s.state_f64(layer).expect("streamed state: spool read"),
-            None => self.sim.state_f64(layer),
+        match &self.sim {
+            Sim::InCore(s) => s.state_f64(layer),
+            Sim::Streamed(s) => s.state_f64(layer).expect("streamed state: spool read"),
         }
     }
 
@@ -239,37 +263,23 @@ impl FixedRunner {
 
     /// Cumulative LUT statistics.
     pub fn lut_stats(&self) -> LutStats {
-        match &self.stream {
-            Some(s) => s.lut_stats(),
-            None => self.sim.lut_stats(),
-        }
+        each!(&self.sim, s => s.lut_stats())
     }
 
     /// Measured `(mr_L1, mr_L2)`.
     pub fn miss_rates(&self) -> (f64, f64) {
-        match &self.stream {
-            Some(s) => s.miss_rates(),
-            None => self.sim.miss_rates(),
-        }
+        each!(&self.sim, s => s.miss_rates())
     }
 
     /// Resets LUT statistics (after warm-up).
     pub fn reset_lut_stats(&mut self) {
-        self.sim.reset_lut_stats();
+        each!(&mut self.sim, s => s.reset_lut_stats());
     }
 
-    /// Attaches a metric recorder to the underlying simulator: every step
-    /// emits a [`cenn_obs::StepMetrics`] event through it.
+    /// Attaches a metric recorder to the simulator: every step emits a
+    /// [`cenn_obs::StepMetrics`] event through it.
     pub fn set_recorder(&mut self, recorder: cenn_obs::RecorderHandle) {
-        if let Some(stream) = &mut self.stream {
-            stream.set_recorder(recorder.clone());
-        }
-        self.sim.set_recorder(recorder);
-    }
-
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&cenn_obs::RecorderHandle> {
-        self.sim.recorder()
+        each!(&mut self.sim, s => s.set_recorder(recorder));
     }
 
     /// Emits the end-of-run [`cenn_obs::RunSummary`] event (no-op without
@@ -277,34 +287,20 @@ impl FixedRunner {
     /// measured `peak_resident_bytes` / `spill_bytes` of the window
     /// engine.
     pub fn record_summary(&self) {
-        match &self.stream {
-            Some(s) => s.record_summary(),
-            None => self.sim.record_summary(),
-        }
+        each!(&self.sim, s => s.record_summary());
     }
 
-    /// Attaches a span tracer to the underlying simulator: sweeps record
+    /// Attaches a span tracer to the simulator: sweeps record
     /// phase-attributed spans (`lut_lookup`, `template_apply`,
     /// `integrate`, `halo_sync`) into its histograms.
     pub fn set_tracer(&mut self, tracer: cenn_obs::TraceHandle) {
-        if let Some(stream) = &mut self.stream {
-            stream.set_tracer(tracer.clone());
-        }
-        self.sim.set_tracer(tracer);
-    }
-
-    /// The attached tracer, if any.
-    pub fn tracer(&self) -> Option<&cenn_obs::TraceHandle> {
-        self.sim.tracer()
+        each!(&mut self.sim, s => s.set_tracer(tracer));
     }
 
     /// Emits one `span_summary` event per active phase (no-op without
     /// both a tracer and an enabled recorder).
     pub fn record_span_summaries(&self) {
-        match &self.stream {
-            Some(s) => s.record_span_summaries(),
-            None => self.sim.record_span_summaries(),
-        }
+        each!(&self.sim, s => s.record_span_summaries());
     }
 }
 
@@ -312,7 +308,7 @@ impl FixedRunner {
 mod tests {
     use super::*;
     use crate::system::DynamicalSystem;
-    use crate::{Heat, Izhikevich};
+    use crate::{Fisher, Heat, Izhikevich, NavierStokes};
 
     #[test]
     fn runner_loads_initial_conditions() {
@@ -338,7 +334,6 @@ mod tests {
 
     #[test]
     fn memory_budget_mode_matches_in_core_states() {
-        use crate::Fisher;
         let sys = Fisher::default();
         let mut in_core = FixedRunner::new(sys.build(24, 16).unwrap()).unwrap();
         let mut streamed = FixedRunner::new(sys.build(24, 16).unwrap()).unwrap();
@@ -362,13 +357,110 @@ mod tests {
         let _ = std::fs::remove_dir_all(&spool);
     }
 
+    fn spool(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cenn_runner_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
-    fn memory_budget_rejects_post_step_systems() {
-        let setup = Izhikevich::default().build(4, 4).unwrap();
-        let mut runner = FixedRunner::new(setup).unwrap();
-        let spool = std::env::temp_dir().join("cenn_runner_reject");
-        assert!(runner.set_memory_budget(1 << 20, &spool).is_err());
+    fn memory_budget_streams_spike_resets_like_in_core() {
+        let sys = Izhikevich::default();
+        let mut in_core = FixedRunner::new(sys.build(24, 16).unwrap()).unwrap();
+        let mut streamed = FixedRunner::new(sys.build(24, 16).unwrap()).unwrap();
+        let dir = spool("spikes");
+        streamed.set_memory_budget(8 * 1024, &dir).unwrap();
+        assert!(streamed.stream().unwrap().n_windows() > 1);
+        let mut fired = 0;
+        for step in 0..300 {
+            let n = in_core.step();
+            assert_eq!(streamed.step(), n, "fired cells at step {step}");
+            fired += n;
+        }
+        assert!(fired > 0, "the grid spiked");
+        assert_eq!(streamed.snapshot().unwrap(), in_core.snapshot().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memory_budget_carries_threads_recorder_and_tracer() {
+        let mut runner = FixedRunner::new(Fisher::default().build(24, 16).unwrap()).unwrap();
+        let (recorder, events) = cenn_obs::RecorderHandle::in_memory(true);
+        let tracer = cenn_obs::TraceHandle::histograms_only();
+        runner.set_threads(3);
+        runner.set_recorder(recorder);
+        runner.set_tracer(tracer.clone());
+        let dir = spool("carry");
+        runner.set_memory_budget(8 * 1024, &dir).unwrap();
+        runner.run(2);
+        let stream = runner.stream().unwrap();
+        assert_eq!(stream.threads(), 3);
+        assert_eq!(
+            events.lock().unwrap().events().len(),
+            2,
+            "one step event per step"
+        );
+        let integrate = tracer.with(|c| c.phase_count(cenn_obs::Phase::Integrate));
+        assert_eq!(integrate, 2 * stream.n_windows() as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_runner_resets_its_own_lut_stats() {
+        let mut runner = FixedRunner::new(Fisher::default().build(24, 16).unwrap()).unwrap();
+        let dir = spool("reset");
+        runner.set_memory_budget(8 * 1024, &dir).unwrap();
+        runner.run(3);
+        assert!(runner.lut_stats().accesses > 0);
+        runner.reset_lut_stats();
+        assert_eq!(runner.lut_stats().accesses, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn second_memory_budget_is_refused_without_rewinding() {
+        let mut runner = FixedRunner::new(Fisher::default().build(24, 16).unwrap()).unwrap();
+        let dir = spool("twice");
+        runner.set_memory_budget(8 * 1024, &dir).unwrap();
+        runner.run(10);
+        let windows = runner.stream().unwrap().n_windows();
+        assert!(matches!(
+            runner.set_memory_budget(4 * 1024, &dir),
+            Err(StreamError::Unsupported(_))
+        ));
+        assert_eq!(runner.steps(), 10);
+        assert_eq!(runner.stream().unwrap().n_windows(), windows);
+        runner.run(1);
+        assert_eq!(runner.snapshot().unwrap().steps, 11);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk spool")]
+    fn sim_of_a_streamed_runner_panics() {
+        let mut runner = FixedRunner::new(Fisher::default().build(8, 8).unwrap()).unwrap();
+        let dir = spool("stale");
+        runner.set_memory_budget(4 * 1024, &dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        runner.sim();
+    }
+
+    #[test]
+    fn rejected_switch_keeps_stepping_in_core() {
+        let sys = NavierStokes::default();
+        let mut runner = FixedRunner::new(sys.build(16, 16).unwrap()).unwrap();
+        let mut reference = FixedRunner::new(sys.build(16, 16).unwrap()).unwrap();
+        let dir = spool("algebraic");
+        assert!(matches!(
+            runner.set_memory_budget(8 * 1024, &dir),
+            Err(StreamError::Unsupported(_))
+        ));
         assert!(runner.stream().is_none());
+        runner.run(3);
+        reference.run(3);
+        assert_eq!(runner.steps(), 3);
+        assert_eq!(runner.sim().snapshot(), reference.sim().snapshot());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -70,7 +70,6 @@ impl DynamicalSystem for Fisher {
             model,
             initial: vec![(u, front)],
             inputs: vec![],
-            post_step: None,
             observed: vec![(u, "u")],
         })
     }

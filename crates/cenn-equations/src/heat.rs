@@ -58,7 +58,6 @@ impl DynamicalSystem for Heat {
             model,
             initial: vec![(phi, init)],
             inputs: vec![],
-            post_step: None,
             observed: vec![(phi, "phi")],
         })
     }

@@ -301,7 +301,6 @@ impl DynamicalSystem for HodgkinHuxley {
             model,
             initial: vec![(v, init_v), (n, init_n), (m, init_m), (h, init_h)],
             inputs: vec![(v, input)],
-            post_step: None,
             observed: vec![(v, "V"), (n, "n"), (m, "m"), (h, "h")],
         })
     }

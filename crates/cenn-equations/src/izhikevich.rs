@@ -1,11 +1,13 @@
 //! Izhikevich spiking neurons — the paper's hybrid (reset-rule) benchmark.
 
-use cenn_core::{mapping, Boundary, CennModelBuilder, Factor, Grid, ModelError, WeightExpr};
+use cenn_core::{
+    mapping, Boundary, CennModelBuilder, Factor, Grid, ModelError, PostStepRule, WeightExpr,
+};
 use cenn_lut::funcs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::system::{DynamicalSystem, PostStepRule, SystemSetup};
+use crate::system::{DynamicalSystem, SystemSetup};
 
 /// The Izhikevich simple spiking model (paper ref. \[18\]):
 ///
@@ -87,6 +89,13 @@ impl DynamicalSystem for Izhikevich {
         cfg.per_func_specs
             .push((sq, cenn_lut::LutSpec::unit_spacing(-120, 160)));
         b.lut_config(cfg);
+        b.post_step(PostStepRule::SpikeReset {
+            v_layer: v,
+            u_layer: u,
+            threshold: 30.0,
+            reset_v: self.c,
+            bump_u: self.d,
+        });
         let model = b.build(self.dt)?;
 
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -102,13 +111,6 @@ impl DynamicalSystem for Izhikevich {
             model,
             initial: vec![(v, init_v), (u, init_u)],
             inputs: vec![(v, input)],
-            post_step: Some(PostStepRule::SpikeReset {
-                v_layer: v,
-                u_layer: u,
-                threshold: 30.0,
-                reset_v: self.c,
-                bump_u: self.d,
-            }),
             observed: vec![(v, "v"), (u, "u")],
         })
     }
@@ -129,7 +131,7 @@ mod tests {
         assert_eq!(setup.model.n_layers(), 2);
         assert_eq!(setup.model.wui_template_count(), 1);
         assert_eq!(setup.model.lookups_per_cell_step(), 1);
-        assert!(setup.post_step.is_some());
+        assert!(setup.model.post_step().is_some());
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! [`cenn_core::CennModel`] plus initial conditions, and the same model
 //! drives the fixed-point hardware simulator, the floating-point reference
 //! (`cenn-baselines`), and the cycle-level architecture model
-//! (`cenn-arch`). [`FixedRunner`] executes a system on the functional
-//! fixed-point simulator, applying any post-step rule (the Izhikevich
-//! spike reset).
+//! (`cenn-arch`); a hybrid system's post-step rule (the Izhikevich spike
+//! reset) is part of that model. [`FixedRunner`] executes a system on the
+//! functional fixed-point simulator, in-core or streamed.
 //!
 //! # Example
 //!

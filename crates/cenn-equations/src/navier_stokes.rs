@@ -167,7 +167,6 @@ impl DynamicalSystem for NavierStokes {
             model,
             initial: vec![(psi, psi0), (omega, omega0)],
             inputs: vec![],
-            post_step: None,
             observed: vec![(omega, "omega")],
         })
     }

@@ -117,7 +117,6 @@ impl DynamicalSystem for ReactionDiffusion {
             model,
             initial: vec![(u, init_u), (v, init_v)],
             inputs: vec![],
-            post_step: None,
             observed: vec![(u, "u"), (v, "v")],
         })
     }

@@ -2,93 +2,10 @@
 
 use cenn_core::{CennModel, Grid, LayerId, ModelError};
 
-/// A discrete rule applied after every integration step, outside the
-/// template algebra.
-///
-/// The Izhikevich model's spike-and-reset is a *hybrid* discontinuity:
-/// `if v ≥ v_peak { v ← c; u ← u + d }`. In the hardware this is a
-/// comparator + conditional write in the PE (one cycle); in both the
-/// fixed-point and floating-point simulators it is applied identically
-/// between steps, so the accuracy comparison stays apples-to-apples.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PostStepRule {
-    /// Izhikevich reset on `(v_layer, u_layer)`.
-    SpikeReset {
-        /// Membrane-potential layer checked against the threshold.
-        v_layer: LayerId,
-        /// Recovery-variable layer incremented on spike.
-        u_layer: LayerId,
-        /// Spike threshold `v_peak` (30 mV in \[18\]).
-        threshold: f64,
-        /// Reset value `c`.
-        reset_v: f64,
-        /// Recovery increment `d`.
-        bump_u: f64,
-    },
-    /// Wraps a phase layer into `[lo, hi)` (modular arithmetic, one
-    /// subtractor in the PE) — keeps oscillator phases inside the sampled
-    /// LUT domain.
-    WrapPhase {
-        /// The phase layer.
-        layer: LayerId,
-        /// Lower bound (inclusive).
-        lo: f64,
-        /// Upper bound (exclusive).
-        hi: f64,
-    },
-}
+pub use cenn_core::PostStepRule;
 
-impl PostStepRule {
-    /// Applies the rule to a set of `f64` state grids, returning the number
-    /// of cells that fired.
-    pub fn apply_f64(&self, states: &mut [Grid<f64>]) -> usize {
-        match *self {
-            PostStepRule::SpikeReset {
-                v_layer,
-                u_layer,
-                threshold,
-                reset_v,
-                bump_u,
-            } => {
-                let mut fired = 0;
-                let (rows, cols) = (
-                    states[v_layer.index()].rows(),
-                    states[v_layer.index()].cols(),
-                );
-                for r in 0..rows {
-                    for c in 0..cols {
-                        if states[v_layer.index()].get(r, c) >= threshold {
-                            states[v_layer.index()].set(r, c, reset_v);
-                            let u = states[u_layer.index()].get(r, c);
-                            states[u_layer.index()].set(r, c, u + bump_u);
-                            fired += 1;
-                        }
-                    }
-                }
-                fired
-            }
-            PostStepRule::WrapPhase { layer, lo, hi } => {
-                let span = hi - lo;
-                let mut wrapped = 0;
-                let g = &mut states[layer.index()];
-                let (rows, cols) = (g.rows(), g.cols());
-                for r in 0..rows {
-                    for c in 0..cols {
-                        let v = g.get(r, c);
-                        if !(lo..hi).contains(&v) {
-                            g.set(r, c, v - span * ((v - lo) / span).floor());
-                            wrapped += 1;
-                        }
-                    }
-                }
-                wrapped
-            }
-        }
-    }
-}
-
-/// Everything needed to execute a benchmark: the CeNN program, initial
-/// conditions, external inputs, an optional post-step rule, and which
+/// Everything needed to execute a benchmark: the CeNN program (including
+/// any post-step rule), initial conditions, external inputs, and which
 /// layers the accuracy study observes.
 #[derive(Debug, Clone)]
 pub struct SystemSetup {
@@ -98,8 +15,6 @@ pub struct SystemSetup {
     pub initial: Vec<(LayerId, Grid<f64>)>,
     /// External input maps (the `u` of eq. 1) per layer, if any.
     pub inputs: Vec<(LayerId, Grid<f64>)>,
-    /// Discrete post-step rule, if the system is hybrid.
-    pub post_step: Option<PostStepRule>,
     /// Layers whose trajectories are compared against the reference
     /// (Fig. 11), with display names.
     pub observed: Vec<(LayerId, &'static str)>,
@@ -184,15 +99,13 @@ mod tests {
             reset_v: -65.0,
             bump_u: 8.0,
         };
-        let mut states = vec![Grid::new(2, 2, 0.0), Grid::new(2, 2, 1.0)];
-        states[0].set(0, 1, 35.0);
-        let fired = rule.apply_f64(&mut states);
-        assert_eq!(fired, 1);
-        assert_eq!(states[0].get(0, 1), -65.0);
-        assert_eq!(states[1].get(0, 1), 9.0);
-        // Untouched cells unchanged.
-        assert_eq!(states[0].get(0, 0), 0.0);
-        assert_eq!(states[1].get(0, 0), 1.0);
+        let mut spiking = [35.0, 1.0];
+        assert!(rule.apply_cell(&mut spiking));
+        assert_eq!(spiking, [-65.0, 9.0]);
+        // A cell below threshold is untouched.
+        let mut resting = [0.0, 1.0];
+        assert!(!rule.apply_cell(&mut resting));
+        assert_eq!(resting, [0.0, 1.0]);
     }
 
     #[test]

@@ -90,7 +90,6 @@ impl DynamicalSystem for Wave {
             model,
             initial: vec![(w, init_w)],
             inputs: vec![],
-            post_step: None,
             observed: vec![(w, "w"), (chi, "chi")],
         })
     }

@@ -91,8 +91,7 @@ enum Trip {
 
 /// The fault-tolerant runtime: owns the configuration, the fault plan,
 /// the checkpoint store, the health monitor, and an optional event
-/// recorder, and drives a [`CennSim`] through
-/// [`run_with`](Self::run_with).
+/// recorder, and drives a [`CennSim`] through [`run`](Self::run).
 ///
 /// # Recovery correctness
 ///
@@ -223,7 +222,7 @@ impl Guard {
         &self.store
     }
 
-    /// The cumulative report across `run_with` calls.
+    /// The cumulative report across `run` calls.
     pub fn report(&self) -> GuardReport {
         self.report
     }
@@ -252,12 +251,11 @@ impl Guard {
         }
     }
 
-    /// Runs `n` guarded steps on `sim`, calling `post` after each step
-    /// (the hook benchmark drivers use for spike-reset rules; the hook
-    /// runs *before* the health check so watchdogs see the final state).
+    /// Runs `n` guarded steps on `sim`.
     ///
     /// Per iteration: **scrub & checkpoint** (at boundaries) → **inject**
-    /// due faults → **step** → `post` → **health check**, recovering per
+    /// due faults → **step** (which applies the model's post-step rule, so
+    /// watchdogs see the final state) → **health check**, recovering per
     /// [`GuardConfig::on_divergence`] whenever a scrub repairs corruption
     /// or a watchdog trips. Rollback makes the loop re-execute steps, so
     /// the sim always ends at `start + n` steps on success.
@@ -266,15 +264,7 @@ impl Guard {
     ///
     /// Returns [`GuardError`] when the policy aborts, rollback is
     /// impossible or exhausted, or a scheduled fault is invalid.
-    pub fn run_with<F>(
-        &mut self,
-        sim: &mut CennSim,
-        n: u64,
-        mut post: F,
-    ) -> Result<GuardReport, GuardError>
-    where
-        F: FnMut(&mut CennSim),
-    {
+    pub fn run(&mut self, sim: &mut CennSim, n: u64) -> Result<GuardReport, GuardError> {
         let start = sim.steps();
         let target = start.saturating_add(n);
         sim.set_residual_tracking(true);
@@ -325,7 +315,6 @@ impl Guard {
             }
             sim.step();
             self.report.steps_executed += 1;
-            post(sim);
             if let Some(issue) = self.monitor.check(sim, &self.cfg) {
                 self.report.health_trips += 1;
                 self.emit(
@@ -457,7 +446,7 @@ mod tests {
         plain.run(30);
         let mut sim = logistic_sim();
         let report = Guard::new(GuardConfig::default())
-            .run_with(&mut sim, 30, |_| {})
+            .run(&mut sim, 30)
             .unwrap();
         assert_eq!(sim.steps(), 30);
         assert_eq!(final_bits(&sim), final_bits(&plain));
@@ -472,7 +461,7 @@ mod tests {
         clean.run(40);
         let mut sim = logistic_sim();
         let mut guard = Guard::new(GuardConfig::default()).with_plan(lut_fault_at(20, 30));
-        let report = guard.run_with(&mut sim, 40, |_| {}).unwrap();
+        let report = guard.run(&mut sim, 40).unwrap();
         assert_eq!(report.faults_injected, 1);
         assert_eq!(report.scrub_repairs, 1);
         assert!(report.rollbacks >= 1);
@@ -494,7 +483,7 @@ mod tests {
         let mut sim = logistic_sim();
         let err = Guard::new(cfg)
             .with_plan(lut_fault_at(2, 30))
-            .run_with(&mut sim, 40, |_| {})
+            .run(&mut sim, 40)
             .unwrap_err();
         assert!(matches!(err, GuardError::Aborted { .. }), "got {err}");
     }
@@ -509,7 +498,7 @@ mod tests {
         let mut sim = logistic_sim();
         let report = Guard::new(cfg)
             .with_plan(lut_fault_at(2, 30))
-            .run_with(&mut sim, 40, |_| {})
+            .run(&mut sim, 40)
             .unwrap();
         assert!(report.lut_bypassed);
         assert_eq!(report.rollbacks, 0);
@@ -526,7 +515,7 @@ mod tests {
         let mut sim = logistic_sim();
         let err = Guard::new(cfg)
             .with_plan(lut_fault_at(1, 30))
-            .run_with(&mut sim, 20, |_| {})
+            .run(&mut sim, 20)
             .unwrap_err();
         assert!(matches!(err, GuardError::NoCheckpoint), "got {err}");
     }
@@ -538,7 +527,7 @@ mod tests {
         let mut guard = Guard::new(GuardConfig::default())
             .with_tracer(tracer.clone())
             .with_plan(lut_fault_at(20, 30));
-        let report = guard.run_with(&mut sim, 40, |_| {}).unwrap();
+        let report = guard.run(&mut sim, 40).unwrap();
         assert!(guard.tracer().is_some());
         let scrubs = tracer.with(|c| c.phase_count(Phase::Scrub));
         // Checkpoint spans cover captures and rollback restores.
@@ -555,7 +544,7 @@ mod tests {
         let mut guard = Guard::new(GuardConfig::default())
             .with_metrics(hub.clone())
             .with_plan(lut_fault_at(20, 30));
-        let report = guard.run_with(&mut sim, 40, |_| {}).unwrap();
+        let report = guard.run(&mut sim, 40).unwrap();
         let snap = hub.snapshot();
         assert_eq!(snap.counter("guard.scrubs_total"), Some(report.scrubs));
         assert_eq!(
@@ -566,7 +555,10 @@ mod tests {
             snap.counter("guard.checkpoints_total"),
             Some(report.checkpoints)
         );
-        assert_eq!(snap.counter("guard.rollbacks_total"), Some(report.rollbacks));
+        assert_eq!(
+            snap.counter("guard.rollbacks_total"),
+            Some(report.rollbacks)
+        );
         assert_eq!(
             snap.counter("guard.faults_injected_total"),
             Some(report.faults_injected)
@@ -597,10 +589,7 @@ mod tests {
             },
         );
         let mut sim = logistic_sim();
-        let report = Guard::new(cfg)
-            .with_plan(plan)
-            .run_with(&mut sim, 32, |_| {})
-            .unwrap();
+        let report = Guard::new(cfg).with_plan(plan).run(&mut sim, 32).unwrap();
         assert!(report.health_trips >= 1);
         assert!(report.rollbacks >= 1);
         assert_eq!(

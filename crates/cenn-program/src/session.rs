@@ -114,7 +114,7 @@ impl SolverSession {
         guard: &mut cenn_guard::Guard,
         n: u64,
     ) -> Result<cenn_guard::GuardReport, cenn_guard::GuardError> {
-        guard.run_with(&mut self.sim, n, |_| {})
+        guard.run(&mut self.sim, n)
     }
 
     /// A layer's state (a zero-copy view into the state slab).

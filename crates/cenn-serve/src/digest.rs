@@ -1,56 +1,9 @@
-//! Deterministic end-state digests.
-//!
-//! A digest folds a session's *state trajectory* — step counter,
-//! simulated-time bits, cumulative cell evaluations, and every layer's
-//! raw Q16.16 words — through FNV-1a 64. It deliberately excludes LUT
-//! cache statistics: caches come up cold after a checkpoint resume, so
-//! hit counters legally differ between an interrupted and an
-//! uninterrupted run even though every state bit is identical. The
-//! digest is the fleet harness's green/red signal, so it must cover
-//! exactly the bits the determinism contract freezes and nothing else.
+//! Deterministic end-state digests, re-exported from `cenn-core`, where
+//! the digest lives next to [`SimSnapshot`](cenn_core::SimSnapshot) (see
+//! [`cenn_core::snapshot_digest`] for what it covers). A session's digest
+//! is the fleet harness's green/red signal.
 
-use cenn_core::{CennSim, SimSnapshot};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over a byte slice, continuing from `hash`.
-pub fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Starts a fresh FNV-1a 64 accumulator.
-pub fn fnv1a64_init() -> u64 {
-    FNV_OFFSET
-}
-
-/// Digest of the sim's complete deterministic state.
-pub fn state_digest(sim: &CennSim) -> u64 {
-    snapshot_digest(&sim.snapshot())
-}
-
-/// Digest of an already-taken snapshot — the same bytes and fold as
-/// [`state_digest`], so in-core sims and streamed engines (whose
-/// snapshots are assembled from the chunk spool) can be compared
-/// digest-for-digest.
-pub fn snapshot_digest(snap: &SimSnapshot) -> u64 {
-    let mut h = fnv1a64_init();
-    h = fnv1a64(h, &snap.steps.to_le_bytes());
-    h = fnv1a64(h, &snap.time.to_bits().to_le_bytes());
-    h = fnv1a64(h, &snap.run_cells.to_le_bytes());
-    h = fnv1a64(h, &(snap.states.len() as u64).to_le_bytes());
-    for layer in &snap.states {
-        h = fnv1a64(h, &(layer.len() as u64).to_le_bytes());
-        for bits in layer {
-            h = fnv1a64(h, &bits.to_le_bytes());
-        }
-    }
-    h
-}
+pub use cenn_core::{fnv1a64, fnv1a64_init, snapshot_digest, state_digest};
 
 #[cfg(test)]
 mod tests {
