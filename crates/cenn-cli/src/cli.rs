@@ -401,9 +401,8 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
     } else {
         opts.steps
     };
-    let setup = build_setup(&opts)?;
     let mut runner =
-        FixedRunner::new(setup.clone()).map_err(|e| err(format!("simulator setup: {e}")))?;
+        FixedRunner::new(build_setup(&opts)?).map_err(|e| err(format!("simulator setup: {e}")))?;
     let threads = resolve_threads(&opts);
     runner.set_threads(threads);
     // Streamed out-of-core mode: spool the seeded state, then every step
@@ -498,7 +497,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         opts.system,
         opts.grid,
         opts.grid,
-        setup.model.n_layers(),
+        runner.setup().model.n_layers(),
         steps,
         runner.time()
     )
@@ -519,7 +518,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         .unwrap();
     }
     if let Some(fired) = fired {
-        if setup.model.post_step().is_some() {
+        if runner.setup().model.post_step().is_some() {
             writeln!(out, "spikes fired: {fired}").unwrap();
         }
     }
@@ -576,7 +575,8 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
     }
     if opts.report {
         let mem = memory_by_name(&opts.memory)?;
-        let est = CycleModel::new(mem, PeArrayConfig::default()).estimate(&setup.model, (mr1, mr2));
+        let est = CycleModel::new(mem, PeArrayConfig::default())
+            .estimate(&runner.setup().model, (mr1, mr2));
         writeln!(out, "\narchitecture estimate ({}):", opts.memory).unwrap();
         writeln!(out, "  time/step:    {:.3} us", est.time_per_step_s() * 1e6).unwrap();
         writeln!(

@@ -5,11 +5,13 @@
 //! lets those sweeps run on worker threads **without changing a single
 //! bit** of the serial results:
 //!
-//! * [`TilePlan`] decomposes the grid into per-shard tiles: each cell is
-//!   assigned to the LUT shard (L2 group, [`cenn_lut::PES_PER_L2`]
-//!   consecutive PEs) that its PE belongs to, preserving row-major order
-//!   within the tile. A shard's cache state is touched only by its own
-//!   PEs, so tiles are the natural unit of parallelism.
+//! * [`TilePlan`] decomposes a window of grid rows into per-shard tiles:
+//!   each cell is assigned to the LUT shard (L2 group,
+//!   [`cenn_lut::PES_PER_L2`] consecutive PEs) that its PE belongs to,
+//!   preserving row-major order within the tile. A shard's cache state is
+//!   touched only by its own PEs, so tiles are the natural unit of
+//!   parallelism. The plan itself is geometry only; tiles exist only for
+//!   the window being swept.
 //! * [`ExecEngine`] fans work items out over scoped worker threads
 //!   (`std::thread::scope`; no dependencies, no unsafe). With one thread
 //!   it degenerates to a plain loop.
@@ -88,20 +90,22 @@ impl Tile {
     }
 }
 
-/// The static decomposition of a grid over LUT shards for a given PE
-/// geometry. Built once per simulator; every sweep walks the same tiles.
+/// The geometry of a grid's decomposition over LUT shards for a given PE
+/// array: grid shape, PE shape and shard count. It holds no cells; every
+/// tile set comes from [`window`](Self::window), the full grid being the
+/// one window `window(0, rows, |r| r)`.
 #[derive(Debug, Clone)]
 pub struct TilePlan {
     rows: usize,
     cols: usize,
     pe_rows: usize,
     pe_cols: usize,
-    tiles: Vec<Tile>,
 }
 
 impl TilePlan {
-    /// Decomposes a `rows × cols` grid mapped onto a `pe_rows × pe_cols`
-    /// PE array (cells map to PEs as `(r mod pe_rows, c mod pe_cols)`).
+    /// The decomposition of a `rows × cols` grid mapped onto a
+    /// `pe_rows × pe_cols` PE array (cells map to PEs as
+    /// `(r mod pe_rows, c mod pe_cols)`).
     ///
     /// # Panics
     ///
@@ -111,20 +115,17 @@ impl TilePlan {
             rows > 0 && cols > 0 && pe_rows > 0 && pe_cols > 0,
             "tile plan dimensions must be non-zero"
         );
-        let mut plan = Self {
+        Self {
             rows,
             cols,
             pe_rows,
             pe_cols,
-            tiles: Vec::new(),
-        };
-        plan.tiles = plan.window(0, rows, |r| r);
-        plan
+        }
     }
 
-    /// The per-shard tiles, indexed by shard id.
-    pub fn tiles(&self) -> &[Tile] {
-        &self.tiles
+    /// Tiles per window: one per LUT shard, indexed by shard id.
+    pub fn n_shards(&self) -> usize {
+        (self.pe_rows * self.pe_cols).div_ceil(PES_PER_L2)
     }
 
     /// Grid shape this plan decomposes.
@@ -137,11 +138,6 @@ impl TilePlan {
         (self.pe_rows, self.pe_cols)
     }
 
-    /// Total cells across all tiles (equals `rows · cols`).
-    pub fn n_cells(&self) -> usize {
-        self.tiles.iter().map(Tile::len).sum()
-    }
-
     /// The PE a cell maps to — the same formula every sweep uses.
     #[inline]
     pub fn pe_of(&self, r: usize, c: usize) -> usize {
@@ -149,9 +145,9 @@ impl TilePlan {
     }
 
     /// Decomposes one *window* of grid rows `[row0, row1)` into per-shard
-    /// tiles — the windowed sweep schedule of the engine (the full plan is
-    /// the one window `[0, rows)`; the spooled store of [`crate::stream`]
-    /// cuts the grid into several).
+    /// tiles, one per shard — the windowed sweep schedule of the engine
+    /// (the in-core store sweeps the one window `[0, rows)`; the spooled
+    /// store of [`crate::stream`] cuts the grid into several).
     ///
     /// Cells and PE ids stay **global**, so each shard's LUT cache walks
     /// exactly the subsequence of the full-grid sweep that falls in the
@@ -171,9 +167,7 @@ impl TilePlan {
         mut local_row_of: impl FnMut(usize) -> usize,
     ) -> Vec<Tile> {
         assert!(row0 < row1 && row1 <= self.rows, "window out of range");
-        let n_pes = self.pe_rows * self.pe_cols;
-        let n_shards = n_pes.div_ceil(PES_PER_L2);
-        let mut tiles: Vec<Tile> = (0..n_shards)
+        let mut tiles: Vec<Tile> = (0..self.n_shards())
             .map(|s| Tile {
                 shard: s,
                 pe_base: s * PES_PER_L2,
@@ -185,7 +179,7 @@ impl TilePlan {
         for r in row0..row1 {
             let local = local_row_of(r);
             for c in 0..self.cols {
-                let pe = (r % self.pe_rows) * self.pe_cols + (c % self.pe_cols);
+                let pe = self.pe_of(r, c);
                 let tile = &mut tiles[pe / PES_PER_L2];
                 tile.cells.push((r as u32, c as u32));
                 tile.flats.push((local * self.cols + c) as u32);
@@ -357,9 +351,10 @@ mod tests {
     #[test]
     fn tile_plan_covers_every_cell_exactly_once() {
         let plan = TilePlan::new(13, 7, 8, 8);
-        assert_eq!(plan.n_cells(), 13 * 7);
+        let tiles = plan.window(0, 13, |r| r);
+        assert_eq!(tiles.iter().map(Tile::len).sum::<usize>(), 13 * 7);
         let mut seen = vec![0u32; 13 * 7];
-        for tile in plan.tiles() {
+        for tile in &tiles {
             for &(r, c) in tile.cells() {
                 seen[r as usize * 7 + c as usize] += 1;
             }
@@ -370,7 +365,7 @@ mod tests {
     #[test]
     fn tile_cells_are_row_major_and_shard_consistent() {
         let plan = TilePlan::new(16, 16, 4, 4);
-        for tile in plan.tiles() {
+        for tile in &plan.window(0, 16, |r| r) {
             let mut prev = None;
             for &(r, c) in tile.cells() {
                 let pe = plan.pe_of(r as usize, c as usize);
@@ -387,7 +382,7 @@ mod tests {
     #[test]
     fn tile_flats_and_pes_mirror_cells() {
         let plan = TilePlan::new(13, 7, 8, 8);
-        for tile in plan.tiles() {
+        for tile in &plan.window(0, 13, |r| r) {
             assert_eq!(tile.flats().len(), tile.len());
             assert_eq!(tile.pes().len(), tile.len());
             for (j, &(r, c)) in tile.cells().iter().enumerate() {
@@ -401,25 +396,26 @@ mod tests {
     fn small_grid_leaves_unused_shards_empty() {
         // 2x2 grid on an 8x8 PE array: only PEs 0,1,8,9 are used.
         let plan = TilePlan::new(2, 2, 8, 8);
-        let used: Vec<usize> = plan
-            .tiles()
+        let tiles = plan.window(0, 2, |r| r);
+        let used: Vec<usize> = tiles
             .iter()
             .filter(|t| !t.is_empty())
             .map(Tile::shard)
             .collect();
         assert_eq!(used, vec![0, 2]);
-        assert_eq!(plan.n_cells(), 4);
+        assert_eq!(tiles.iter().map(Tile::len).sum::<usize>(), 4);
     }
 
     #[test]
     fn window_tiles_partition_the_full_plan() {
         // Concatenating per-shard window tiles in ascending row order must
-        // reproduce each full-plan tile's cell and PE sequences exactly —
+        // reproduce each full-grid tile's cell and PE sequences exactly —
         // the windowed sweep's determinism precondition.
         let plan = TilePlan::new(13, 7, 8, 8);
+        let full = plan.window(0, 13, |r| r);
         for window_rows in [1, 3, 13, 20] {
-            let mut cells: Vec<Vec<(u32, u32)>> = vec![Vec::new(); plan.tiles().len()];
-            let mut pes: Vec<Vec<u32>> = vec![Vec::new(); plan.tiles().len()];
+            let mut cells: Vec<Vec<(u32, u32)>> = vec![Vec::new(); plan.n_shards()];
+            let mut pes: Vec<Vec<u32>> = vec![Vec::new(); plan.n_shards()];
             let mut lo = 0usize;
             while lo < 13 {
                 let hi = (lo + window_rows).min(13);
@@ -434,7 +430,7 @@ mod tests {
                 }
                 lo = hi;
             }
-            for (tile, (c, p)) in plan.tiles().iter().zip(cells.iter().zip(&pes)) {
+            for (tile, (c, p)) in full.iter().zip(cells.iter().zip(&pes)) {
                 assert_eq!(tile.cells(), &c[..], "window_rows = {window_rows}");
                 assert_eq!(tile.pes(), &p[..]);
             }

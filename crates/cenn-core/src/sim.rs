@@ -213,6 +213,10 @@ pub trait Store {
     type Error;
     /// Windows per integrator pass.
     fn n_windows(&self) -> usize;
+    /// Readies the store for a step's first window. The engine calls it
+    /// before the step's timer starts, so what it builds is set-up, not
+    /// step time.
+    fn begin_step(&mut self, _core: &mut Core) {}
     /// Brings window `w` of `pass` into memory.
     fn fill(&mut self, _core: &mut Core, _pass: usize, _w: usize) -> Result<(), Self::Error> {
         Ok(())
@@ -657,10 +661,10 @@ fn corrector<const TRACK: bool>(
 /// grid's rows in ascending order as windows, and a window is fill →
 /// sweeps → update → spill over the engine's state store. In-core
 /// execution ([`CennSim`], the [`Resident`] store) is the one-window case:
-/// the window spans the grid, its tiles and lanes are built once, and
-/// fill and spill do nothing. Streamed out-of-core execution
-/// ([`StreamSim`](crate::StreamSim)) spools state chunks between
-/// windows.
+/// the window spans the grid, its tiles and lanes are built when the
+/// first step begins, and fill and spill do nothing. Streamed
+/// out-of-core execution ([`StreamSim`](crate::StreamSim)) spools state
+/// chunks between windows.
 ///
 /// State is held structure-of-arrays: one contiguous Q16.16 slab per
 /// grid set ([`SoaGrid`]), each layer a contiguous span. Sweeps are
@@ -673,9 +677,9 @@ fn corrector<const TRACK: bool>(
 /// the pre-lane serial sweep for any thread count (the determinism
 /// contract in [`crate::exec`]).
 ///
-/// A [`TilePlan`] assigns each cell to the LUT shard its PE belongs to,
-/// and the [`ExecEngine`] fans the shards out over worker threads (see
-/// [`set_threads`]).
+/// A window's tiles ([`TilePlan::window`]) assign each cell to the LUT
+/// shard its PE belongs to, and the [`ExecEngine`] fans the shards out
+/// over worker threads (see [`set_threads`]).
 ///
 /// [`set_threads`]: Self::set_threads
 #[derive(Debug, Clone)]
@@ -896,6 +900,7 @@ impl<S: Store> Engine<S> {
     pub(crate) fn advance(&mut self) -> Result<bool, S::Error> {
         let Self { core, store } = self;
         if !core.stepping {
+            store.begin_step(core);
             core.begin_step();
         }
         let t0 = Instant::now();
@@ -972,16 +977,27 @@ impl<S: Store> Engine<S> {
     }
 }
 
-/// The in-core state store: the five full-grid `Q16.16` slabs (states,
-/// two RHS buffers, Heun's pre-step save, and inputs) and one window
-/// spanning the grid, whose tiles and lanes are built once at
-/// construction. Fill and spill do nothing.
+/// The in-core state store: the full-grid `Q16.16` state and input slabs
+/// from construction, and one window spanning the grid, built when the
+/// first step begins. Fill and spill do nothing.
 #[derive(Debug, Clone)]
 pub struct Resident {
-    tiles: TilePlan,
+    plan: TilePlan,
+    states: SoaGrid<Q16_16>,
+    inputs: SoaGrid<Q16_16>,
+    /// The grid-spanning window; `None` until the first step, so an
+    /// engine that never steps in-core (one seeding a spool) never
+    /// builds it.
+    window: Option<GridWindow>,
+}
+
+/// The in-core window: the whole grid's tiles and lanes, plus the three
+/// slabs only stepping needs.
+#[derive(Debug, Clone)]
+struct GridWindow {
+    tiles: Vec<Tile>,
     /// Lane-lowered template geometry, parallel to the plan.
     lanes: Vec<LayerLanes>,
-    states: SoaGrid<Q16_16>,
     /// RHS of the Euler step and of Heun's predictor pass.
     aux: SoaGrid<Q16_16>,
     /// RHS of Heun's corrector pass.
@@ -989,7 +1005,6 @@ pub struct Resident {
     /// Persistent pre-step snapshot used by Heun's corrector (reused
     /// across steps instead of cloning the state vector every step).
     saved: SoaGrid<Q16_16>,
-    inputs: SoaGrid<Q16_16>,
 }
 
 impl Store for Resident {
@@ -999,17 +1014,42 @@ impl Store for Resident {
         1
     }
 
+    /// Builds the grid-spanning window and sizes the sweep scratch to its
+    /// tiles, once.
+    fn begin_step(&mut self, core: &mut Core) {
+        if self.window.is_some() {
+            return;
+        }
+        let (rows, cols) = self.plan.shape();
+        let blank = SoaGrid::new(self.states.n_layers(), rows, cols, Q16_16::ZERO);
+        let (aux, aux2, saved) = (blank.clone(), blank.clone(), blank);
+        let tiles = self.plan.window(0, rows, |r| r);
+        let lanes = core.lanes(&tiles, |r| r);
+        core.size_scratch(&lanes, tiles.iter().map(Tile::len));
+        self.window = Some(GridWindow {
+            tiles,
+            lanes,
+            aux,
+            aux2,
+            saved,
+        });
+    }
+
     fn window(&mut self, pass: usize) -> WindowMut<'_> {
+        let w = self
+            .window
+            .as_mut()
+            .expect("the in-core window is built when a step begins");
         let (rhs, heun) = if pass == 0 {
-            (&mut self.aux, None)
+            (&mut w.aux, None)
         } else {
-            (&mut self.aux2, Some((&self.saved, &self.aux)))
+            (&mut w.aux2, Some((&w.saved, &w.aux)))
         };
         WindowMut {
-            rows: (0, self.tiles.shape().0),
+            rows: (0, self.plan.shape().0),
             base: 0,
-            tiles: self.tiles.tiles(),
-            lanes: &self.lanes,
+            tiles: &w.tiles,
+            lanes: &w.lanes,
             states: &mut self.states,
             inputs: &self.inputs,
             rhs,
@@ -1019,21 +1059,19 @@ impl Store for Resident {
 
     fn prepare_update(&mut self, core: &Core, pass: usize, _w: usize) -> Result<(), Infallible> {
         if pass == 0 && core.model.integrator() == Integrator::Heun {
-            self.saved.copy_from(&self.states);
+            let w = self.window.as_mut().expect("built when the step began");
+            w.saved.copy_from(&self.states);
         }
         Ok(())
     }
 
+    /// The state and input slabs, and from the first step on the two RHS
+    /// slabs and Heun's save.
     fn peak_resident_bytes(&self) -> u64 {
-        let slabs = [
-            &self.states,
-            &self.aux,
-            &self.aux2,
-            &self.saved,
-            &self.inputs,
-        ];
-        slabs
-            .iter()
+        let window = self.window.iter().flat_map(|w| [&w.aux, &w.aux2, &w.saved]);
+        [&self.states, &self.inputs]
+            .into_iter()
+            .chain(window)
             .map(|g| std::mem::size_of_val(g.slab()) as u64)
             .sum()
     }
@@ -1055,31 +1093,23 @@ impl Engine<Resident> {
     ///
     /// Returns [`ModelError::Lut`] if an off-chip LUT cannot be generated.
     pub fn with_eval(model: CennModel, eval: FuncEval) -> Result<Self, ModelError> {
-        let mut core = Core::new(model, eval)?;
+        let core = Core::new(model, eval)?;
         let m = &core.model;
         let (rows, cols, n) = (m.rows(), m.cols(), m.n_layers());
         let cfg = m.lut_config();
-        let tiles = TilePlan::new(rows, cols, cfg.pe_rows, cfg.pe_cols);
-        let lanes = core.lanes(tiles.tiles(), |r| r);
-        core.size_scratch(&lanes, tiles.tiles().iter().map(Tile::len));
         let blank = SoaGrid::new(n, rows, cols, Q16_16::ZERO);
-        Ok(Self {
-            core,
-            store: Resident {
-                tiles,
-                lanes,
-                states: blank.clone(),
-                aux: blank.clone(),
-                aux2: blank.clone(),
-                saved: blank.clone(),
-                inputs: blank,
-            },
-        })
+        let store = Resident {
+            plan: TilePlan::new(rows, cols, cfg.pe_rows, cfg.pe_cols),
+            states: blank.clone(),
+            inputs: blank,
+            window: None,
+        };
+        Ok(Self { core, store })
     }
 
     /// The tile decomposition the sweeps run over.
     pub fn tile_plan(&self) -> &TilePlan {
-        &self.store.tiles
+        &self.store.plan
     }
 
     /// Current state map of a layer (a zero-copy view into the state
@@ -1431,9 +1461,9 @@ fn compile(model: &CennModel) -> Vec<LayerPlan> {
 /// per-cell gather tables (boundary resolved once per geometry) and the
 /// dynamic weight sites with their LUT row contexts hoisted.
 ///
-/// `tiles` is the tile set the gather tables are concatenated over — the
-/// full [`TilePlan::tiles`] for the resident store, or one window's
-/// [`TilePlan::window`] tiles for the spooled store. A gather addresses
+/// `tiles` is the tile set the gather tables are concatenated over: one
+/// window's [`TilePlan::window`] tiles, the whole grid's for the resident
+/// store, a chunk's for the spooled store. A gather addresses
 /// source row `local_row_of(r)` for the boundary-resolved grid row `r`
 /// (the identity in-core, the resident window's row when spooled).
 fn build_lanes(
@@ -2239,7 +2269,7 @@ mod tests {
         assert!(stats.sweeps.iter().any(|(l, _)| l == "update"));
         assert_eq!(stats.lut_total().accesses, 36);
         assert!(stats.cells_per_sec() > 0.0);
-        assert_eq!(stats.shard_lut.len(), sim.tile_plan().tiles().len());
+        assert_eq!(stats.shard_lut.len(), sim.tile_plan().n_shards());
     }
 
     #[test]
@@ -2291,7 +2321,7 @@ mod tests {
         let serial = counts(1);
         let n_shards = {
             let (sim, _) = heat_sim(12, 10, 1.0, 0.1);
-            sim.tile_plan().tiles().len() as u64
+            sim.tile_plan().n_shards() as u64
         };
         // Euler heat model: per step one dynamic sweep (1 span/shard —
         // heat has no dynamic weight sites, so no lut_lookup spans) +

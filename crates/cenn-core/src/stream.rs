@@ -383,8 +383,8 @@ fn grid_record(model: &CennModel, chunk_rows: usize) -> String {
 /// applies it to the window's chunk rows before spilling them.
 #[derive(Debug)]
 pub struct Spooled {
-    /// The full-grid tile plan the windows are cut from.
-    tiles: TilePlan,
+    /// The decomposition geometry the windows' tiles are cut with.
+    plan: TilePlan,
     /// Distinct source-layer boundaries (for halo row resolution).
     boundaries: Vec<Boundary>,
     /// Template halo radius in rows.
@@ -613,7 +613,7 @@ impl Engine<Spooled> {
         let m = &core.model;
         let (rows, cols, n) = (m.rows(), m.cols(), m.n_layers());
         let lut_cfg = m.lut_config();
-        let tiles = TilePlan::new(rows, cols, lut_cfg.pe_rows, lut_cfg.pe_cols);
+        let plan = TilePlan::new(rows, cols, lut_cfg.pe_rows, lut_cfg.pe_cols);
         // Geometry-only lanes (no tiles) expose tap/site/factor counts for
         // scratch sizing and the budget solver without building gathers.
         let geom = core.lanes(&[], |r| r);
@@ -635,7 +635,7 @@ impl Engine<Spooled> {
         }
         let halo = (m.kernel_size() - 1) / 2;
         let heun = m.integrator() == Integrator::Heun;
-        core.size_scratch(&geom, tiles.tiles().iter().map(|_| 0));
+        core.size_scratch(&geom, std::iter::repeat_n(0, plan.n_shards()));
         let (_, max_sites, max_factors) = core.scratch;
         let chunk_rows = match (cfg.chunk_rows, cfg.memory_budget) {
             (Some(g), _) => g.clamp(1, rows),
@@ -656,7 +656,7 @@ impl Engine<Spooled> {
         });
         let journal = Journal::open(&spool.dir.join("journal.txt"), header.as_deref())?;
         let store = Spooled {
-            tiles,
+            plan,
             boundaries,
             halo,
             uses_inputs,
@@ -856,7 +856,7 @@ impl Spooled {
     /// (clamped rows for zero-flux, wrapped rows for periodic) — a
     /// superset of all rows the window's gather tables reference.
     fn halo_rows(&self, r0: usize, r1: usize) -> Vec<usize> {
-        let (rows, cols) = self.tiles.shape();
+        let (rows, cols) = self.plan.shape();
         let mut mark = vec![false; rows];
         for r in r0..r1 {
             mark[r] = true;
@@ -941,7 +941,7 @@ impl Spooled {
     fn place_lanes(&mut self, core: &Core, r0: usize, r1: usize) -> bool {
         let rows = self.row_map.len();
         let interior = r0 >= self.halo && r1 + self.halo <= rows;
-        let key = interior.then_some((r0 % self.tiles.pe_shape().0, r1 - r0));
+        let key = interior.then_some((r0 % self.plan.pe_shape().0, r1 - r0));
         if key.is_some() && key == self.lanes_key {
             let by = r0 as i64 - self.rows.0 as i64;
             for tile in &mut self.win_tiles {
@@ -957,7 +957,7 @@ impl Spooled {
             debug_assert_ne!(row_map[r], u32::MAX, "row {r} not resident");
             row_map[r] as usize
         };
-        self.win_tiles = self.tiles.window(r0, r1, local);
+        self.win_tiles = self.plan.window(r0, r1, local);
         self.win_lanes = core.lanes(&self.win_tiles, local);
         self.lanes_key = key;
         self.lane_builds += 1;
@@ -1348,7 +1348,7 @@ mod tests {
         for _ in 0..streamed.n_windows() {
             streamed.step_windows(1).unwrap();
             let st = &streamed.store;
-            let fresh = st.tiles.window(st.rows.0, st.rows.1, |_| 0);
+            let fresh = st.plan.window(st.rows.0, st.rows.1, |_| 0);
             for (kept, fresh) in st.win_tiles.iter().zip(&fresh) {
                 assert_eq!(kept.cells(), fresh.cells());
                 assert_eq!(kept.pes(), fresh.pes());

@@ -92,7 +92,9 @@ impl FixedRunner {
     /// and every subsequent step sweeps the grid in bounded windows with
     /// halo exchange through the spool. Results stay bit-identical to
     /// in-core execution at every thread count. The thread count,
-    /// recorder and tracer carry over.
+    /// recorder and tracer carry over. Set before the first step, the
+    /// switch never builds the in-core engine's whole-grid window: set-up
+    /// holds only the setup's grids and the state and input slabs.
     ///
     /// # Errors
     ///

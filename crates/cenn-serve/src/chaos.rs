@@ -488,10 +488,13 @@ impl<S: Read + Write + Deadlines> Deadlines for ChaosTransport<S> {
 /// Runs the fleet through [`RetryClient`]s with a durable cadence: every
 /// session suspends-and-resumes right after submit and after every step
 /// chunk, so the spool always holds a checkpoint at most one chunk old.
-/// On a `session-suspended` answer (the signature of a restarted server)
-/// the session resumes and replays from the restored step count; on
-/// `no-such-session` or `corrupt-checkpoint` it restarts from step zero.
-/// Deterministic stepping makes either replay digest-exact.
+/// On a `session-suspended` answer to a step or the digest (the signature
+/// of a restarted server) the session resumes and replays from the
+/// restored step count; on `no-such-session` or `corrupt-checkpoint` it
+/// restarts from step zero, and a session lost before its first
+/// checkpoint is submitted again. Deterministic stepping makes either
+/// replay digest-exact. A Close answered `no-such-session` after the
+/// digest counts as closed: the Close ran, and a crash lost its reply.
 ///
 /// All report entries carry `suspended: true` (the durable cadence *is*
 /// suspension), so `FleetReport::text` is not byte-comparable with a
@@ -591,26 +594,42 @@ where
     }
 
     let submit = |rc: &mut RetryClient<S, _>| -> Result<u64, FleetError> {
-        let session = rc
-            .submit(plan.system, plan.side, plan.side)
-            .map_err(|e| fail(format!("submit {}: {e}", plan.system)))?;
         // Durability point zero: even a session that crashes before its
-        // first chunk completes recovers by replaying from step 0.
-        checkpoint_cycle(rc, session).map_err(|e| fail(format!("initial checkpoint: {e}")))?;
-        Ok(session)
+        // first chunk completes recovers by replaying from step 0. A crash
+        // before this checkpoint lands takes the never-durable session
+        // with it, so the restarted server answers `no-such-session`:
+        // submit again.
+        let mut tries = policy.attempts.max(1);
+        loop {
+            let session = rc
+                .submit(plan.system, plan.side, plan.side)
+                .map_err(|e| fail(format!("submit {}: {e}", plan.system)))?;
+            match checkpoint_cycle(rc, session) {
+                Err(ClientError::Server {
+                    code: ErrorCode::NoSuchSession,
+                    ..
+                }) if tries > 1 => tries -= 1,
+                Err(e) => return Err(fail(format!("initial checkpoint: {e}"))),
+                Ok(_) => return Ok(session),
+            }
+        }
     };
 
     let mut session = submit(&mut rc)?;
     let mut done: u64 = 0;
-    loop {
-        if done >= plan.steps {
-            break;
-        }
-        let chunk = cfg.chunk.max(1).min(plan.steps - done);
-        match rc.step(session, chunk) {
-            Ok((steps, _)) => {
-                done = steps;
-            }
+    // Step in chunks, then ask for the digest. A restarted server can
+    // answer either request with a session it brought back suspended at
+    // its last checkpoint, or lost: both resync and go on stepping.
+    let (steps, digest) = loop {
+        let result = if done < plan.steps {
+            let chunk = cfg.chunk.max(1).min(plan.steps - done);
+            rc.step(session, chunk).map(|(steps, _)| (steps, None))
+        } else {
+            rc.digest(session).map(|(steps, d)| (steps, Some(d)))
+        };
+        match result {
+            Ok((steps, Some(digest))) => break (steps, digest),
+            Ok((steps, None)) => done = steps,
             Err(ClientError::Server {
                 code: ErrorCode::SessionSuspended,
                 ..
@@ -636,7 +655,8 @@ where
                 session = submit(&mut rc)?;
                 done = 0;
             }
-            Err(e) => return Err(fail(format!("step at {done}: {e}"))),
+            Err(e) if done < plan.steps => return Err(fail(format!("step at {done}: {e}"))),
+            Err(e) => return Err(fail(format!("digest: {e}"))),
         }
         if done < plan.steps {
             // Per-chunk durability point.
@@ -646,17 +666,24 @@ where
                 done = back;
             }
         }
-    }
-    let (steps, digest) = rc
-        .digest(session)
-        .map_err(|e| fail(format!("digest: {e}")))?;
+    };
     if steps != plan.steps {
         return Err(fail(format!(
             "digest at step {steps}, expected {}",
             plan.steps
         )));
     }
-    rc.close(session).map_err(|e| fail(format!("close: {e}")))?;
+    match rc.close(session) {
+        // A Close that ran but lost its reply retries against the server;
+        // if a crash took the dedup record too, the retry finds no
+        // session. After the verified digest that means it is closed.
+        Ok(())
+        | Err(ClientError::Server {
+            code: ErrorCode::NoSuchSession,
+            ..
+        }) => {}
+        Err(e) => return Err(fail(format!("close: {e}"))),
+    }
     Ok(FleetEntry {
         index,
         system: plan.system,

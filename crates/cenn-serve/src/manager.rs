@@ -650,6 +650,48 @@ impl SessionManager {
         }
     }
 
+    /// The submit refusals: a crashed or shutting-down server, and the
+    /// `max_sessions` shed limit, which counts the refusal and records
+    /// the `shed` transition.
+    fn admit(&self, inner: &mut Inner, system: &str) -> Result<(), ServeError> {
+        if inner.crashed {
+            return Err(ServeError::crashed());
+        }
+        if inner.shutdown {
+            return Err(ServeError::new(
+                ErrorCode::ShuttingDown,
+                "server is shutting down",
+            ));
+        }
+        if inner.sessions.len() < self.cfg.max_sessions {
+            return Ok(());
+        }
+        self.cfg.metrics.inc(self.m.shed, 1);
+        if !inner.shedding {
+            inner.shedding = true;
+            self.record(
+                None,
+                SessionEvent {
+                    session: 0,
+                    step: 0,
+                    kind: "shed".into(),
+                    system: system.into(),
+                    detail: format!("max-sessions={}", self.cfg.max_sessions),
+                    count: inner.sessions.len() as u64,
+                    corr: 0,
+                },
+            );
+        }
+        Err(ServeError::new(
+            ErrorCode::Overloaded,
+            format!(
+                "session limit reached ({} live, max {})",
+                inner.sessions.len(),
+                self.cfg.max_sessions
+            ),
+        ))
+    }
+
     /// Creates a session for the named system on a `rows × cols` grid.
     ///
     /// `corr` is the client's request id, stamped onto the `submitted`
@@ -676,6 +718,10 @@ impl SessionManager {
                 format!("no system named {system:?} in the benchmark registry"),
             )
         })?;
+        // Refuse before building: a shed request must not pay for (or
+        // allocate) a whole grid. The check repeats at insert, because a
+        // concurrent submit may take the last slot while this one builds.
+        self.admit(&mut self.lock(), system)?;
         let setup = sys
             .build(rows as usize, cols as usize)
             .map_err(|e| ServeError::new(ErrorCode::Internal, format!("building {system}: {e}")))?;
@@ -687,41 +733,7 @@ impl SessionManager {
         runner.set_threads(1);
 
         let mut inner = self.lock();
-        if inner.crashed {
-            return Err(ServeError::crashed());
-        }
-        if inner.shutdown {
-            return Err(ServeError::new(
-                ErrorCode::ShuttingDown,
-                "server is shutting down",
-            ));
-        }
-        if inner.sessions.len() >= self.cfg.max_sessions {
-            self.cfg.metrics.inc(self.m.shed, 1);
-            if !inner.shedding {
-                inner.shedding = true;
-                self.record(
-                    None,
-                    SessionEvent {
-                        session: 0,
-                        step: 0,
-                        kind: "shed".into(),
-                        system: system.into(),
-                        detail: format!("max-sessions={}", self.cfg.max_sessions),
-                        count: inner.sessions.len() as u64,
-                        corr: 0,
-                    },
-                );
-            }
-            return Err(ServeError::new(
-                ErrorCode::Overloaded,
-                format!(
-                    "session limit reached ({} live, max {})",
-                    inner.sessions.len(),
-                    self.cfg.max_sessions
-                ),
-            ));
-        }
+        self.admit(&mut inner, system)?;
         if inner.shedding {
             inner.shedding = false;
             self.record(

@@ -369,6 +369,86 @@ fn chaos_fleet_survives_kill_restart_with_identical_digests() {
     assert_eq!(report.combined_digest(), control.combined_digest());
 }
 
+/// The restart windows of `run_durable_session`, one plan each, on a
+/// one-session fleet with one worker. Its session runs 4 chunks, so the
+/// durable client sends submit(0), suspend(1), resume(2), then
+/// step/suspend/resume for the first three chunks (3-11), the last step
+/// (12), digest(13) and close(14). Each plan must still end in the
+/// undisturbed control's digest.
+fn restart_window_matches_control(tag: &str, spec: &str) {
+    let cfg = FleetConfig {
+        sessions: 1,
+        base_steps: 60,
+        chunk: 20,
+        seed: 7,
+        suspend_mid_run: false,
+    };
+    let steps = cenn::serve::fleet::workload(&cfg, 0).steps;
+    assert_eq!(steps.div_ceil(cfg.chunk), 4, "op indices assume 4 chunks");
+
+    let control_spool = scratch(&format!("{tag}-control"));
+    let control_server = Server::start(ServerConfig::new(1, &control_spool)).unwrap();
+    let control = run_fleet(&cfg, |_| {
+        let (ours, theirs) = loopback::pair();
+        let srv = control_server.clone();
+        std::thread::spawn(move || {
+            srv.handle_conn(theirs);
+        });
+        Ok(ours)
+    })
+    .unwrap();
+    control_server.shutdown();
+    let _ = std::fs::remove_dir_all(&control_spool);
+
+    let chaos_spool = scratch(tag);
+    let plan = ChaosPlan::parse(spec).unwrap();
+    let (report, stats) = run_chaos_fleet(
+        &cfg,
+        ServerConfig::new(1, &chaos_spool),
+        &plan,
+        RetryPolicy::crash_tolerant(cfg.seed),
+        Some(Duration::from_secs(10)),
+    )
+    .unwrap_or_else(|e| panic!("{spec}: {e:?}"));
+    let _ = std::fs::remove_dir_all(&chaos_spool);
+    assert!(stats.remaining.is_empty(), "{spec}: every fault fired");
+    assert_eq!(stats.crashes, 1, "{spec}");
+    assert_eq!(report.entries.len(), 1);
+    let (got, want) = (&report.entries[0], &control.entries[0]);
+    assert_eq!(
+        (got.system, got.steps, got.digest),
+        (want.system, want.steps, want.digest),
+        "{spec}: the digest must not see the restart"
+    );
+}
+
+/// A crash before the first checkpoint: the session was never durable,
+/// so the restarted server does not know it and the client submits it
+/// again.
+#[test]
+fn chaos_crash_before_the_first_checkpoint_resubmits() {
+    restart_window_matches_control("window-submit", "crash-restart@1:session=0");
+}
+
+/// A crash just before the digest: the restarted server brought the
+/// session back suspended at the 60-step checkpoint, so the client
+/// resumes and replays the last chunk before asking again.
+#[test]
+fn chaos_crash_before_the_digest_replays_to_the_plan() {
+    restart_window_matches_control("window-digest", "crash-restart@13:session=0");
+}
+
+/// A Close that ran but lost its reply, then a crash that loses the
+/// dedup record: the retried Close finds no session, which after the
+/// verified digest means it is closed.
+#[test]
+fn chaos_close_lost_to_a_crash_counts_as_closed() {
+    restart_window_matches_control(
+        "window-close",
+        "conn-drop@14:session=0,when=recv; crash-restart@15:session=0",
+    );
+}
+
 /// Restart recovery: a suspended session survives a full server
 /// teardown bit-exactly, while a truncated checkpoint is quarantined
 /// with a typed reason instead of poisoning the restart.
