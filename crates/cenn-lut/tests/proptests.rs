@@ -1,8 +1,62 @@
 //! Property-based tests for the LUT hierarchy invariants.
 
-use cenn_lut::{funcs, FuncLibrary, Level, LutEntry, LutHierarchy, LutSpec, SampleIdx};
+use cenn_lut::{
+    funcs, FuncId, FuncLibrary, Level, LutEntry, LutHierarchy, LutSpec, RowCtx, SampleIdx,
+};
 use fixedpt::Q16_16;
 use proptest::prelude::*;
+use proptest::prop::sample::Index;
+
+/// One batched-lane cell: its PE within the shard under test, and six
+/// states, each an index into the case's state pool plus a sub-sample
+/// jitter selector. A `k`-function lane reads the first `k` states.
+type Cell = (u32, Vec<(Index, usize)>);
+
+fn lane() -> impl Strategy<Value = Vec<Cell>> {
+    prop::collection::vec(
+        (
+            0u32..4,
+            prop::collection::vec((any::<Index>(), 0usize..3), 6),
+        ),
+        1..201,
+    )
+}
+
+/// `k` functions, each sampled over its own range and spacing.
+fn library(k: usize) -> (FuncLibrary, Vec<LutSpec>) {
+    let all = [
+        funcs::tanh(),
+        funcs::exp(),
+        funcs::sin(),
+        funcs::square(),
+        funcs::cube(),
+        funcs::sigmoid(2.0),
+    ];
+    let mut lib = FuncLibrary::new();
+    let mut specs = Vec::new();
+    for (i, f) in all.into_iter().take(k).enumerate() {
+        lib.register(f);
+        specs.push(LutSpec::covering(
+            -3.0 - i as f64,
+            2.0 + i as f64,
+            i as u32 % 4,
+        ));
+    }
+    (lib, specs)
+}
+
+/// The scalar reference for a batched lane: one `lookup` per cell and
+/// function, cells outer and functions inner.
+fn scalar_lane(h: &mut LutHierarchy, funcs: &[FuncId], pes: &[u32], xs: &[i32]) -> Vec<i32> {
+    let k = funcs.len();
+    let mut out = Vec::with_capacity(xs.len());
+    for (&pe, cell) in pes.iter().zip(xs.chunks_exact(k)) {
+        for (&f, &x) in funcs.iter().zip(cell) {
+            out.push(h.lookup(pe as usize, f, Q16_16::from_bits(x)).0.to_bits());
+        }
+    }
+    out
+}
 
 proptest! {
     #[test]
@@ -144,5 +198,62 @@ proptest! {
         let spacing = 1.0 / (1u64 << s) as f64;
         let expect = (q.to_f64() / spacing).floor() as i32;
         prop_assert_eq!(idx.0, expect);
+    }
+
+    #[test]
+    fn batched_lookups_match_scalar_ones(
+        k in 1usize..7,
+        l1 in 1usize..9,
+        l2_log2 in 3u32..7,
+        pool in prop::collection::vec(-64i32..64, 1..9),
+        lanes in (lane(), lane()),
+    ) {
+        // States cluster on a small pool of eighth-steps so lanes revisit
+        // indices (L1 hits and memo replays); the jitter moves some off
+        // their sample point, and every spec clamps part of the pool.
+        // The shard under test is the second of an 8-PE hierarchy, so
+        // its PEs are 4..8. Lanes past four functions take the walk
+        // without the memo.
+        let (lib, specs) = library(k);
+        let funcs: Vec<FuncId> = lib.iter().map(|(id, _)| id).collect();
+        let ctxs: Vec<RowCtx> = funcs
+            .iter()
+            .zip(&specs)
+            .map(|(&f, &spec)| RowCtx::from_spec(f, spec))
+            .collect();
+        let build = || LutHierarchy::build_with_specs(&lib, &specs, l1, 1 << l2_log2, 8).unwrap();
+        let (mut scalar, mut cells, mut row) = (build(), build(), build());
+        for (i, lane) in [&lanes.0, &lanes.1].into_iter().enumerate() {
+            if i == 1 {
+                for h in [&mut scalar, &mut cells, &mut row] {
+                    h.invalidate();
+                }
+            }
+            let pes: Vec<u32> = lane.iter().map(|(pe, _)| 4 + pe).collect();
+            let xs: Vec<i32> = lane
+                .iter()
+                .flat_map(|(_, states)| &states[..k])
+                .map(|(at, jitter)| (pool[at.index(pool.len())] << 13) + [0, 1, 0x0555][*jitter])
+                .collect();
+            let want = scalar_lane(&mut scalar, &funcs, &pes, &xs);
+
+            let mut got = vec![0i32; xs.len()];
+            let (tables, shards) = cells.split();
+            shards[1].lookup_cells(tables, &ctxs, &pes, &xs, &mut got);
+            prop_assert_eq!(&got, &want, "lookup_cells values, lane {}", i);
+            if k == 1 {
+                let (tables, shards) = row.split();
+                shards[1].lookup_row(tables, &ctxs[0], &pes, &xs, &mut got);
+                prop_assert_eq!(&got, &want, "lookup_row values, lane {}", i);
+            }
+
+            let batched: &[&LutHierarchy] = if k == 1 { &[&cells, &row] } else { &[&cells] };
+            for h in batched {
+                prop_assert_eq!(h.stats(), scalar.stats(), "LutStats, lane {}", i);
+                for pe in 4..8 {
+                    prop_assert_eq!(h.pe_stats(pe), scalar.pe_stats(pe), "PE {}, lane {}", pe, i);
+                }
+            }
+        }
     }
 }

@@ -8,9 +8,9 @@
 //! 2. **Stream stability** — the instrumented quickstart run (heat,
 //!    64x64, 150 steps) reproduces its committed canonical JSONL trace
 //!    byte for byte.
-//! 3. **Counter stability** — a fixed Gray–Scott run produces exactly
-//!    the committed LUT counters, and per-PE shard counters aggregate to
-//!    the serial totals.
+//! 3. **Counter stability** — fixed Gray–Scott and Hodgkin–Huxley runs
+//!    produce exactly the committed LUT counters, and per-PE shard
+//!    counters aggregate to the serial totals.
 //! 4. **Span-summary stability** — a traced Gray–Scott run reproduces
 //!    its committed canonical `span_summary` stream byte for byte (span
 //!    counts are exact; wall-clock fields zero out), and the validator
@@ -25,7 +25,8 @@
 //! ```
 
 use cenn::arch::MemorySpec;
-use cenn::equations::{DynamicalSystem, FixedRunner, GrayScott, Heat};
+use cenn::equations::{DynamicalSystem, FixedRunner, GrayScott, Heat, HodgkinHuxley};
+use cenn::lut::LutStats;
 use cenn::obs::{
     validate_jsonl_line, JsonlSink, RecorderHandle, SchemaError, TraceHandle, SCHEMA_VERSION,
 };
@@ -218,16 +219,9 @@ fn gray_scott_lut_counters_are_golden() {
     // Exact counters for the default-seed 16x16, 20-step run. These are
     // integer event counts on the deterministic fixed-point trace — any
     // change here means the LUT hierarchy or the solver changed.
-    let golden = (
-        stats.accesses,
-        stats.l1_hits,
-        stats.l2_hits,
-        stats.dram_fetches,
-        stats.dram_points,
-    );
     assert_eq!(
-        golden,
-        (20480, 14169, 3183, 3128, 25024),
+        lut_counters(&stats),
+        (20480, 14169, 3183, 3128, 25024, 5150),
         "LUT counters drifted"
     );
 
@@ -241,7 +235,50 @@ fn gray_scott_lut_counters_are_golden() {
     );
     assert_eq!(levels[2].hits, stats.dram_fetches);
 
-    // Per-PE L1 counters aggregate exactly to the serial totals.
+    assert_pe_stats_sum_to_totals(&runner);
+
+    // Per-shard counters from the last step sum to that step's totals.
+    let step = runner.sim().step_stats();
+    assert_eq!(
+        step.lut_total().accesses,
+        step.shard_lut.iter().map(|s| s.accesses).sum::<u64>()
+    );
+}
+
+#[test]
+fn hodgkin_huxley_lut_counters_are_golden() {
+    // Hodgkin–Huxley is the one system whose membrane layer multiplies
+    // six LUT factors per site, past the batched walk's memo bound, so
+    // this pins the unmemoized walk as well as the memoized one.
+    let setup = HodgkinHuxley::default().build(16, 16).unwrap();
+    for threads in [1, 4] {
+        let mut runner = FixedRunner::new(setup.clone()).unwrap();
+        runner.set_threads(threads);
+        runner.run(20);
+        assert_eq!(
+            lut_counters(&runner.lut_stats()),
+            (61440, 24758, 32074, 4608, 36864, 2048),
+            "LUT counters drifted at threads={threads}"
+        );
+        assert_pe_stats_sum_to_totals(&runner);
+    }
+}
+
+/// `(accesses, l1_hits, l2_hits, dram_fetches, dram_points, exact_hits)`.
+fn lut_counters(s: &LutStats) -> (u64, u64, u64, u64, u64, u64) {
+    (
+        s.accesses,
+        s.l1_hits,
+        s.l2_hits,
+        s.dram_fetches,
+        s.dram_points,
+        s.exact_hits,
+    )
+}
+
+/// Per-PE L1 counters aggregate exactly to the run's totals.
+fn assert_pe_stats_sum_to_totals(runner: &FixedRunner) {
+    let stats = runner.lut_stats();
     let (pr, pc) = runner.sim().tile_plan().pe_shape();
     let (mut hits, mut misses) = (0u64, 0u64);
     for pe in 0..pr * pc {
@@ -254,12 +291,5 @@ fn gray_scott_lut_counters_are_golden() {
         hits + misses,
         stats.accesses,
         "per-PE accesses must sum to the total"
-    );
-
-    // Per-shard counters from the last step sum to that step's totals.
-    let step = runner.sim().step_stats();
-    assert_eq!(
-        step.lut_total().accesses,
-        step.shard_lut.iter().map(|s| s.accesses).sum::<u64>()
     );
 }
