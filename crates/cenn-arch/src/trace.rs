@@ -204,14 +204,14 @@ impl TraceDrivenSim {
                             .clamp(spec.min_idx, spec.max_idx),
                     );
                     acc.l1_probes += 1;
-                    if self.l1s[pe_id].lookup(f.func, idx).is_some() {
+                    if self.l1s[pe_id].lookup(f.func, idx) {
                         continue;
                     }
                     acc.l1_misses += 1;
                     any_l1_miss = true;
+                    self.l1s[pe_id].fill(f.func, idx);
                     let l2_id = pe_id / cenn_lut::PES_PER_L2 % n_l2;
-                    if self.l2s[l2_id].lookup(f.func, idx).is_some() {
-                        self.l1s[pe_id].fill(f.func, idx, Default::default());
+                    if self.l2s[l2_id].lookup(f.func, idx) {
                         continue;
                     }
                     // L2 miss: schedule a coalesced burst per window.
@@ -221,9 +221,8 @@ impl TraceDrivenSim {
                     }
                     for i in L2Lut::burst_window(idx) {
                         let wi = SampleIdx(i.clamp(spec.min_idx, spec.max_idx));
-                        self.l2s[l2_id].fill(f.func, wi, Default::default());
+                        self.l2s[l2_id].fill(f.func, wi);
                     }
-                    self.l1s[pe_id].fill(f.func, idx, Default::default());
                 }
             }
             // Stall accounting: L2 penalty if anyone missed L1; DRAM

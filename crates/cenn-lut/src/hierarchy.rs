@@ -308,11 +308,6 @@ impl LutHierarchy {
         self.n_pes
     }
 
-    /// Number of shared L2 LUTs (equivalently, shards).
-    pub fn n_l2s(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of independently-sweepable shards (one per L2 group).
     pub fn n_shards(&self) -> usize {
         self.shards.len()
@@ -345,16 +340,11 @@ impl LutHierarchy {
         &self.tables[func.0 as usize]
     }
 
-    /// Fetches the LUT entry for state `x` of `func` on behalf of PE
-    /// `pe`, walking L1 → L2 → DRAM and filling caches on the way back,
-    /// with the 8-point burst installed into L2 on a DRAM fetch (§4.1).
-    pub fn fetch(&mut self, pe: usize, func: FuncId, x: Q16_16) -> (LutEntry, Level) {
-        let shard = Self::shard_of(pe) % self.shards.len();
-        self.shards[shard].fetch(&self.tables, pe, func, x)
-    }
-
-    /// Full look-up: fetches the entry and evaluates it through the TUM,
-    /// returning the approximated `l(x)` and the access outcome.
+    /// Full look-up of `func` at state `x` on behalf of PE `pe`: walks
+    /// the L1 → L2 → DRAM tags, filling them on the way back (an 8-point
+    /// burst into L2 on a DRAM fetch, §4.1), and evaluates the off-chip
+    /// entry through the TUM. Returns the approximated `l(x)` and the
+    /// access outcome.
     pub fn lookup(&mut self, pe: usize, func: FuncId, x: Q16_16) -> (Q16_16, AccessOutcome) {
         let shard = Self::shard_of(pe) % self.shards.len();
         self.shards[shard].lookup(&self.tables, pe, func, x)
@@ -400,8 +390,9 @@ impl LutHierarchy {
     }
 
     /// Injects a soft error into the off-chip table of `func` (see
-    /// [`OffChipLut::flip_bit`]) and invalidates the on-chip LUTs so the
-    /// corrupted word is actually re-fetched.
+    /// [`OffChipLut::flip_bit`]) and invalidates the on-chip LUTs. Values
+    /// always come from the table, so the corrupted word is read at once;
+    /// the invalidation makes the hit counters show the re-fetch.
     ///
     /// # Errors
     ///
@@ -426,7 +417,8 @@ impl LutHierarchy {
     /// Scrubs every off-chip table against the library it was built from,
     /// repairing corrupt entries via the compute-unit path (see
     /// [`OffChipLut::scrub`]). If anything was repaired the on-chip LUTs
-    /// are invalidated so no stale corrupted copy survives in L1/L2.
+    /// are invalidated, so the counters show the repaired entries being
+    /// fetched again.
     ///
     /// # Panics
     ///
@@ -502,7 +494,7 @@ mod tests {
     #[test]
     fn pes_share_l2_but_not_l1() {
         let (mut h, f) = small_hierarchy(4, 32, 8);
-        assert_eq!(h.n_l2s(), 2);
+        assert_eq!(h.n_shards(), 2);
         let x = Q16_16::from_f64(1.5);
         let (_, o) = h.lookup(0, f, x);
         assert_eq!(o.filled_from, Level::Dram);

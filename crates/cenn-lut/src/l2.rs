@@ -1,7 +1,8 @@
 //! Shared L2 look-up table (one per memory channel).
 
-use crate::entry::{LutEntry, SampleIdx};
+use crate::entry::SampleIdx;
 use crate::func::FuncId;
+use crate::l1::{tag_of, EMPTY_TAG};
 
 /// Number of LUT entries fetched from DRAM per L2 miss.
 ///
@@ -18,25 +19,14 @@ pub const DRAM_BURST_POINTS: i32 = 8;
 /// The same hash places refill data, keeping read and write addressing
 /// synchronized.
 ///
-/// Sets are stored structure-of-arrays like the L1: one dense `u64` tag
-/// word per set (`func << 32 | idx`, `u64::MAX` = empty) beside a parallel
-/// entry array, so the probe is one tag compare instead of unpacking an
-/// `Option` tuple — the layout the hot-path walk streams over.
+/// Like the L1, the L2 holds tags only — one dense `u64` word per set
+/// (`func << 32 | idx`, `u64::MAX` = empty) — and decides only the hit
+/// level; the value comes from the off-chip table. Its hit and miss
+/// counts live in the owning shard's [`crate::LutStats`].
 #[derive(Debug, Clone)]
 pub struct L2Lut {
     tags: Vec<u64>,
-    entries: Vec<LutEntry>,
     mask: usize,
-    hits: u64,
-    misses: u64,
-}
-
-/// The never-matching tag of an empty set.
-const EMPTY_TAG: u64 = u64::MAX;
-
-#[inline]
-fn tag_of(func: FuncId, idx: SampleIdx) -> u64 {
-    ((func.0 as u64) << 32) | (idx.0 as u32 as u64)
 }
 
 impl L2Lut {
@@ -53,16 +43,8 @@ impl L2Lut {
         );
         Self {
             tags: vec![EMPTY_TAG; capacity],
-            entries: vec![LutEntry::default(); capacity],
             mask: capacity - 1,
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.tags.len()
     }
 
     #[inline]
@@ -73,25 +55,18 @@ impl L2Lut {
         ((idx.0 as i64 + (func.0 as i64) * 61) & self.mask as i64) as usize
     }
 
-    /// Looks up `(func, idx)`, recording hit/miss statistics.
+    /// Probes for `(func, idx)`: `true` on a hit.
     #[inline]
-    pub fn lookup(&mut self, func: FuncId, idx: SampleIdx) -> Option<LutEntry> {
-        let set = self.set_of(func, idx);
-        if self.tags[set] == tag_of(func, idx) {
-            self.hits += 1;
-            return Some(self.entries[set]);
-        }
-        self.misses += 1;
-        None
+    pub fn lookup(&self, func: FuncId, idx: SampleIdx) -> bool {
+        self.tags[self.set_of(func, idx)] == tag_of(func, idx)
     }
 
-    /// Installs one entry via the modulo hash (used for each point of a
-    /// DRAM burst).
+    /// Installs the tag of `(func, idx)` via the modulo hash (used for
+    /// each point of a DRAM burst).
     #[inline]
-    pub fn fill(&mut self, func: FuncId, idx: SampleIdx, entry: LutEntry) {
+    pub fn fill(&mut self, func: FuncId, idx: SampleIdx) {
         let set = self.set_of(func, idx);
         self.tags[set] = tag_of(func, idx);
-        self.entries[set] = entry;
     }
 
     /// The 8-aligned burst window `[base, base + 8)` that a miss on `idx`
@@ -101,74 +76,44 @@ impl L2Lut {
         base..base + DRAM_BURST_POINTS
     }
 
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Miss rate in `[0, 1]`; zero when no accesses were made.
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-
-    /// Clears the counters but keeps contents.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     /// Invalidates all sets.
     pub fn invalidate(&mut self) {
-        self.tags.iter_mut().for_each(|t| *t = EMPTY_TAG);
+        self.tags.fill(EMPTY_TAG);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fixedpt::Q16_16;
-
-    fn entry(v: f64) -> LutEntry {
-        LutEntry {
-            l_p: Q16_16::from_f64(v),
-            ..LutEntry::default()
-        }
-    }
 
     #[test]
     fn fill_then_lookup_hits() {
         let mut l2 = L2Lut::new(32);
         let f = FuncId(0);
-        assert!(l2.lookup(f, SampleIdx(5)).is_none());
-        l2.fill(f, SampleIdx(5), entry(5.0));
-        assert_eq!(l2.lookup(f, SampleIdx(5)).unwrap().l_p.to_f64(), 5.0);
-        assert_eq!(l2.stats(), (1, 1));
+        assert!(!l2.lookup(f, SampleIdx(5)));
+        l2.fill(f, SampleIdx(5));
+        assert!(l2.lookup(f, SampleIdx(5)));
     }
 
     #[test]
     fn modulo_hash_conflicts_evict() {
         let mut l2 = L2Lut::new(8);
         let f = FuncId(0);
-        l2.fill(f, SampleIdx(1), entry(1.0));
-        l2.fill(f, SampleIdx(9), entry(9.0)); // 9 & 7 == 1 -> same set
-        assert!(l2.lookup(f, SampleIdx(1)).is_none());
-        assert!(l2.lookup(f, SampleIdx(9)).is_some());
+        l2.fill(f, SampleIdx(1));
+        l2.fill(f, SampleIdx(9)); // 9 & 7 == 1 -> same set
+        assert!(!l2.lookup(f, SampleIdx(1)));
+        assert!(l2.lookup(f, SampleIdx(9)));
     }
 
     #[test]
     fn negative_indices_hash_into_range() {
         let mut l2 = L2Lut::new(16);
         let f = FuncId(0);
-        l2.fill(f, SampleIdx(-3), entry(-3.0));
-        assert!(l2.lookup(f, SampleIdx(-3)).is_some());
-        l2.fill(f, SampleIdx(-19), entry(-19.0));
+        l2.fill(f, SampleIdx(-3));
+        assert!(l2.lookup(f, SampleIdx(-3)));
+        l2.fill(f, SampleIdx(-19));
         // -19 and -3 differ by 16 -> same set under mod-16.
-        assert!(l2.lookup(f, SampleIdx(-3)).is_none());
+        assert!(!l2.lookup(f, SampleIdx(-3)));
     }
 
     #[test]
@@ -182,11 +127,11 @@ mod tests {
     #[test]
     fn different_functions_spread_over_sets() {
         let mut l2 = L2Lut::new(32);
-        l2.fill(FuncId(0), SampleIdx(4), entry(1.0));
-        l2.fill(FuncId(1), SampleIdx(4), entry(2.0));
+        l2.fill(FuncId(0), SampleIdx(4));
+        l2.fill(FuncId(1), SampleIdx(4));
         // With the fold constant 61 these land in different sets mod 32.
-        assert!(l2.lookup(FuncId(0), SampleIdx(4)).is_some());
-        assert!(l2.lookup(FuncId(1), SampleIdx(4)).is_some());
+        assert!(l2.lookup(FuncId(0), SampleIdx(4)));
+        assert!(l2.lookup(FuncId(1), SampleIdx(4)));
     }
 
     #[test]
@@ -199,10 +144,8 @@ mod tests {
     fn invalidate_and_reset() {
         let mut l2 = L2Lut::new(8);
         let f = FuncId(0);
-        l2.fill(f, SampleIdx(2), entry(2.0));
+        l2.fill(f, SampleIdx(2));
         l2.invalidate();
-        assert!(l2.lookup(f, SampleIdx(2)).is_none());
-        l2.reset_stats();
-        assert_eq!(l2.miss_rate(), 0.0);
+        assert!(!l2.lookup(f, SampleIdx(2)));
     }
 }
