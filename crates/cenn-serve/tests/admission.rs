@@ -3,61 +3,15 @@
 //! typed error before the system's grids or the runner are built.
 //!
 //! The suite lives in its own test binary because it swaps in a global
-//! allocator that records the largest single allocation per thread (a
-//! const-initialized thread-local `Cell` with no destructor, so the
-//! bookkeeping never allocates or recurses). `submit` runs on the caller's
-//! thread, so every allocation it makes lands on the test's thread.
+//! allocator that records the largest single allocation per thread.
+//! `submit` runs on the caller's thread, so every allocation it makes
+//! lands on the test's thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod largest_alloc;
 
 use cenn_obs::{Event, RecorderHandle};
 use cenn_serve::{ErrorCode, ManagerConfig, SessionManager};
-
-thread_local! {
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-struct LargestAlloc;
-
-fn note(size: usize) {
-    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
-}
-
-// SAFETY: defers all allocation to `System`; the bookkeeping is a
-// const-initialized thread-local `Cell<usize>` with no destructor, so the
-// accounting itself never allocates or recurses.
-unsafe impl GlobalAlloc for LargestAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: LargestAlloc = LargestAlloc;
-
-/// Runs `f` and returns its result with the largest single allocation it
-/// made on this thread.
-fn largest_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    LARGEST.with(|c| c.set(0));
-    let out = f();
-    (out, LARGEST.with(Cell::get))
-}
+use largest_alloc::largest_alloc;
 
 /// A refused submit may format its error, not build a grid.
 const MAX_REFUSAL_ALLOC: usize = 1 << 20;
