@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use cenn::serve::{
     loopback, run_chaos_fleet, run_fleet, run_resilient_fleet, ChaosPlan, Client, FleetConfig,
-    Manifest, RetryPolicy, Server, ServerConfig, StatsHttpServer,
+    Manifest, RetryPolicy, Rpc, Server, ServerConfig, StatsHttpServer,
 };
 
 use crate::cli::CliError;

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use cenn::serve::{Client, StatsSnapshot};
+use cenn::serve::{Client, Rpc, StatsSnapshot};
 
 use crate::cli::CliError;
 use crate::serve::DEFAULT_LISTEN;

@@ -22,14 +22,14 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use cenn_guard::{parse_spec, PlanParseError};
 use cenn_obs::MetricsHub;
 
-use crate::client::{ClientError, Deadlines, RetryClient, RetryPolicy};
-use crate::fleet::{workload, FleetConfig, FleetEntry, FleetError, FleetReport};
+use crate::client::{ClientError, Deadlines, RetryClient, RetryPolicy, Rpc};
+use crate::fleet::{run_sessions, workload, FleetConfig, FleetEntry, FleetError, FleetReport};
 use crate::manager::RecoveryReport;
 use crate::proto::ErrorCode;
 use crate::server::{Server, ServerConfig};
@@ -288,17 +288,6 @@ impl ChaosDirector {
         *self.metrics.lock().expect("chaos director poisoned") = Some(hub);
     }
 
-    fn count_fault(&self, fault: &ChaosFault) {
-        if let Some(hub) = self
-            .metrics
-            .lock()
-            .expect("chaos director poisoned")
-            .as_ref()
-        {
-            hub.inc_name(fault.metric_name(), 1);
-        }
-    }
-
     /// Assigns the next outbound-frame index for `session` and takes
     /// every fault scheduled at it (each fault fires exactly once).
     fn begin_op(&self, session: usize) -> Vec<ChaosFault> {
@@ -325,14 +314,27 @@ impl ChaosDirector {
                 due.push(slot.take().expect("matched Some"));
             }
         }
-        for f in &due {
-            st.stats.injected.push(f.to_string());
-        }
-        drop(st);
-        for f in &due {
-            self.count_fault(f);
-        }
+        self.note_fired(st, &due);
         due
+    }
+
+    /// Records `faults` as injected: in the run's stats, under the held
+    /// state lock, then in the per-kind metrics counters.
+    fn note_fired(&self, mut st: MutexGuard<'_, DirectorState>, faults: &[ChaosFault]) {
+        st.stats
+            .injected
+            .extend(faults.iter().map(ChaosFault::to_string));
+        drop(st);
+        if let Some(hub) = self
+            .metrics
+            .lock()
+            .expect("chaos director poisoned")
+            .as_ref()
+        {
+            for f in faults {
+                hub.inc_name(f.metric_name(), 1);
+            }
+        }
     }
 
     fn fire_crash(&self) {
@@ -354,21 +356,11 @@ impl ChaosDirector {
     /// reaches their quantum, and a stall that doesn't is a plan bug the
     /// `remaining` list won't catch; keep stall indices early).
     fn note_stalls(&self, stalls: &[(u64, u64)]) {
-        let mut st = self.state.lock().expect("chaos director poisoned");
-        for (q, ms) in stalls {
-            let f = ChaosFault::WorkerStall {
-                quantum: *q,
-                ms: *ms,
-            };
-            st.stats.injected.push(f.to_string());
-        }
-        drop(st);
-        for (q, ms) in stalls {
-            self.count_fault(&ChaosFault::WorkerStall {
-                quantum: *q,
-                ms: *ms,
-            });
-        }
+        let stalls: Vec<_> = stalls
+            .iter()
+            .map(|&(quantum, ms)| ChaosFault::WorkerStall { quantum, ms })
+            .collect();
+        self.note_fired(self.state.lock().expect("chaos director poisoned"), &stalls);
     }
 
     /// The run's final accounting: fired faults, unfired faults, crash
@@ -515,33 +507,9 @@ where
     S: Read + Write + Deadlines,
     F: Fn(usize) -> std::io::Result<S> + Sync,
 {
-    let n = cfg.sessions.max(1);
-    let results: Vec<Result<FleetEntry, FleetError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|index| {
-                let connect = &connect;
-                scope.spawn(move || run_durable_session(cfg, index, policy, deadline, connect))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(index, h)| {
-                h.join().unwrap_or_else(|_| {
-                    Err(FleetError {
-                        index,
-                        message: "session thread panicked".into(),
-                    })
-                })
-            })
-            .collect()
-    });
-    let mut entries = Vec::with_capacity(n);
-    for r in results {
-        entries.push(r?);
-    }
-    entries.sort_by_key(|e| e.index);
-    Ok(FleetReport { entries })
+    run_sessions(cfg, |index| {
+        run_durable_session(cfg, index, policy, deadline, &connect)
+    })
 }
 
 /// Suspend + resume: the durability point. Both halves tolerate the

@@ -11,7 +11,7 @@
 //! schedule whose jitter is a pure function of the policy seed (no
 //! `Instant::now` in any decision — replays are reproducible), and a
 //! dead connection is transparently re-dialed through the connect
-//! closure.
+//! closure. Both implement [`Rpc`], the typed request surface.
 
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -106,8 +106,174 @@ impl From<FrameError> for ClientError {
     }
 }
 
-/// A session-service client: one request in flight at a time, typed
-/// accessors per operation.
+/// The typed request surface: one accessor per operation, each written
+/// once over [`call`](Self::call). [`Client`] sends every request with
+/// id 0; [`RetryClient`] gives each a fresh id and retries it.
+pub trait Rpc {
+    /// Sends one request and reads its response.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Frame`] on transport/codec failure,
+    /// [`ClientError::Disconnected`] if the stream ends first. A typed
+    /// server `Error` response is returned as `Ok(Response::Error { .. })`
+    /// here; the typed accessors convert it to [`ClientError::Server`].
+    fn call(&mut self, req: &Request) -> Result<Response, ClientError>;
+
+    /// Sends `req` and unwraps the response kind `pick` accepts: a typed
+    /// server error becomes [`ClientError::Server`], any other kind
+    /// [`ClientError::Unexpected`].
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError`] as in [`call`](Self::call).
+    fn expect<T>(
+        &mut self,
+        req: &Request,
+        pick: impl FnOnce(Response) -> Result<T, Response>,
+    ) -> Result<T, ClientError> {
+        match self.call(req)? {
+            Response::Error { code, message } => Err(ClientError::Server { code, message }),
+            resp => pick(resp).map_err(|r| ClientError::Unexpected(format!("{r:?}"))),
+        }
+    }
+
+    /// Creates a session; returns its id.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError`] as in [`call`](Self::call).
+    fn submit(&mut self, system: &str, rows: u32, cols: u32) -> Result<u64, ClientError> {
+        self.expect(
+            &Request::SubmitSystem {
+                system: system.into(),
+                rows,
+                cols,
+            },
+            |r| match r {
+                Response::Submitted { session } => Ok(session),
+                other => Err(other),
+            },
+        )
+    }
+
+    /// Runs `n` steps; returns `(total steps, fired this batch)`.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError`] as in [`call`](Self::call).
+    fn step(&mut self, session: u64, n: u64) -> Result<(u64, u64), ClientError> {
+        self.expect(&Request::Step { session, n }, |r| match r {
+            Response::Stepped { steps, fired, .. } => Ok((steps, fired)),
+            other => Err(other),
+        })
+    }
+
+    /// Streams one layer's raw Q16.16 state; returns `(rows, cols, bits)`.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError`] as in [`call`](Self::call).
+    fn stream_state(
+        &mut self,
+        session: u64,
+        layer: u32,
+    ) -> Result<(u32, u32, Vec<i32>), ClientError> {
+        self.expect(&Request::StreamState { session, layer }, |r| match r {
+            Response::State {
+                rows, cols, bits, ..
+            } => Ok((rows, cols, bits)),
+            other => Err(other),
+        })
+    }
+
+    /// Suspends the session to the server's spool; returns its step count.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError`] as in [`call`](Self::call).
+    fn suspend(&mut self, session: u64) -> Result<u64, ClientError> {
+        self.expect(&Request::Suspend { session }, |r| match r {
+            Response::Suspended { steps, .. } => Ok(steps),
+            other => Err(other),
+        })
+    }
+
+    /// Resumes a suspended session; returns its restored step count.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError`] as in [`call`](Self::call).
+    fn resume(&mut self, session: u64) -> Result<u64, ClientError> {
+        self.expect(&Request::Resume { session }, |r| match r {
+            Response::Resumed { steps, .. } => Ok(steps),
+            other => Err(other),
+        })
+    }
+
+    /// Closes the session.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError`] as in [`call`](Self::call).
+    fn close(&mut self, session: u64) -> Result<(), ClientError> {
+        self.expect(&Request::Close { session }, |r| match r {
+            Response::Closed { .. } => Ok(()),
+            other => Err(other),
+        })
+    }
+
+    /// The session's deterministic digest; returns `(steps, digest)`.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError`] as in [`call`](Self::call).
+    fn digest(&mut self, session: u64) -> Result<(u64, u64), ClientError> {
+        self.expect(&Request::Digest { session }, |r| match r {
+            Response::Digest { steps, digest, .. } => Ok((steps, digest)),
+            other => Err(other),
+        })
+    }
+
+    /// Liveness probe.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError`] as in [`call`](Self::call).
+    fn ping(&mut self) -> Result<(), ClientError> {
+        self.expect(&Request::Ping, |r| match r {
+            Response::Pong => Ok(()),
+            other => Err(other),
+        })
+    }
+
+    /// Asks the server to shut down (drain and stop accepting).
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError`] as in [`call`](Self::call).
+    fn shutdown(&mut self) -> Result<(), ClientError> {
+        self.expect(&Request::Shutdown, |r| match r {
+            Response::ShuttingDown => Ok(()),
+            other => Err(other),
+        })
+    }
+
+    /// Fetches the server's live telemetry snapshot.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError`] as in [`call`](Self::call).
+    fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
+        self.expect(&Request::Stats, |r| match r {
+            Response::Stats { stats } => Ok(stats),
+            other => Err(other),
+        })
+    }
+}
+
+/// A session-service client: one request in flight at a time, each sent
+/// with request id 0 (no dedup).
 pub struct Client<S: Read + Write> {
     stream: S,
 }
@@ -132,18 +298,6 @@ impl<S: Read + Write> Client<S> {
         Self { stream }
     }
 
-    /// Sends one request and reads its response.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Frame`] on transport/codec failure,
-    /// [`ClientError::Disconnected`] if the stream ends first. A typed
-    /// server `Error` response is returned as `Ok(Response::Error { .. })`
-    /// here; the typed accessors convert it to [`ClientError::Server`].
-    pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        self.call_with_id(0, req)
-    }
-
     /// Sends one request carrying `req_id` and reads its response,
     /// checking that the server echoed the same id (a mismatch means the
     /// stream is desynchronized and is reported as
@@ -151,7 +305,7 @@ impl<S: Read + Write> Client<S> {
     ///
     /// # Errors
     ///
-    /// As in [`call`](Self::call).
+    /// As in [`Rpc::call`].
     pub fn call_with_id(&mut self, req_id: u64, req: &Request) -> Result<Response, ClientError> {
         write_frame(&mut self.stream, &req.encode_with_id(req_id))?;
         let payload = read_frame(&mut self.stream)?.ok_or(ClientError::Disconnected)?;
@@ -163,154 +317,11 @@ impl<S: Read + Write> Client<S> {
         }
         Ok(resp)
     }
+}
 
-    /// The underlying transport (e.g. to adjust deadlines).
-    pub fn stream_mut(&mut self) -> &mut S {
-        &mut self.stream
-    }
-
-    fn expect<T>(
-        &mut self,
-        req: &Request,
-        pick: impl FnOnce(Response) -> Result<T, Response>,
-    ) -> Result<T, ClientError> {
-        match self.call(req)? {
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            resp => pick(resp).map_err(|r| ClientError::Unexpected(format!("{r:?}"))),
-        }
-    }
-
-    /// Creates a session; returns its id.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn submit(&mut self, system: &str, rows: u32, cols: u32) -> Result<u64, ClientError> {
-        self.expect(
-            &Request::SubmitSystem {
-                system: system.into(),
-                rows,
-                cols,
-            },
-            |r| match r {
-                Response::Submitted { session } => Ok(session),
-                other => Err(other),
-            },
-        )
-    }
-
-    /// Runs `n` steps; returns `(total steps, fired this batch)`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn step(&mut self, session: u64, n: u64) -> Result<(u64, u64), ClientError> {
-        self.expect(&Request::Step { session, n }, |r| match r {
-            Response::Stepped { steps, fired, .. } => Ok((steps, fired)),
-            other => Err(other),
-        })
-    }
-
-    /// Streams one layer's raw Q16.16 state; returns `(rows, cols, bits)`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn stream_state(
-        &mut self,
-        session: u64,
-        layer: u32,
-    ) -> Result<(u32, u32, Vec<i32>), ClientError> {
-        self.expect(&Request::StreamState { session, layer }, |r| match r {
-            Response::State {
-                rows, cols, bits, ..
-            } => Ok((rows, cols, bits)),
-            other => Err(other),
-        })
-    }
-
-    /// Suspends the session to the server's spool; returns its step count.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn suspend(&mut self, session: u64) -> Result<u64, ClientError> {
-        self.expect(&Request::Suspend { session }, |r| match r {
-            Response::Suspended { steps, .. } => Ok(steps),
-            other => Err(other),
-        })
-    }
-
-    /// Resumes a suspended session; returns its restored step count.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn resume(&mut self, session: u64) -> Result<u64, ClientError> {
-        self.expect(&Request::Resume { session }, |r| match r {
-            Response::Resumed { steps, .. } => Ok(steps),
-            other => Err(other),
-        })
-    }
-
-    /// Closes the session.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn close(&mut self, session: u64) -> Result<(), ClientError> {
-        self.expect(&Request::Close { session }, |r| match r {
-            Response::Closed { .. } => Ok(()),
-            other => Err(other),
-        })
-    }
-
-    /// The session's deterministic digest; returns `(steps, digest)`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn digest(&mut self, session: u64) -> Result<(u64, u64), ClientError> {
-        self.expect(&Request::Digest { session }, |r| match r {
-            Response::Digest { steps, digest, .. } => Ok((steps, digest)),
-            other => Err(other),
-        })
-    }
-
-    /// Liveness probe.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.expect(&Request::Ping, |r| match r {
-            Response::Pong => Ok(()),
-            other => Err(other),
-        })
-    }
-
-    /// Asks the server to shut down (drain and stop accepting).
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.expect(&Request::Shutdown, |r| match r {
-            Response::ShuttingDown => Ok(()),
-            other => Err(other),
-        })
-    }
-
-    /// Fetches the server's live telemetry snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        self.expect(&Request::Stats, |r| match r {
-            Response::Stats { stats } => Ok(stats),
-            other => Err(other),
-        })
+impl<S: Read + Write> Rpc for Client<S> {
+    fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
+        self.call_with_id(0, req)
     }
 }
 
@@ -500,7 +511,13 @@ where
         }
         Ok(self.conn.as_mut().expect("reconnect just set it"))
     }
+}
 
+impl<S, F> Rpc for RetryClient<S, F>
+where
+    S: Read + Write + Deadlines,
+    F: FnMut() -> std::io::Result<S>,
+{
     /// Sends `req` with a fresh request id, retrying transient failures
     /// (dead transport, timeouts, `overloaded`, `malformed-frame`) on
     /// the policy's backoff schedule. Typed server errors pass through
@@ -510,7 +527,7 @@ where
     ///
     /// The last transient error once attempts are exhausted, or the
     /// first non-retryable failure.
-    pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
+    fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         let req_id = self.next_req_id();
         let mut last = None;
         for attempt in 0..self.policy.attempts.max(1) {
@@ -547,109 +564,6 @@ where
             }
         }
         Err(last.expect("at least one attempt ran"))
-    }
-
-    fn expect<T>(
-        &mut self,
-        req: &Request,
-        pick: impl FnOnce(Response) -> Result<T, Response>,
-    ) -> Result<T, ClientError> {
-        match self.call(req)? {
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            resp => pick(resp).map_err(|r| ClientError::Unexpected(format!("{r:?}"))),
-        }
-    }
-
-    /// Creates a session; returns its id. See [`Client::submit`].
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn submit(&mut self, system: &str, rows: u32, cols: u32) -> Result<u64, ClientError> {
-        self.expect(
-            &Request::SubmitSystem {
-                system: system.into(),
-                rows,
-                cols,
-            },
-            |r| match r {
-                Response::Submitted { session } => Ok(session),
-                other => Err(other),
-            },
-        )
-    }
-
-    /// Runs `n` steps; returns `(total steps, fired this batch)`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn step(&mut self, session: u64, n: u64) -> Result<(u64, u64), ClientError> {
-        self.expect(&Request::Step { session, n }, |r| match r {
-            Response::Stepped { steps, fired, .. } => Ok((steps, fired)),
-            other => Err(other),
-        })
-    }
-
-    /// Suspends the session to the server's durable spool.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn suspend(&mut self, session: u64) -> Result<u64, ClientError> {
-        self.expect(&Request::Suspend { session }, |r| match r {
-            Response::Suspended { steps, .. } => Ok(steps),
-            other => Err(other),
-        })
-    }
-
-    /// Resumes a suspended session; returns its restored step count.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn resume(&mut self, session: u64) -> Result<u64, ClientError> {
-        self.expect(&Request::Resume { session }, |r| match r {
-            Response::Resumed { steps, .. } => Ok(steps),
-            other => Err(other),
-        })
-    }
-
-    /// Closes the session.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn close(&mut self, session: u64) -> Result<(), ClientError> {
-        self.expect(&Request::Close { session }, |r| match r {
-            Response::Closed { .. } => Ok(()),
-            other => Err(other),
-        })
-    }
-
-    /// The session's deterministic digest; returns `(steps, digest)`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn digest(&mut self, session: u64) -> Result<(u64, u64), ClientError> {
-        self.expect(&Request::Digest { session }, |r| match r {
-            Response::Digest { steps, digest, .. } => Ok((steps, digest)),
-            other => Err(other),
-        })
-    }
-
-    /// Fetches the server's live telemetry snapshot (retrying transient
-    /// failures like any other request).
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] as in [`call`](Self::call).
-    pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        self.expect(&Request::Stats, |r| match r {
-            Response::Stats { stats } => Ok(stats),
-            other => Err(other),
-        })
     }
 }
 

@@ -19,7 +19,7 @@ use std::io::{Read, Write};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::client::Client;
+use crate::client::{Client, Rpc};
 use crate::digest::{fnv1a64, fnv1a64_init};
 
 /// The workload menu: grid-friendly systems spanning linear diffusion,
@@ -176,13 +176,26 @@ where
     S: Read + Write,
     F: Fn(usize) -> std::io::Result<S> + Sync,
 {
-    let n = cfg.sessions.max(1);
-    let suspender = cfg.suspend_mid_run.then(|| (cfg.seed % n as u64) as usize);
+    let suspender = cfg
+        .suspend_mid_run
+        .then(|| (cfg.seed % cfg.sessions.max(1) as u64) as usize);
+    run_sessions(cfg, |index| {
+        run_session(cfg, index, suspender == Some(index), &connect)
+    })
+}
+
+/// The fleet harness both drivers share: runs `session` for every fleet
+/// index, each on its own thread, and returns the entries in index
+/// order, or the lowest-indexed session's error.
+pub(crate) fn run_sessions<F>(cfg: &FleetConfig, session: F) -> Result<FleetReport, FleetError>
+where
+    F: Fn(usize) -> Result<FleetEntry, FleetError> + Sync,
+{
     let results: Vec<Result<FleetEntry, FleetError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
+        let handles: Vec<_> = (0..cfg.sessions.max(1))
             .map(|index| {
-                let connect = &connect;
-                scope.spawn(move || run_session(cfg, index, suspender == Some(index), connect))
+                let session = &session;
+                scope.spawn(move || session(index))
             })
             .collect();
         handles
@@ -200,12 +213,9 @@ where
             })
             .collect()
     });
-    let mut entries = Vec::with_capacity(n);
-    for r in results {
-        entries.push(r?);
-    }
-    entries.sort_by_key(|e| e.index);
-    Ok(FleetReport { entries })
+    Ok(FleetReport {
+        entries: results.into_iter().collect::<Result<_, _>>()?,
+    })
 }
 
 fn run_session<S, F>(

@@ -15,7 +15,8 @@
 //!   `cenn-obs` event streams, and `CENNCKPT` suspend-to-disk/resume via
 //!   the `cenn-guard` checkpoint format.
 //! - **[`server`]** / **[`client`]** — the blocking service loop
-//!   (transport-agnostic core + TCP accept loop) and its typed client.
+//!   (transport-agnostic core + TCP accept loop) and its clients, whose
+//!   typed accessors come from one trait, [`Rpc`].
 //! - **[`fleet`]** — a seeded synthetic client fleet whose per-session
 //!   end-state digests must be bit-identical across worker counts and
 //!   reruns; the service's load-level determinism proof.
@@ -35,7 +36,7 @@
 //! # Example
 //!
 //! ```
-//! use cenn_serve::{loopback, Client, ManagerConfig, Server, ServerConfig};
+//! use cenn_serve::{loopback, Client, ManagerConfig, Rpc, Server, ServerConfig};
 //!
 //! let spool = std::env::temp_dir().join(format!("cenn-serve-doc-{}", std::process::id()));
 //! let server = Server::start(ServerConfig::new(2, &spool)).unwrap();
@@ -76,7 +77,7 @@ pub use chaos::{
     run_chaos_fleet, run_resilient_fleet, ChaosDirector, ChaosFault, ChaosPlan, ChaosStats,
     ChaosTransport, DropWhen,
 };
-pub use client::{Client, ClientError, Deadlines, RetryClient, RetryPolicy};
+pub use client::{Client, ClientError, Deadlines, RetryClient, RetryPolicy, Rpc};
 pub use digest::{snapshot_digest, state_digest};
 pub use fleet::{run_fleet, FleetConfig, FleetEntry, FleetError, FleetReport};
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};

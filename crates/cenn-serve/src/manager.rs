@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-use cenn_equations::{system_by_name, FixedRunner};
+use cenn_equations::{system_by_name, DynamicalSystem, FixedRunner};
 use cenn_guard::Checkpoint;
 use cenn_obs::{
     CounterId, Event, GaugeId, HistogramId, JsonlSink, MetricsHub, RecorderHandle, SessionEvent,
@@ -202,8 +202,9 @@ enum Slot {
         pending: u64,
         fired: u64,
     },
-    /// Spooled to disk; no in-memory solver.
-    Suspended { path: PathBuf },
+    /// Spooled to disk (its manifest record names the file); no
+    /// in-memory solver.
+    Suspended,
 }
 
 struct Session {
@@ -346,36 +347,8 @@ impl SessionManager {
         let mut max_id = 0u64;
         for (id, entry) in &manifest.entries {
             max_id = max_id.max(*id);
-            let path = mgr.cfg.spool.join(&entry.file);
-            let verdict: Result<(), QuarantineReason> = match std::fs::read(&path) {
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    Err(QuarantineReason::Missing)
-                }
-                Err(e) => Err(QuarantineReason::Unreadable(e.to_string())),
-                Ok(bytes) => {
-                    let actual = spool::file_digest(&bytes);
-                    if actual != entry.digest {
-                        Err(QuarantineReason::DigestMismatch {
-                            expected: entry.digest,
-                            actual,
-                        })
-                    } else {
-                        match Checkpoint::read_from(&bytes[..]) {
-                            Err(e) => Err(QuarantineReason::Unreadable(e.to_string())),
-                            Ok(ckpt) if ckpt.step() != entry.steps => {
-                                Err(QuarantineReason::Unreadable(format!(
-                                    "checkpoint at step {} but manifest says {}",
-                                    ckpt.step(),
-                                    entry.steps
-                                )))
-                            }
-                            Ok(_) => Ok(()),
-                        }
-                    }
-                }
-            };
-            match verdict {
-                Ok(()) => {
+            match spool::read_checkpoint(&mgr.cfg.spool, entry) {
+                Ok(_) => {
                     let log = match &mgr.cfg.session_log_dir {
                         None => None,
                         Some(dir) => JsonlSink::append(
@@ -385,33 +358,21 @@ impl SessionManager {
                         .ok()
                         .map(RecorderHandle::new),
                     };
-                    mgr.record(
-                        log.as_ref(),
-                        SessionEvent {
-                            session: *id,
-                            step: entry.steps,
-                            kind: "recovered".into(),
+                    let session = Session {
+                        spec: SessionSpec {
                             system: entry.system.clone(),
-                            detail: format!("{}x{}", entry.rows, entry.cols),
-                            count: 0,
-                            corr: 0,
+                            rows: entry.rows,
+                            cols: entry.cols,
                         },
-                    );
+                        slot: Slot::Suspended,
+                        steps: entry.steps,
+                        corr: 0,
+                        log,
+                    };
+                    let detail = format!("{}x{}", entry.rows, entry.cols);
+                    mgr.record_session(*id, &session, "recovered", detail, 0, 0);
                     mgr.cfg.metrics.inc(mgr.m.recovered, 1);
-                    mgr.lock().sessions.insert(
-                        *id,
-                        Session {
-                            spec: SessionSpec {
-                                system: entry.system.clone(),
-                                rows: entry.rows,
-                                cols: entry.cols,
-                            },
-                            slot: Slot::Suspended { path },
-                            steps: entry.steps,
-                            corr: 0,
-                            log,
-                        },
-                    );
+                    mgr.lock().sessions.insert(*id, session);
                     kept.entries.insert(*id, entry.clone());
                     report.recovered.push(*id);
                 }
@@ -455,7 +416,7 @@ impl SessionManager {
         for s in inner.sessions.values() {
             match s.slot {
                 Slot::Active { .. } => active += 1,
-                Slot::Suspended { .. } => suspended += 1,
+                Slot::Suspended => suspended += 1,
             }
         }
         self.cfg.metrics.gauge_set(self.m.sessions_active, active);
@@ -520,6 +481,68 @@ impl SessionManager {
         if let Some(r) = log {
             r.record(&ev);
         }
+    }
+
+    /// Records lifecycle event `kind` of session `id`, at its step count
+    /// and under its system, on the global stream and its own log.
+    fn record_session(
+        &self,
+        id: u64,
+        s: &Session,
+        kind: &str,
+        detail: String,
+        count: u64,
+        corr: u64,
+    ) {
+        let ev = SessionEvent {
+            session: id,
+            step: s.steps,
+            kind: kind.into(),
+            system: s.spec.system.clone(),
+            detail,
+            count,
+            corr,
+        };
+        self.record(s.log.as_ref(), ev);
+    }
+
+    /// The load-shed transitions, shared by both limits. A request over
+    /// a limit (`over` names it, e.g. `max-sessions=8`) is counted as
+    /// shed; the first such request records `shed`, and the first
+    /// admitted request after it records `shed-recovered`. `session`,
+    /// `system` and `count` (the limit's live measure) fill the event.
+    fn shed_transition(
+        &self,
+        inner: &mut Inner,
+        over: Option<String>,
+        session: u64,
+        system: &str,
+        count: u64,
+    ) {
+        if over.is_some() {
+            self.cfg.metrics.inc(self.m.shed, 1);
+        }
+        if inner.shedding == over.is_some() {
+            return;
+        }
+        inner.shedding = over.is_some();
+        let kind = if inner.shedding {
+            "shed"
+        } else {
+            "shed-recovered"
+        };
+        self.record(
+            None,
+            SessionEvent {
+                session,
+                step: 0,
+                kind: kind.into(),
+                system: system.into(),
+                detail: over.unwrap_or_default(),
+                count,
+                corr: 0,
+            },
+        );
     }
 
     /// The id of the first runnable session at or after the cursor,
@@ -632,7 +655,7 @@ impl SessionManager {
             match inner.sessions.get(&id) {
                 None => return Err(ServeError::no_such_session(id)),
                 Some(s) => match &s.slot {
-                    Slot::Suspended { .. } => {
+                    Slot::Suspended => {
                         return Err(ServeError::new(
                             ErrorCode::SessionSuspended,
                             format!("session {id} is suspended"),
@@ -666,22 +689,9 @@ impl SessionManager {
         if inner.sessions.len() < self.cfg.max_sessions {
             return Ok(());
         }
-        self.cfg.metrics.inc(self.m.shed, 1);
-        if !inner.shedding {
-            inner.shedding = true;
-            self.record(
-                None,
-                SessionEvent {
-                    session: 0,
-                    step: 0,
-                    kind: "shed".into(),
-                    system: system.into(),
-                    detail: format!("max-sessions={}", self.cfg.max_sessions),
-                    count: inner.sessions.len() as u64,
-                    corr: 0,
-                },
-            );
-        }
+        let over = format!("max-sessions={}", self.cfg.max_sessions);
+        let live = inner.sessions.len() as u64;
+        self.shed_transition(inner, Some(over), 0, system, live);
         Err(ServeError::new(
             ErrorCode::Overloaded,
             format!(
@@ -712,43 +722,17 @@ impl SessionManager {
                 format!("grid {rows}x{cols} has no cells"),
             ));
         }
-        let sys = system_by_name(system).ok_or_else(|| {
-            ServeError::new(
-                ErrorCode::UnknownSystem,
-                format!("no system named {system:?} in the benchmark registry"),
-            )
-        })?;
+        let sys = registry_system(system)?;
         // Refuse before building: a shed request must not pay for (or
         // allocate) a whole grid. The check repeats at insert, because a
         // concurrent submit may take the last slot while this one builds.
         self.admit(&mut self.lock(), system)?;
-        let setup = sys
-            .build(rows as usize, cols as usize)
-            .map_err(|e| ServeError::new(ErrorCode::Internal, format!("building {system}: {e}")))?;
-        let mut runner = FixedRunner::new(setup)
-            .map_err(|e| ServeError::new(ErrorCode::Internal, format!("starting {system}: {e}")))?;
-        // One sim thread per session: the worker pool is the concurrency
-        // layer, and a single-threaded sweep keeps the per-session cost
-        // model flat no matter how tenants are packed.
-        runner.set_threads(1);
+        let runner = build_runner(&*sys, rows, cols)?;
 
         let mut inner = self.lock();
         self.admit(&mut inner, system)?;
-        if inner.shedding {
-            inner.shedding = false;
-            self.record(
-                None,
-                SessionEvent {
-                    session: 0,
-                    step: 0,
-                    kind: "shed-recovered".into(),
-                    system: system.into(),
-                    detail: String::new(),
-                    count: inner.sessions.len() as u64,
-                    corr: 0,
-                },
-            );
-        }
+        let live = inner.sessions.len() as u64;
+        self.shed_transition(&mut inner, None, 0, system, live);
         let id = inner.next_id;
         inner.next_id += 1;
         let log = match &self.cfg.session_log_dir {
@@ -762,36 +746,23 @@ impl SessionManager {
                 Some(RecorderHandle::new(sink))
             }
         };
-        self.record(
-            log.as_ref(),
-            SessionEvent {
-                session: id,
-                step: 0,
-                kind: "submitted".into(),
+        let session = Session {
+            spec: SessionSpec {
                 system: system.into(),
-                detail: format!("{rows}x{cols}"),
-                count: 0,
-                corr,
+                rows,
+                cols,
             },
-        );
-        inner.sessions.insert(
-            id,
-            Session {
-                spec: SessionSpec {
-                    system: system.into(),
-                    rows,
-                    cols,
-                },
-                slot: Slot::Active {
-                    runner: Some(Box::new(runner)),
-                    pending: 0,
-                    fired: 0,
-                },
-                steps: 0,
-                corr,
-                log,
+            slot: Slot::Active {
+                runner: Some(runner),
+                pending: 0,
+                fired: 0,
             },
-        );
+            steps: 0,
+            corr,
+            log,
+        };
+        self.record_session(id, &session, "submitted", format!("{rows}x{cols}"), 0, corr);
+        inner.sessions.insert(id, session);
         self.cfg.metrics.inc(self.m.submitted, 1);
         self.refresh_gauges(&inner);
         Ok(id)
@@ -821,26 +792,13 @@ impl SessionManager {
             .values()
             .map(|s| match &s.slot {
                 Slot::Active { pending, .. } => *pending,
-                Slot::Suspended { .. } => 0,
+                Slot::Suspended => 0,
             })
             .sum();
-        if backlog.saturating_add(n) > self.cfg.max_pending {
-            self.cfg.metrics.inc(self.m.shed, 1);
-            if !inner.shedding {
-                inner.shedding = true;
-                self.record(
-                    None,
-                    SessionEvent {
-                        session: id,
-                        step: 0,
-                        kind: "shed".into(),
-                        system: String::new(),
-                        detail: format!("max-pending={}", self.cfg.max_pending),
-                        count: backlog,
-                        corr: 0,
-                    },
-                );
-            }
+        let over = backlog.saturating_add(n) > self.cfg.max_pending;
+        let limit = over.then(|| format!("max-pending={}", self.cfg.max_pending));
+        self.shed_transition(&mut inner, limit, id, "", backlog);
+        if over {
             return Err(ServeError::new(
                 ErrorCode::Overloaded,
                 format!(
@@ -849,25 +807,10 @@ impl SessionManager {
                 ),
             ));
         }
-        if inner.shedding {
-            inner.shedding = false;
-            self.record(
-                None,
-                SessionEvent {
-                    session: id,
-                    step: 0,
-                    kind: "shed-recovered".into(),
-                    system: String::new(),
-                    detail: String::new(),
-                    count: backlog,
-                    corr: 0,
-                },
-            );
-        }
         let fired_before = match inner.sessions.get_mut(&id) {
             None => return Err(ServeError::no_such_session(id)),
             Some(s) => match &mut s.slot {
-                Slot::Suspended { .. } => {
+                Slot::Suspended => {
                     return Err(ServeError::new(
                         ErrorCode::SessionSuspended,
                         format!("session {id} is suspended; resume it to step"),
@@ -895,23 +838,8 @@ impl SessionManager {
                         fired,
                     } = &s.slot
                     {
-                        let steps = s.steps;
-                        let batch_fired = fired - fired_before;
-                        let system = s.spec.system.clone();
-                        let log = s.log.clone();
-                        self.record(
-                            log.as_ref(),
-                            SessionEvent {
-                                session: id,
-                                step: steps,
-                                kind: "stepped".into(),
-                                system,
-                                detail: String::new(),
-                                count: n,
-                                corr,
-                            },
-                        );
-                        return Ok((steps, batch_fired));
+                        self.record_session(id, s, "stepped", String::new(), n, corr);
+                        return Ok((s.steps, fired - fired_before));
                     }
                 }
             }
@@ -979,44 +907,34 @@ impl SessionManager {
             ServeError::new(ErrorCode::Internal, format!("encoding session {id}: {e}"))
         })?;
         let file = format!("session_{id}.ckpt");
-        let path = self.cfg.spool.join(&file);
-        spool::write_atomic(&path, &bytes).map_err(|e| {
+        spool::write_atomic(&self.cfg.spool.join(&file), &bytes).map_err(|e| {
             ServeError::new(ErrorCode::Internal, format!("spooling session {id}: {e}"))
         })?;
-        s.slot = Slot::Suspended { path };
+        s.slot = Slot::Suspended;
         s.steps = steps;
-        let system = s.spec.system.clone();
-        let (rows, cols) = (s.spec.rows, s.spec.cols);
-        let log = s.log.clone();
-        inner.manifest.entries.insert(
-            id,
-            ManifestEntry {
-                session: id,
-                system: system.clone(),
-                rows,
-                cols,
-                steps,
-                file,
-                digest: spool::file_digest(&bytes),
-            },
-        );
+        let entry = ManifestEntry {
+            session: id,
+            system: s.spec.system.clone(),
+            rows: s.spec.rows,
+            cols: s.spec.cols,
+            steps,
+            file,
+            digest: spool::file_digest(&bytes),
+        };
+        inner.manifest.entries.insert(id, entry);
         inner.manifest.save(&self.cfg.spool).map_err(|e| {
             ServeError::new(
                 ErrorCode::Internal,
                 format!("manifest for session {id}: {e}"),
             )
         })?;
-        self.record(
-            log.as_ref(),
-            SessionEvent {
-                session: id,
-                step: steps,
-                kind: "suspended".into(),
-                system,
-                detail: String::new(),
-                count: 0,
-                corr,
-            },
+        self.record_session(
+            id,
+            &inner.sessions[&id],
+            "suspended",
+            String::new(),
+            0,
+            corr,
         );
         self.cfg.metrics.inc(self.m.suspended, 1);
         self.cfg.metrics.inc(self.m.manifest_ops, 1);
@@ -1039,72 +957,50 @@ impl SessionManager {
     ///
     /// [`ErrorCode::NoSuchSession`]; [`ErrorCode::SessionBusy`] if the
     /// session is not suspended; [`ErrorCode::CorruptCheckpoint`] if the
-    /// spooled file is missing, fails its manifest digest, or does not
-    /// decode; [`ErrorCode::Internal`] if the model cannot be rebuilt.
+    /// spooled file is missing, fails its manifest digest, does not
+    /// decode, or is at another step than its manifest record (the check
+    /// recovery makes); [`ErrorCode::UnknownSystem`] if the record names
+    /// no registry system; [`ErrorCode::Internal`] if the model cannot be
+    /// rebuilt.
     pub fn resume(&self, id: u64, corr: u64) -> Result<u64, ServeError> {
-        let internal = |m: String| ServeError::new(ErrorCode::Internal, m);
-        let corrupt = |m: String| ServeError::new(ErrorCode::CorruptCheckpoint, m);
-        // Snapshot the spec, path, and expected digest under the lock,
-        // rebuild outside it (model construction is the expensive part).
-        let (spec, path, want_digest) = {
+        // Snapshot the spec and manifest record under the lock, rebuild
+        // outside it (model construction is the expensive part).
+        let (spec, entry) = {
             let inner = self.lock();
-            match inner.sessions.get(&id) {
-                None => return Err(ServeError::no_such_session(id)),
-                Some(s) => match &s.slot {
-                    Slot::Suspended { path } => (
-                        s.spec.clone(),
-                        path.clone(),
-                        inner.manifest.entries.get(&id).map(|e| e.digest),
-                    ),
-                    Slot::Active { .. } => {
-                        return Err(ServeError::new(
-                            ErrorCode::SessionBusy,
-                            format!("session {id} is already active"),
-                        ))
-                    }
-                },
+            let s = (inner.sessions.get(&id)).ok_or_else(|| ServeError::no_such_session(id))?;
+            if !matches!(s.slot, Slot::Suspended) {
+                return Err(ServeError::new(
+                    ErrorCode::SessionBusy,
+                    format!("session {id} is already active"),
+                ));
             }
+            (s.spec.clone(), inner.manifest.entries.get(&id).cloned())
         };
-        let bytes = std::fs::read(&path)
-            .map_err(|e| corrupt(format!("reading session {id} checkpoint: {e}")))?;
-        if let Some(want) = want_digest {
-            let got = spool::file_digest(&bytes);
-            if got != want {
-                return Err(corrupt(format!(
-                    "session {id} checkpoint failed integrity check \
-                     (manifest digest {want:016x}, on-disk {got:016x})"
-                )));
-            }
-        }
-        let ckpt = Checkpoint::read_from(&bytes[..])
-            .map_err(|e| corrupt(format!("decoding session {id} checkpoint: {e}")))?;
-        let sys = system_by_name(&spec.system)
-            .ok_or_else(|| internal(format!("system {:?} vanished from registry", spec.system)))?;
-        let setup = sys
-            .build(spec.rows as usize, spec.cols as usize)
-            .map_err(|e| internal(format!("rebuilding {}: {e}", spec.system)))?;
-        let mut runner = FixedRunner::new(setup)
-            .map_err(|e| internal(format!("restarting {}: {e}", spec.system)))?;
-        runner.set_threads(1);
-        runner
-            .sim_mut()
-            .restore(&ckpt.snapshot)
-            .map_err(|e| internal(format!("restoring session {id}: {e}")))?;
+        let ckpt = entry
+            .ok_or(QuarantineReason::Missing)
+            .and_then(|entry| spool::read_checkpoint(&self.cfg.spool, &entry))
+            .map_err(|reason| {
+                ServeError::new(
+                    ErrorCode::CorruptCheckpoint,
+                    format!("session {id} checkpoint: {reason}"),
+                )
+            })?;
+        let mut runner = build_runner(&*registry_system(&spec.system)?, spec.rows, spec.cols)?;
+        runner.sim_mut().restore(&ckpt.snapshot).map_err(|e| {
+            ServeError::new(ErrorCode::Internal, format!("restoring session {id}: {e}"))
+        })?;
         let steps = ckpt.step();
 
         let mut inner = self.lock();
-        let s = match inner.sessions.get_mut(&id) {
-            None => return Err(ServeError::no_such_session(id)),
-            Some(s) => s,
-        };
-        if !matches!(s.slot, Slot::Suspended { .. }) {
+        let s = (inner.sessions.get_mut(&id)).ok_or_else(|| ServeError::no_such_session(id))?;
+        if !matches!(s.slot, Slot::Suspended) {
             return Err(ServeError::new(
                 ErrorCode::SessionBusy,
                 format!("session {id} was resumed concurrently"),
             ));
         }
         s.slot = Slot::Active {
-            runner: Some(Box::new(runner)),
+            runner: Some(runner),
             pending: 0,
             fired: 0,
         };
@@ -1112,20 +1008,7 @@ impl SessionManager {
         s.corr = corr;
         // The spooled copy stays on disk: it is the crash-recovery point
         // until the next suspend or close.
-        let system = s.spec.system.clone();
-        let log = s.log.clone();
-        self.record(
-            log.as_ref(),
-            SessionEvent {
-                session: id,
-                step: steps,
-                kind: "resumed".into(),
-                system,
-                detail: String::new(),
-                count: 0,
-                corr,
-            },
-        );
+        self.record_session(id, s, "resumed", String::new(), 0, corr);
         self.cfg.metrics.inc(self.m.resumed, 1);
         self.refresh_gauges(&inner);
         self.done.notify_all();
@@ -1152,22 +1035,8 @@ impl SessionManager {
             unreachable!("wait_active_idle guarantees a checked-in runner");
         };
         let digest = state_digest(runner.sim());
-        let steps = s.steps;
-        let system = s.spec.system.clone();
-        let log = s.log.clone();
-        self.record(
-            log.as_ref(),
-            SessionEvent {
-                session: id,
-                step: steps,
-                kind: "digest".into(),
-                system,
-                detail: format!("{digest:016x}"),
-                count: digest,
-                corr,
-            },
-        );
-        Ok((steps, digest))
+        self.record_session(id, s, "digest", format!("{digest:016x}"), digest, corr);
+        Ok((s.steps, digest))
     }
 
     /// Closes a session (active or suspended), deleting any spooled
@@ -1190,7 +1059,7 @@ impl SessionManager {
             match inner.sessions.get(&id) {
                 None => return Err(ServeError::no_such_session(id)),
                 Some(s) => match &s.slot {
-                    Slot::Suspended { .. }
+                    Slot::Suspended
                     | Slot::Active {
                         runner: Some(_), ..
                     } => break,
@@ -1208,18 +1077,7 @@ impl SessionManager {
             let _ = inner.manifest.save(&self.cfg.spool);
             self.cfg.metrics.inc(self.m.manifest_ops, 1);
         }
-        self.record(
-            s.log.as_ref(),
-            SessionEvent {
-                session: id,
-                step: s.steps,
-                kind: "closed".into(),
-                system: s.spec.system.clone(),
-                detail: String::new(),
-                count: 0,
-                corr,
-            },
-        );
+        self.record_session(id, &s, "closed", String::new(), 0, corr);
         if let Some(log) = &s.log {
             let _ = log.flush();
         }
@@ -1261,7 +1119,7 @@ impl SessionManager {
             .map(|(id, s)| {
                 let (state, pending) = match &s.slot {
                     Slot::Active { pending, .. } => ("active", *pending),
-                    Slot::Suspended { .. } => ("suspended", 0),
+                    Slot::Suspended => ("suspended", 0),
                 };
                 crate::proto::SessionStat {
                     session: *id,
@@ -1273,6 +1131,36 @@ impl SessionManager {
             })
             .collect()
     }
+}
+
+/// The registry system named `name`.
+fn registry_system(name: &str) -> Result<Box<dyn DynamicalSystem>, ServeError> {
+    system_by_name(name).ok_or_else(|| {
+        ServeError::new(
+            ErrorCode::UnknownSystem,
+            format!("no system named {name:?} in the benchmark registry"),
+        )
+    })
+}
+
+/// Builds a session's runner, the one build `submit` and `resume` share.
+fn build_runner(
+    sys: &dyn DynamicalSystem,
+    rows: u32,
+    cols: u32,
+) -> Result<Box<FixedRunner>, ServeError> {
+    let internal = |m: String| ServeError::new(ErrorCode::Internal, m);
+    let name = sys.name();
+    let setup = sys
+        .build(rows as usize, cols as usize)
+        .map_err(|e| internal(format!("building {name}: {e}")))?;
+    let mut runner =
+        FixedRunner::new(setup).map_err(|e| internal(format!("starting {name}: {e}")))?;
+    // One sim thread per session: the worker pool is the concurrency
+    // layer, and a single-threaded sweep keeps the per-session cost
+    // model flat no matter how tenants are packed.
+    runner.set_threads(1);
+    Ok(Box::new(runner))
 }
 
 #[cfg(test)]

@@ -484,11 +484,6 @@ fn dec_stats(d: &mut Dec<'_>) -> Result<StatsSnapshot, FrameError> {
 }
 
 impl Request {
-    /// Serializes to a frame payload with request id 0 (no dedup).
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_with_id(0)
-    }
-
     /// Serializes to a frame payload carrying `req_id` in the
     /// idempotency envelope.
     pub fn encode_with_id(&self, req_id: u64) -> Vec<u8> {
@@ -533,15 +528,6 @@ impl Request {
         e.0
     }
 
-    /// Parses a frame payload, discarding the request id.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Malformed`] on any deviation from the wire format.
-    pub fn decode(payload: &[u8]) -> Result<Self, FrameError> {
-        Self::decode_with_id(payload).map(|(_, req)| req)
-    }
-
     /// Parses a frame payload, returning the request id alongside.
     ///
     /// # Errors
@@ -578,11 +564,6 @@ impl Request {
 }
 
 impl Response {
-    /// Serializes to a frame payload with request id 0.
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_with_id(0)
-    }
-
     /// Serializes to a frame payload echoing `req_id`.
     pub fn encode_with_id(&self, req_id: u64) -> Vec<u8> {
         let mut e;
@@ -652,15 +633,6 @@ impl Response {
             }
         }
         e.0
-    }
-
-    /// Parses a frame payload, discarding the request id.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Malformed`] on any deviation from the wire format.
-    pub fn decode(payload: &[u8]) -> Result<Self, FrameError> {
-        Self::decode_with_id(payload).map(|(_, resp)| resp)
     }
 
     /// Parses a frame payload, returning the echoed request id alongside.
@@ -823,10 +795,16 @@ mod tests {
     #[test]
     fn every_message_round_trips() {
         for req in requests() {
-            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+            assert_eq!(
+                Request::decode_with_id(&req.encode_with_id(0)).unwrap(),
+                (0, req)
+            );
         }
         for resp in responses() {
-            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+            assert_eq!(
+                Response::decode_with_id(&resp.encode_with_id(0)).unwrap(),
+                (0, resp)
+            );
         }
     }
 
@@ -841,8 +819,8 @@ mod tests {
             let (echo, back) = Response::decode_with_id(&resp.encode_with_id(42)).unwrap();
             assert_eq!((echo, back), (42, resp));
         }
-        // Id 0 is the "no dedup" spelling the plain encode uses.
-        let (echo, _) = Request::decode_with_id(&Request::Ping.encode()).unwrap();
+        // Id 0 is the "no dedup" spelling the plain client uses.
+        let (echo, _) = Request::decode_with_id(&Request::Ping.encode_with_id(0)).unwrap();
         assert_eq!(echo, 0);
     }
 
@@ -857,33 +835,36 @@ mod tests {
                 code,
                 message: "x".into(),
             };
-            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+            assert_eq!(
+                Response::decode_with_id(&resp.encode_with_id(0)).unwrap(),
+                (0, resp)
+            );
             assert_eq!(code.to_string(), name);
         }
     }
 
     #[test]
     fn wrong_version_unknown_tag_and_trailing_bytes_are_malformed() {
-        let mut bytes = Request::Ping.encode();
+        let mut bytes = Request::Ping.encode_with_id(0);
         bytes[0] = 99;
         assert!(matches!(
-            Request::decode(&bytes),
+            Request::decode_with_id(&bytes),
             Err(FrameError::Malformed(_))
         ));
         let mut bytes = vec![PROTO_VERSION];
         bytes.extend_from_slice(&0u64.to_le_bytes());
         bytes.push(200);
         assert!(matches!(
-            Request::decode(&bytes),
+            Request::decode_with_id(&bytes),
             Err(FrameError::Malformed(_))
         ));
-        let mut bytes = Request::Ping.encode();
+        let mut bytes = Request::Ping.encode_with_id(0);
         bytes.push(0);
         assert!(matches!(
-            Request::decode(&bytes),
+            Request::decode_with_id(&bytes),
             Err(FrameError::Malformed(_))
         ));
-        assert!(Request::decode(&[]).is_err(), "empty payload");
+        assert!(Request::decode_with_id(&[]).is_err(), "empty payload");
     }
 
     #[test]
@@ -891,13 +872,13 @@ mod tests {
         let resp = Response::Stats {
             stats: sample_stats(),
         };
-        let mut bytes = resp.encode();
+        let mut bytes = resp.encode_with_id(0);
         // The u16 snapshot version sits right after version(1)+req_id(8)
         // +tag(1).
         let off = 1 + 8 + 1;
         bytes[off..off + 2].copy_from_slice(&99u16.to_le_bytes());
         assert!(matches!(
-            Response::decode(&bytes),
+            Response::decode_with_id(&bytes),
             Err(FrameError::Malformed(m)) if m.contains("stats snapshot version")
         ));
     }
@@ -911,14 +892,14 @@ mod tests {
             cols: 1,
             bits: vec![42],
         };
-        let mut bytes = resp.encode();
+        let mut bytes = resp.encode_with_id(0);
         // The word count sits after version(1)+req_id(8)+tag(1)+session(8)
         // +layer(4)+rows(4)+cols(4); blow it up to a value the payload
         // cannot hold.
         let off = 1 + 8 + 1 + 8 + 4 + 4 + 4;
         bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            Response::decode(&bytes),
+            Response::decode_with_id(&bytes),
             Err(FrameError::Malformed(_))
         ));
     }

@@ -322,7 +322,7 @@ impl Server {
             code: ErrorCode::MalformedFrame,
             message,
         };
-        let _ = write_frame(stream, &resp.encode());
+        let _ = write_frame(stream, &resp.encode_with_id(0));
         false
     }
 

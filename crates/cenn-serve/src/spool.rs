@@ -23,6 +23,8 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use cenn_guard::Checkpoint;
+
 use crate::digest::{fnv1a64, fnv1a64_init};
 
 /// File name of the spool manifest journal.
@@ -274,6 +276,37 @@ impl fmt::Display for QuarantineReason {
             Self::Unreadable(m) => write!(f, "unreadable: {m}"),
         }
     }
+}
+
+/// Reads `entry`'s checkpoint from `spool` and checks it against the
+/// record: the file digest, a clean `CENNCKPT` decode, and the step
+/// count. Recovery quarantines a file on the reason; resume answers
+/// `corrupt-checkpoint`.
+pub(crate) fn read_checkpoint(
+    spool: &Path,
+    entry: &ManifestEntry,
+) -> Result<Checkpoint, QuarantineReason> {
+    let bytes = std::fs::read(spool.join(&entry.file)).map_err(|e| match e.kind() {
+        io::ErrorKind::NotFound => QuarantineReason::Missing,
+        _ => QuarantineReason::Unreadable(e.to_string()),
+    })?;
+    let actual = file_digest(&bytes);
+    if actual != entry.digest {
+        return Err(QuarantineReason::DigestMismatch {
+            expected: entry.digest,
+            actual,
+        });
+    }
+    let ckpt = Checkpoint::read_from(&bytes[..])
+        .map_err(|e| QuarantineReason::Unreadable(e.to_string()))?;
+    if ckpt.step() != entry.steps {
+        return Err(QuarantineReason::Unreadable(format!(
+            "checkpoint at step {} but manifest says {}",
+            ckpt.step(),
+            entry.steps
+        )));
+    }
+    Ok(ckpt)
 }
 
 /// Moves `file` (a name relative to `spool`) into `spool/quarantine/`,

@@ -30,7 +30,7 @@ use cenn::obs::{validate_jsonl_line, MetricsHub, RecorderHandle};
 use cenn::serve::{
     loopback, read_frame, run_chaos_fleet, run_fleet, write_frame, ChaosDirector, ChaosPlan,
     ChaosTransport, Client, ClientError, ErrorCode, FleetConfig, FrameError, Request, RetryClient,
-    RetryPolicy, Server, ServerConfig, MAX_FRAME_LEN,
+    RetryPolicy, Rpc, Server, ServerConfig, MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
 
@@ -755,10 +755,10 @@ proptest! {
         flip_bit in 0u8..8,
     ) {
         // Flip one bit somewhere in a valid encoded request.
-        let mut payload = Request::Step { session, n }.encode();
+        let mut payload = Request::Step { session, n }.encode_with_id(0);
         let idx = (flip_byte as usize) % payload.len();
         payload[idx] ^= 1 << flip_bit;
-        match Request::decode(&payload) {
+        match Request::decode_with_id(&payload) {
             Ok(_) | Err(FrameError::Malformed(_)) => {}
             Err(other) => prop_assert!(false, "unexpected error class: {}", other),
         }

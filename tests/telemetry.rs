@@ -26,7 +26,7 @@ use std::path::PathBuf;
 
 use cenn::obs::{validate_jsonl_line, MetricsHub, RecorderHandle, TraceHandle};
 use cenn::serve::{
-    loopback, run_fleet, Client, FleetConfig, Request, Response, Server, ServerConfig,
+    loopback, run_fleet, Client, FleetConfig, Request, Response, Rpc, Server, ServerConfig,
     StatsHttpServer,
 };
 use proptest::prelude::*;
