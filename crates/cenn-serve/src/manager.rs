@@ -221,35 +221,39 @@ struct Session {
     log: Option<RecorderHandle>,
 }
 
-/// Remembered outcomes of mutating requests, keyed by request id: the
-/// idempotency cache. Only successful outcomes are stored (a failed
-/// request is safe to re-execute), only nonzero ids participate, and
-/// eviction is FIFO at a fixed capacity. The cache is in-memory by
-/// design — a crash loses it, and crash recovery relies on the
-/// suspend-point resync protocol instead.
+/// Outcomes of mutating requests, keyed by request id: the idempotency
+/// cache. A request's id is marked in flight while it executes, and a
+/// duplicate that arrives meanwhile waits for it. Only successful
+/// outcomes are kept (a failed request is safe to re-execute, so its
+/// mark is dropped), only nonzero ids participate, and eviction is FIFO
+/// at a fixed capacity. The cache is in-memory by design — a crash loses
+/// it, and crash recovery relies on the suspend-point resync protocol
+/// instead.
 #[derive(Default)]
 struct DedupCache {
-    map: HashMap<u64, Response>,
+    /// `None` while the request is in flight.
+    map: HashMap<u64, Option<Response>>,
     order: VecDeque<u64>,
 }
 
 impl DedupCache {
     const CAP: usize = 4096;
 
-    fn get(&self, req_id: u64) -> Option<Response> {
-        self.map.get(&req_id).cloned()
-    }
-
-    fn put(&mut self, req_id: u64, resp: &Response) {
-        if req_id == 0 || matches!(resp, Response::Error { .. }) {
-            return;
-        }
-        if self.map.insert(req_id, resp.clone()).is_none() {
+    fn insert(&mut self, req_id: u64, outcome: Option<Response>) {
+        if self.map.insert(req_id, outcome).is_none() {
             self.order.push_back(req_id);
             if self.order.len() > Self::CAP {
                 if let Some(old) = self.order.pop_front() {
                     self.map.remove(&old);
                 }
+            }
+        }
+    }
+
+    fn forget(&mut self, req_id: u64) {
+        if self.map.remove(&req_id).is_some() {
+            if let Some(pos) = self.order.iter().rposition(|&id| id == req_id) {
+                self.order.remove(pos);
             }
         }
     }
@@ -328,25 +332,32 @@ impl SessionManager {
     /// file exists and matches its recorded digest (and decodes as a
     /// `CENNCKPT`) is rehydrated as a *suspended* session under its
     /// original id; the rest are moved to `spool/quarantine/` and
-    /// reported with a typed reason. `next_id` resumes past the highest
-    /// manifest id so recovered and fresh sessions never collide, and
-    /// the pruned manifest is rewritten atomically.
+    /// reported with a typed reason. The pruned manifest is rewritten
+    /// atomically under the next incarnation number, and fresh session
+    /// ids are `incarnation << 32 | n` from `n = 1`: no id issued before
+    /// the crash, checkpointed or not, is issued again.
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::Internal`] if the spool directories cannot be made or
+    /// [`ErrorCode::Internal`] if the spool directories cannot be made,
     /// the manifest itself is unreadable/unparseable (a torn manifest
     /// cannot happen under the atomic-write discipline, so this is a
-    /// genuine server fault, not data damage).
+    /// genuine server fault, not data damage), or its incarnation
+    /// numbers are used up.
     pub fn recover(cfg: ManagerConfig) -> Result<(Self, RecoveryReport), ServeError> {
         let mgr = Self::new(cfg)?;
         let manifest = Manifest::load(&mgr.cfg.spool)
             .map_err(|e| ServeError::new(ErrorCode::Internal, format!("recovering spool: {e}")))?;
+        let max_id = manifest.entries.keys().next_back().copied().unwrap_or(0);
+        let incarnation = (manifest.incarnation.max((max_id >> 32) as u32))
+            .checked_add(1)
+            .ok_or_else(|| ServeError::new(ErrorCode::Internal, "spool incarnations used up"))?;
         let mut report = RecoveryReport::default();
-        let mut kept = Manifest::default();
-        let mut max_id = 0u64;
+        let mut kept = Manifest {
+            incarnation,
+            ..Manifest::default()
+        };
         for (id, entry) in &manifest.entries {
-            max_id = max_id.max(*id);
             match spool::read_checkpoint(&mgr.cfg.spool, entry) {
                 Ok(_) => {
                     let log = match &mgr.cfg.session_log_dir {
@@ -402,7 +413,7 @@ impl SessionManager {
         {
             let mut inner = mgr.lock();
             inner.manifest = kept;
-            inner.next_id = max_id + 1;
+            inner.next_id = u64::from(incarnation) << 32 | 1;
             mgr.refresh_gauges(&inner);
         }
         Ok((mgr, report))
@@ -450,23 +461,48 @@ impl SessionManager {
         self.lock().crashed
     }
 
-    /// Looks up the recorded outcome of an already-executed request id
-    /// (the idempotency cache). `None` for id 0 and unseen ids.
-    pub fn dedup_check(&self, req_id: u64) -> Option<Response> {
+    /// Starts a mutating request under its id (the idempotency cache).
+    /// `Some` is the reply of an earlier request with the same id, after
+    /// waiting for it if it is still running; `None` means this request
+    /// executes and reports through [`dedup_finish`](Self::dedup_finish).
+    /// Id 0 never dedups.
+    pub fn dedup_begin(&self, req_id: u64) -> Option<Response> {
         if req_id == 0 {
             return None;
         }
-        let hit = self.lock().dedup.get(req_id);
-        if hit.is_some() {
-            self.cfg.metrics.inc(self.m.dedup_hits, 1);
+        let mut inner = self.lock();
+        loop {
+            match inner.dedup.map.get(&req_id).cloned() {
+                Some(Some(prior)) => {
+                    self.cfg.metrics.inc(self.m.dedup_hits, 1);
+                    return Some(prior);
+                }
+                Some(None) if !inner.crashed => {
+                    inner = self.done.wait(inner).expect("session manager poisoned");
+                }
+                _ => {
+                    inner.dedup.insert(req_id, None);
+                    return None;
+                }
+            }
         }
-        hit
     }
 
-    /// Records a mutating request's successful outcome under its id so a
-    /// retried duplicate replays the response instead of re-executing.
-    pub fn dedup_store(&self, req_id: u64, resp: &Response) {
-        self.lock().dedup.put(req_id, resp);
+    /// Ends a request begun with [`dedup_begin`](Self::dedup_begin): a
+    /// success is kept for its duplicates to replay, a failure is
+    /// forgotten so a duplicate executes again.
+    pub fn dedup_finish(&self, req_id: u64, resp: &Response) {
+        if req_id == 0 {
+            return;
+        }
+        let mut inner = self.lock();
+        if matches!(resp, Response::Error { .. }) {
+            inner.dedup.forget(req_id);
+        } else {
+            inner.dedup.insert(req_id, Some(resp.clone()));
+        }
+        drop(inner);
+        self.done.notify_all();
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {

@@ -150,8 +150,9 @@ impl Server {
 
     fn dispatch(&self, req_id: u64, req: Request) -> Response {
         // Idempotency: a retried mutation (same nonzero request id)
-        // replays its recorded outcome instead of re-executing, so a
-        // Step whose ACK was lost cannot double-step the session.
+        // replays its recorded outcome instead of re-executing, waiting
+        // for it if the original is still running, so a Step whose ACK
+        // was lost cannot double-step the session.
         let mutating = matches!(
             req,
             Request::SubmitSystem { .. }
@@ -160,15 +161,14 @@ impl Server {
                 | Request::Resume { .. }
                 | Request::Close { .. }
         );
-        if mutating {
-            if let Some(prior) = self.manager.dedup_check(req_id) {
-                return prior;
-            }
+        if !mutating {
+            return self.dispatch_fresh(req_id, req);
+        }
+        if let Some(prior) = self.manager.dedup_begin(req_id) {
+            return prior;
         }
         let resp = self.dispatch_fresh(req_id, req);
-        if mutating {
-            self.manager.dedup_store(req_id, &resp);
-        }
+        self.manager.dedup_finish(req_id, &resp);
         resp
     }
 

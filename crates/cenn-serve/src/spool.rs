@@ -97,6 +97,10 @@ pub struct ManifestEntry {
 /// The spool's recovery index: session id → [`ManifestEntry`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
+    /// How many times [`crate::SessionManager::recover`] has restarted
+    /// from this spool. Session ids carry it in their upper 32 bits, so
+    /// no id is issued twice, crashes included.
+    pub incarnation: u32,
     /// Entries keyed by session id.
     pub entries: BTreeMap<u64, ManifestEntry>,
 }
@@ -174,6 +178,11 @@ impl Manifest {
 
     fn to_text(&self) -> String {
         let mut out = format!("{MANIFEST_MAGIC} {MANIFEST_VERSION}\n");
+        // Incarnation 0 is implied by the line's absence, so the manifest
+        // of a spool that was never recovered carries no such line.
+        if self.incarnation > 0 {
+            out.push_str(&format!("incarnation={}\n", self.incarnation));
+        }
         for e in self.entries.values() {
             out.push_str(&format!(
                 "session={} system={} rows={} cols={} steps={} file={} digest={:016x}\n",
@@ -199,7 +208,7 @@ impl Manifest {
             }
             _ => return Err(fail(1, format!("bad header {header:?}"))),
         }
-        let mut entries = BTreeMap::new();
+        let mut manifest = Self::default();
         for (idx, line) in lines {
             let lineno = idx + 1;
             if line.trim().is_empty() {
@@ -212,24 +221,33 @@ impl Manifest {
                     .map(|(_, v)| v.to_string())
                     .ok_or_else(|| fail(lineno, format!("missing field '{key}'")))
             };
-            let num = |key: &str, v: String| -> Result<u64, SpoolError> {
-                v.parse()
+            let num = |key: &str| -> Result<u64, SpoolError> {
+                get(key)?
+                    .parse()
                     .map_err(|_| fail(lineno, format!("field '{key}' is not a number")))
             };
-            let session = num("session", get("session")?)?;
+            let small = |key: &str| -> Result<u32, SpoolError> {
+                u32::try_from(num(key)?)
+                    .map_err(|_| fail(lineno, format!("field '{key}' does not fit in 32 bits")))
+            };
+            if lineno == 2 && line.starts_with("incarnation=") {
+                manifest.incarnation = small("incarnation")?;
+                continue;
+            }
+            let session = num("session")?;
             let entry = ManifestEntry {
                 session,
                 system: get("system")?,
-                rows: num("rows", get("rows")?)? as u32,
-                cols: num("cols", get("cols")?)? as u32,
-                steps: num("steps", get("steps")?)?,
+                rows: small("rows")?,
+                cols: small("cols")?,
+                steps: num("steps")?,
                 file: get("file")?,
                 digest: u64::from_str_radix(&get("digest")?, 16)
                     .map_err(|_| fail(lineno, "field 'digest' is not hex".into()))?,
             };
-            entries.insert(session, entry);
+            manifest.entries.insert(session, entry);
         }
-        Ok(Self { entries })
+        Ok(manifest)
     }
 }
 
@@ -378,6 +396,36 @@ mod tests {
         ));
         let missing = "CENNMANIFEST 1\nsession=1 rows=8\n";
         assert!(Manifest::parse(missing).is_err());
+    }
+
+    #[test]
+    fn manifest_rejects_grid_sides_past_u32() {
+        let line = "session=1 system=heat rows=4294967304 cols=8 steps=0 file=f digest=0";
+        assert!(matches!(
+            Manifest::parse(&format!("CENNMANIFEST 1\n{line}\n")),
+            Err(SpoolError::Format { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn incarnation_line_is_optional_and_only_follows_the_header() {
+        let entry_line =
+            "session=1 system=heat rows=8 cols=8 steps=0 file=f digest=0000000000000000";
+        let never_recovered = format!("CENNMANIFEST 1\n{entry_line}\n");
+        let m = Manifest::parse(&never_recovered).unwrap();
+        assert_eq!(m.incarnation, 0);
+        assert_eq!(m.to_text(), never_recovered, "incarnation 0 writes no line");
+
+        let recovered = format!("CENNMANIFEST 1\nincarnation=3\n{entry_line}\n");
+        let m = Manifest::parse(&recovered).unwrap();
+        assert_eq!((m.incarnation, m.entries.len()), (3, 1));
+        assert_eq!(m.to_text(), recovered);
+
+        let misplaced = format!("CENNMANIFEST 1\n{entry_line}\nincarnation=3\n");
+        assert!(matches!(
+            Manifest::parse(&misplaced),
+            Err(SpoolError::Format { line: 3, .. })
+        ));
     }
 
     #[test]

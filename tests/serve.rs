@@ -682,6 +682,77 @@ fn retried_step_after_dropped_ack_does_not_double_step() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
+/// Session ids never repeat across restarts: an id issued but never
+/// checkpointed before a crash is not handed out again, so a client
+/// still holding it cannot drive another client's session.
+#[test]
+fn restarted_server_never_reissues_a_session_id() {
+    let spool = scratch("ids");
+    let cfg = ServerConfig::new(1, &spool);
+    let server = Server::start(cfg.clone()).unwrap();
+    let mut client = connect(&server);
+    let durable = client.submit("fisher", 8, 8).unwrap();
+    client.suspend(durable).unwrap();
+    let lost = client.submit("heat", 8, 8).unwrap();
+    assert_eq!((durable, lost), (1, 2), "a fresh spool issues ids from 1");
+    server.crash();
+
+    let (server, report) = Server::recover(cfg.clone()).unwrap();
+    assert_eq!(report.recovered, vec![durable]);
+    let mut client = connect(&server);
+    let fresh = client.submit("heat", 8, 8).unwrap();
+    assert!(
+        fresh != durable && fresh != lost,
+        "the restarted server issued id {fresh} a second time"
+    );
+    match client.step(lost, 1).unwrap_err() {
+        ClientError::Server { code, .. } => assert_eq!(code, ErrorCode::NoSuchSession),
+        other => panic!("expected typed server error, got {other}"),
+    }
+
+    // A second restart moves on again.
+    server.crash();
+    let (server, _) = Server::recover(cfg).unwrap();
+    let again = connect(&server).submit("heat", 8, 8).unwrap();
+    assert!(
+        ![durable, lost, fresh].contains(&again),
+        "id {again} reissued"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// A retry that arrives while its original is still running waits for
+/// the original and replays its reply instead of running a second time.
+#[test]
+fn duplicate_arriving_mid_flight_replays_the_original() {
+    let spool = scratch("in-flight");
+    let mut cfg = ServerConfig::new(1, &spool);
+    // Quantum 0 runs the original's steps; the stall holds it in flight.
+    cfg.manager.stalls = vec![(0, 300)];
+    let server = Server::start(cfg).unwrap();
+    let mut first = connect(&server);
+    let mut second = connect(&server);
+    let session = first.submit("fisher", 8, 8).unwrap();
+    let step = Request::Step { session, n: 5 };
+
+    let original = {
+        let step = step.clone();
+        std::thread::spawn(move || first.call_with_id(77, &step).unwrap())
+    };
+    // The duplicate goes out once the original's steps are queued.
+    while server.manager().stats_sessions()[0].pending == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let duplicate = second.call_with_id(77, &step).unwrap();
+    let original = original.join().unwrap();
+    assert_eq!(duplicate, original, "the duplicate replays the original");
+    let (steps, _) = second.digest(session).unwrap();
+    assert_eq!(steps, 5, "the step ran once");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
