@@ -5,11 +5,7 @@
 //! Q(2·FRAC) and replicates the exact saturating-arithmetic sequence of
 //! the scalar [`MacAcc`](crate::MacAcc) datapath, so a sweep that applies
 //! the same MAC sequence per lane resolves to bit-identical Q-FRAC
-//! results. The scalar bodies are manually 4-wide unrolled; with the
-//! `simd` feature (x86-64 only) the weight×operand products of
-//! [`mac_lanes`] are formed with SSE4.1 `PMULDQ` when the CPU supports
-//! it, while every saturating accumulate stays scalar — the feature can
-//! therefore never change results, only throughput.
+//! results. The scalar bodies are manually 4-wide unrolled.
 
 /// Initializes accumulators with the leak term `-(x << FRAC)` — exactly
 /// `MacAcc::new()` followed by `mac(-ONE, x)` (the product `-(1<<FRAC)·x`
@@ -35,11 +31,6 @@ pub fn leak_lanes<const FRAC: u32>(accs: &mut [i64], xs: &[i32]) {
 #[inline]
 pub fn mac_lanes(accs: &mut [i64], w_bits: i32, ops: &[i32]) {
     assert_eq!(accs.len(), ops.len(), "lane length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::enabled() {
-        simd::mac_lanes_sse(accs, w_bits, ops);
-        return;
-    }
     let w = w_bits as i64;
     let mut a_it = accs.chunks_exact_mut(4);
     let mut o_it = ops.chunks_exact(4);
@@ -110,50 +101,6 @@ pub fn resolve_lanes<const FRAC: u32>(accs: &[i64], out: &mut [i32]) {
         } else {
             rounded as i32
         };
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod simd {
-    //! SSE4.1 product formation for the constant-weight MAC kernel. Only
-    //! the 32×32→64 multiplies are vectorized; the saturating adds stay
-    //! scalar so results are bit-identical to the portable path.
-
-    use std::sync::OnceLock;
-
-    #[inline]
-    pub fn enabled() -> bool {
-        static DETECTED: OnceLock<bool> = OnceLock::new();
-        *DETECTED.get_or_init(|| std::is_x86_feature_detected!("sse4.1"))
-    }
-
-    #[inline]
-    pub fn mac_lanes_sse(accs: &mut [i64], w_bits: i32, ops: &[i32]) {
-        // SAFETY: gated on runtime SSE4.1 detection by the caller.
-        unsafe { mac_lanes_sse41(accs, w_bits, ops) }
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn mac_lanes_sse41(accs: &mut [i64], w_bits: i32, ops: &[i32]) {
-        use std::arch::x86_64::*;
-        let w = _mm_set1_epi32(w_bits);
-        let n = accs.len() & !1;
-        let mut prods = [0i64; 2];
-        let mut j = 0;
-        while j < n {
-            // PMULDQ multiplies the even 32-bit lanes into two signed
-            // 64-bit products.
-            let o = _mm_set_epi32(0, ops[j + 1], 0, ops[j]);
-            let p = _mm_mul_epi32(o, w);
-            _mm_storeu_si128(prods.as_mut_ptr().cast(), p);
-            accs[j] = accs[j].saturating_add(prods[0]);
-            accs[j + 1] = accs[j + 1].saturating_add(prods[1]);
-            j += 2;
-        }
-        for k in n..accs.len() {
-            accs[k] = accs[k].saturating_add(w_bits as i64 * ops[k] as i64);
-        }
     }
 }
 

@@ -30,8 +30,7 @@
 //! assert_eq!(a.int_part(), 1);
 //! ```
 
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod acc;

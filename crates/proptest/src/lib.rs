@@ -254,7 +254,7 @@ pub mod prop {
     pub mod collection {
         use crate::{Strategy, TestRng};
 
-        /// Length specification for [`vec`]: an exact `usize` or a
+        /// Length specification for [`vec()`]: an exact `usize` or a
         /// half-open `Range<usize>`.
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
@@ -285,7 +285,7 @@ pub mod prop {
             }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,
