@@ -168,12 +168,10 @@ fn mutate(bytes: &[u8], at: usize, len: usize, patch: &[u8], truncate: bool) -> 
     out
 }
 
-/// `tail` behind a well-formed envelope (version, request id, `tag`), so
-/// arbitrary bytes reach the per-message field decoders.
-fn enveloped(tag: u8, tail: &[u8]) -> Vec<u8> {
-    let mut out = Request::Ping.encode_with_id(0x0123_4567_89AB_CDEF);
-    *out.last_mut().expect("the envelope ends in the tag") = tag;
-    out.extend_from_slice(tail);
+/// Every sample request and response, encoded under `id`.
+fn payloads(id: u64) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = requests().iter().map(|r| r.encode_with_id(id)).collect();
+    out.extend(responses().iter().map(|r| r.encode_with_id(id)));
     out
 }
 
@@ -226,30 +224,30 @@ proptest! {
 
     #[test]
     fn messages_decode_arbitrary_bytes(
-        tail in prop::collection::vec(any::<u8>(), 0..256),
-        tag in 0u8..13,
-        framed in any::<bool>(),
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        cut in 0usize..512,
     ) {
-        if framed {
-            check_messages(&enveloped(tag, &tail))?;
-        } else {
-            check_messages(&tail)?;
+        check_messages(&bytes)?;
+        // Behind a valid payload cut anywhere, arbitrary bytes reach
+        // every field decoder, counts and lengths included.
+        for valid in payloads(7) {
+            let mut spliced = valid[..cut % (valid.len() + 1)].to_vec();
+            spliced.extend_from_slice(&bytes);
+            check_messages(&spliced)?;
         }
     }
 
     #[test]
     fn messages_decode_overwritten_or_truncated_payloads(
-        pick in any::<prop::sample::Index>(),
         id in any::<u64>(),
-        at in 0usize..256,
+        at in 0usize..512,
         len in 1usize..16,
         patch in prop::collection::vec(any::<u8>(), 1..16),
         truncate in any::<bool>(),
     ) {
-        let mut valid: Vec<Vec<u8>> = requests().iter().map(|r| r.encode_with_id(id)).collect();
-        valid.extend(responses().iter().map(|r| r.encode_with_id(id)));
-        let bytes = &valid[pick.index(valid.len())];
-        check_messages(&mutate(bytes, at, len, &patch, truncate))?;
+        for valid in payloads(id) {
+            check_messages(&mutate(&valid, at, len, &patch, truncate))?;
+        }
     }
 }
 
@@ -262,18 +260,22 @@ proptest! {
         tokens in any::<bool>(),
     ) {
         let dir = spool_dir("arbitrary");
-        // A valid header, then arbitrary bytes — drawn from the
-        // manifest's own alphabet when `tokens`, so that lines parse
-        // often enough to reach the field checks.
-        let alphabet = b"incarnation=session=system=rows=cols=steps=file=digest= 0123456789abcdef\n";
+        // A valid header, then arbitrary bytes, or, when `tokens`, the
+        // manifest's own tokens, so that lines parse often enough to
+        // reach the field checks.
+        let vocabulary: [&[u8]; 16] = [
+            b"incarnation=", b"session=", b"system=", b"rows=", b"cols=", b"steps=", b"file=",
+            b"digest=", b" ", b"\n", b"0", b"7", b"4294967304", b"18446744073709551616", b"ff",
+            b"x",
+        ];
         let mut bytes = b"CENNMANIFEST 1\n".to_vec();
-        bytes.extend(tail.iter().map(|&b| {
+        for &b in &tail {
             if tokens {
-                alphabet[usize::from(b) % alphabet.len()]
+                bytes.extend_from_slice(vocabulary[usize::from(b) % vocabulary.len()]);
             } else {
-                b
+                bytes.push(b);
             }
-        }));
+        }
         let result = check_manifest(&dir, &bytes);
         let _ = std::fs::remove_dir_all(&dir);
         result?;
