@@ -1298,4 +1298,20 @@ mod tests {
             mgr.close(id, 0).unwrap();
         });
     }
+
+    #[test]
+    fn failed_requests_run_again_and_successes_replay() {
+        let mgr = SessionManager::new(ManagerConfig::new(spool("dedup"))).unwrap();
+        let failed = Response::Error {
+            code: ErrorCode::Overloaded,
+            message: "busy".into(),
+        };
+        assert_eq!(mgr.dedup_begin(9), None);
+        mgr.dedup_finish(9, &failed);
+        assert_eq!(mgr.dedup_begin(9), None, "a failure leaves no mark");
+        mgr.dedup_finish(9, &Response::Closed { session: 3 });
+        assert_eq!(mgr.dedup_begin(9), Some(Response::Closed { session: 3 }));
+        assert_eq!(mgr.dedup_begin(0), None, "id 0 never dedups");
+        assert_eq!(mgr.dedup_begin(0), None);
+    }
 }
