@@ -956,6 +956,61 @@ mod tests {
         assert_eq!(range(&out), range(&clean));
     }
 
+    /// CI's fault-injection smoke, in both metrics formats, must reproduce
+    /// `tests/fixtures/guard_smoke.{jsonl,csv}` byte for byte (re-bless
+    /// with `CENN_BLESS=1 cargo test -p cenn-cli guard_smoke`).
+    #[test]
+    fn guard_smoke_matches_committed_fixtures() {
+        let dir = std::env::temp_dir().join("cenn_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for format in ["jsonl", "csv"] {
+            let name = format!("guard_smoke.{format}");
+            let path = dir.join(&name);
+            dispatch(&s(&[
+                "run",
+                "--system",
+                "fisher",
+                "--grid",
+                "16",
+                "--steps",
+                "24",
+                "--guard",
+                "--checkpoint-every",
+                "8",
+                "--fault-plan",
+                "lut@10:func=0,idx=8,word=0,bit=20",
+                "--on-divergence",
+                "rollback",
+                "--metrics-out",
+                path.to_str().unwrap(),
+                "--metrics-format",
+                format,
+                "--metrics-canonical",
+            ]))
+            .unwrap();
+            let got = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../../tests/fixtures")
+                .join(&name);
+            if std::env::var_os("CENN_BLESS").is_some() {
+                std::fs::write(&fixture, &got).unwrap();
+                continue;
+            }
+            let want = std::fs::read_to_string(&fixture).unwrap_or_else(|e| {
+                panic!(
+                    "missing fixture {}: {e}; run with CENN_BLESS=1",
+                    fixture.display()
+                )
+            });
+            assert_eq!(
+                got, want,
+                "{name} deviates from the golden fixture; if the change is \
+                 intentional, re-bless with CENN_BLESS=1"
+            );
+        }
+    }
+
     #[test]
     fn parse_size_handles_suffixes() {
         assert_eq!(parse_size("4096"), Some(4096));
