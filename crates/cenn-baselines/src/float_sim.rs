@@ -7,6 +7,7 @@ use cenn_core::{
     TemplateKind, WeightExpr,
 };
 use cenn_equations::SystemSetup;
+use cenn_obs::trace::timed;
 use cenn_obs::{
     Event, LutLevel, LutLevelMetrics, Phase, RecorderHandle, RunSummary, StepMetrics, TraceHandle,
 };
@@ -77,21 +78,6 @@ pub struct FloatSim {
     run_cells: u64,
     run_nanos: u64,
     last_residual: f64,
-}
-
-/// Runs `f` inside a span of `phase` on track 0 when a tracer is
-/// attached; calls it directly otherwise.
-fn traced<T>(tracer: &Option<TraceHandle>, phase: Phase, f: impl FnOnce() -> T) -> T {
-    match tracer {
-        Some(tr) => {
-            let t0 = Instant::now();
-            let start = t0.saturating_duration_since(tr.epoch()).as_nanos() as u64;
-            let v = f();
-            tr.record(phase, 0, start, t0.elapsed().as_nanos() as u64);
-            v
-        }
-        None => f(),
-    }
 }
 
 impl FloatSim {
@@ -294,28 +280,28 @@ impl FloatSim {
         let tracer = self.tracer.clone();
         match self.model.integrator() {
             cenn_core::Integrator::Euler => {
-                let k1 = traced(&tracer, Phase::TemplateApply, || {
+                let k1 = timed(tracer.as_ref(), Phase::TemplateApply, || {
                     self.algebraic_pass();
                     self.dyn_rhs()
                 });
-                traced(&tracer, Phase::Integrate, || {
+                timed(tracer.as_ref(), Phase::Integrate, || {
                     self.apply_update(&k1, dt, None, track.then_some(&mut residual));
                 });
             }
             cenn_core::Integrator::Heun => {
-                let k1 = traced(&tracer, Phase::TemplateApply, || {
+                let k1 = timed(tracer.as_ref(), Phase::TemplateApply, || {
                     self.algebraic_pass();
                     self.dyn_rhs()
                 });
-                traced(&tracer, Phase::Integrate, || {
+                timed(tracer.as_ref(), Phase::Integrate, || {
                     self.saved.copy_from(&self.states);
                     self.apply_update(&k1, dt, None, None);
                 });
-                let k2 = traced(&tracer, Phase::TemplateApply, || {
+                let k2 = timed(tracer.as_ref(), Phase::TemplateApply, || {
                     self.algebraic_pass();
                     self.dyn_rhs()
                 });
-                traced(&tracer, Phase::Integrate, || {
+                timed(tracer.as_ref(), Phase::Integrate, || {
                     std::mem::swap(&mut self.states, &mut self.saved);
                     // x <- x0 + dt/2 (k1 + k2)
                     let half = dt / 2.0;

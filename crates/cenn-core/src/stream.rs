@@ -1017,12 +1017,7 @@ impl Store for Spooled {
             self.fill_rows("in", true)?;
         }
         if let Some(tr) = &core.tracer {
-            tr.record(
-                Phase::HaloSync,
-                0,
-                t_fill.saturating_duration_since(tr.epoch()).as_nanos() as u64,
-                t_fill.elapsed().as_nanos() as u64,
-            );
+            tr.record_since(Phase::HaloSync, 0, t_fill);
         }
         let built = self.place_lanes(core, r0, r1);
         for (buf, tile) in core.shard_bufs.iter_mut().zip(&self.win_tiles) {

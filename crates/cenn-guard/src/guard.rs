@@ -2,9 +2,9 @@
 //! with policy-driven recovery.
 
 use std::fmt;
-use std::time::Instant;
 
 use cenn_core::{CennSim, FuncEval, ModelError};
+use cenn_obs::trace::timed;
 use cenn_obs::{CounterId, Event, GuardEvent, MetricsHub, Phase, RecorderHandle, TraceHandle};
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
@@ -125,22 +125,6 @@ struct GuardMetrics {
     checkpoints: CounterId,
     rollbacks: CounterId,
     faults: CounterId,
-}
-
-/// Runs `f` inside a span of `phase` on track 0 when a tracer is
-/// attached; calls it directly otherwise. Guard phases run on the driving
-/// thread, so spans go straight to the collector — no ring needed.
-fn traced<T>(tracer: &Option<TraceHandle>, phase: Phase, f: impl FnOnce() -> T) -> T {
-    match tracer {
-        Some(tr) => {
-            let t0 = Instant::now();
-            let start = t0.saturating_duration_since(tr.epoch()).as_nanos() as u64;
-            let v = f();
-            tr.record(phase, 0, start, t0.elapsed().as_nanos() as u64);
-            v
-        }
-        None => f(),
-    }
 }
 
 impl Guard {
@@ -273,7 +257,7 @@ impl Guard {
             if self.at_boundary(start, now) && self.last_checkpoint_step != Some(now) {
                 self.report.scrubs += 1;
                 self.minc(|m| m.scrubs, 1);
-                let scrub = traced(&self.tracer, Phase::Scrub, || sim.scrub_luts());
+                let scrub = timed(self.tracer.as_ref(), Phase::Scrub, || sim.scrub_luts());
                 if scrub.repaired > 0 {
                     self.report.scrub_repairs += scrub.repaired;
                     self.minc(|m| m.repairs, scrub.repaired);
@@ -297,7 +281,9 @@ impl Guard {
                     )?;
                     continue;
                 }
-                let ckpt = traced(&self.tracer, Phase::Checkpoint, || Checkpoint::capture(sim));
+                let ckpt = timed(self.tracer.as_ref(), Phase::Checkpoint, || {
+                    Checkpoint::capture(sim)
+                });
                 self.store.push(ckpt);
                 self.report.checkpoints += 1;
                 self.minc(|m| m.checkpoints, 1);
@@ -365,7 +351,7 @@ impl Guard {
                     // replay re-diverges identically.
                     self.report.scrubs += 1;
                     self.minc(|m| m.scrubs, 1);
-                    let scrub = traced(&self.tracer, Phase::Scrub, || sim.scrub_luts());
+                    let scrub = timed(self.tracer.as_ref(), Phase::Scrub, || sim.scrub_luts());
                     if scrub.repaired > 0 {
                         self.report.scrub_repairs += scrub.repaired;
                         self.minc(|m| m.repairs, scrub.repaired);
@@ -383,7 +369,7 @@ impl Guard {
                 }
                 let ckpt = self.store.latest().ok_or(GuardError::NoCheckpoint)?;
                 let to = ckpt.step();
-                traced(&self.tracer, Phase::Checkpoint, || {
+                timed(self.tracer.as_ref(), Phase::Checkpoint, || {
                     sim.restore(&ckpt.snapshot)
                 })?;
                 self.monitor.reset();

@@ -418,21 +418,9 @@ impl TraceCollector {
     /// Drains a worker ring into the collector (also accumulates the
     /// ring's drop counter).
     pub fn sink_ring(&mut self, ring: &mut SpanRing) {
-        self.ring_dropped += ring.dropped();
-        ring.dropped = 0;
-        // Manual loop instead of `for span in ring.drain()` — draining
-        // borrows `ring` while the sink needs `self`, so buffer through
-        // the retained-span path directly.
-        ring.head = 0;
-        for span in ring.spans.drain(..) {
-            self.hists[span.phase.index()].record(span.dur_nanos);
-            if self.keep_spans {
-                if self.spans.len() < self.max_spans {
-                    self.spans.push(span);
-                } else {
-                    self.spans_dropped += 1;
-                }
-            }
+        self.ring_dropped += std::mem::take(&mut ring.dropped);
+        for span in ring.drain() {
+            self.sink_span(span);
         }
     }
 
@@ -613,6 +601,16 @@ impl TraceHandle {
             });
     }
 
+    /// Records a span of `phase` on `track` from `t0` until now and
+    /// returns its duration in nanos — the span clock for work timed on
+    /// the driving thread.
+    pub fn record_since(&self, phase: Phase, track: u32, t0: Instant) -> u64 {
+        let dur_nanos = t0.elapsed().as_nanos() as u64;
+        let start_nanos = t0.saturating_duration_since(self.epoch).as_nanos() as u64;
+        self.record(phase, track, start_nanos, dur_nanos);
+        dur_nanos
+    }
+
     /// Records one correlation mark (see [`TraceCollector::sink_mark`]).
     pub fn mark(&self, corr: u64, track: u32, start_nanos: u64, dur_nanos: u64) {
         self.inner
@@ -668,6 +666,19 @@ impl TraceHandle {
     pub fn write_chrome_trace(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         self.with(|c| c.write_chrome_trace(path))
     }
+}
+
+/// Runs `f` inside a span of `phase` on track 0 when a tracer is
+/// attached, and calls it directly otherwise. For phases that run on the
+/// driving thread, so spans go straight to the collector.
+pub fn timed<T>(tracer: Option<&TraceHandle>, phase: Phase, f: impl FnOnce() -> T) -> T {
+    let Some(tracer) = tracer else {
+        return f();
+    };
+    let t0 = Instant::now();
+    let out = f();
+    tracer.record_since(phase, 0, t0);
+    out
 }
 
 impl std::fmt::Debug for TraceHandle {
