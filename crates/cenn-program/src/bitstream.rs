@@ -452,9 +452,10 @@ impl Program {
         }
         let dt_bits = r.i32()?;
 
-        let n_templates = r.u16()? as usize;
-        let mut templates = Vec::with_capacity(n_templates);
-        for _ in 0..n_templates {
+        // Vectors grow as their elements decode: a count read off the wire
+        // reserves nothing, so a corrupt count fails on the bytes it lacks.
+        let mut templates = Vec::new();
+        for _ in 0..r.u16()? {
             let kind = r.u8()?;
             if kind > 2 {
                 return Err(ProgramError::Inconsistent("template kind"));
@@ -466,7 +467,7 @@ impl Program {
                 return Err(ProgramError::BadKernel(k as usize));
             }
             let kk = (k as usize) * (k as usize);
-            let mut words = Vec::with_capacity(kk);
+            let mut words = Vec::new();
             for _ in 0..kk {
                 words.push(r.i32()?);
             }
@@ -481,18 +482,16 @@ impl Program {
             });
         }
 
-        let n_offsets = r.u16()? as usize;
-        let mut offsets = Vec::with_capacity(n_offsets);
-        for _ in 0..n_offsets {
+        let mut offsets = Vec::new();
+        for _ in 0..r.u16()? {
             let dest = r.u8()?;
             let wui = r.u8()? != 0;
             let word = r.i32()?;
             offsets.push(OffsetImage { dest, word, wui });
         }
 
-        let n_dyn = r.u16()? as usize;
-        let mut dyn_descs = Vec::with_capacity(n_dyn);
-        for _ in 0..n_dyn {
+        let mut dyn_descs = Vec::new();
+        for _ in 0..r.u16()? {
             let tag = r.u8()?;
             let a = r.u16()?;
             let b = r.u16()?;
@@ -514,9 +513,8 @@ impl Program {
                 }
                 _ => return Err(ProgramError::Inconsistent("dyn site tag")),
             };
-            let nf = r.u8()? as usize;
-            let mut factors = Vec::with_capacity(nf);
-            for _ in 0..nf {
+            let mut factors = Vec::new();
+            for _ in 0..r.u8()? {
                 let func = r.u16()?;
                 let layer = r.u8()?;
                 if layer >= n_layers {
@@ -527,9 +525,8 @@ impl Program {
             dyn_descs.push(DynDescriptor { site, factors });
         }
 
-        let n_luts = r.u16()? as usize;
-        let mut luts = Vec::with_capacity(n_luts);
-        for _ in 0..n_luts {
+        let mut luts = Vec::new();
+        for _ in 0..r.u16()? {
             let min_idx = r.i32()?;
             let max_idx = r.i32()?;
             // Validate the (untrusted) range BEFORE allocating: the span
