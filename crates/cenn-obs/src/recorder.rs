@@ -73,11 +73,6 @@ impl InMemoryRecorder {
         &self.events
     }
 
-    /// Drains the recorded events.
-    pub fn take_events(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
-    }
-
     /// The last recorded [`RunSummary`], if any.
     pub fn summary(&self) -> Option<&RunSummary> {
         self.events.iter().rev().find_map(|e| match e {
