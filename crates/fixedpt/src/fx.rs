@@ -88,7 +88,19 @@ impl<const FRAC: u32> Fx<FRAC> {
         } else if scaled <= i32::MIN as f64 {
             Self::MIN
         } else {
-            Self(scaled.round() as i32)
+            // Round half away from zero, as `f64::round`, without the libm
+            // call: |scaled| < 2^31, so the truncation and the fractional
+            // remainder are both exact.
+            let t = scaled as i64;
+            let frac = scaled - t as f64;
+            let r = if frac >= 0.5 {
+                t + 1
+            } else if frac <= -0.5 {
+                t - 1
+            } else {
+                t
+            };
+            Self(r as i32)
         }
     }
 

@@ -9,6 +9,22 @@ fn any_fx() -> impl Strategy<Value = Q16_16> {
     any::<i32>().prop_map(Q16_16::from_bits)
 }
 
+/// `from_f64` as it was written with the libm `round`: the reference the
+/// branch-free rounding must match bit for bit.
+fn from_f64_reference(v: f64) -> Q16_16 {
+    if v.is_nan() {
+        return Q16_16::ZERO;
+    }
+    let scaled = v * 65536.0;
+    if scaled >= i32::MAX as f64 {
+        Q16_16::MAX
+    } else if scaled <= i32::MIN as f64 {
+        Q16_16::MIN
+    } else {
+        Q16_16::from_bits(scaled.round() as i32)
+    }
+}
+
 /// Strategy: Q16.16 values in a "safe" range where ops cannot saturate.
 fn small_fx() -> impl Strategy<Value = Q16_16> {
     (-1_000_000i32..=1_000_000).prop_map(Q16_16::from_bits)
@@ -127,5 +143,53 @@ proptest! {
         let s = a.to_string();
         let back: Q16_16 = s.parse().unwrap();
         prop_assert_eq!(back, a);
+    }
+
+    #[test]
+    fn from_f64_matches_libm_round_on_any_bits(bits in any::<u64>()) {
+        let v = f64::from_bits(bits);
+        prop_assert_eq!(Q16_16::from_f64(v), from_f64_reference(v), "{v:e}");
+    }
+
+    #[test]
+    fn from_f64_matches_libm_round_near_half_ulps(k in -70_000i64..70_000, nudge in -3i64..=3) {
+        // The half-ULP boundary (k + 1/2) / 65536 and its f64 neighbours.
+        let mid = (k as f64 + 0.5) / 65536.0;
+        let v = f64::from_bits((mid.to_bits() as i64 + nudge) as u64);
+        prop_assert_eq!(Q16_16::from_f64(v), from_f64_reference(v), "{v:e}");
+        prop_assert_eq!(Q16_16::from_f64(-v), from_f64_reference(-v), "{:e}", -v);
+    }
+}
+
+#[test]
+fn from_f64_matches_libm_round_at_rails_and_specials() {
+    let rail = i32::MAX as f64 / 65536.0;
+    let specials = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        f64::from_bits(1 | 1 << 63),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::MAX,
+        f64::MIN,
+        rail,
+        -rail,
+        rail - 1.0 / 65536.0,
+        -rail - 1.0 / 65536.0,
+        (i32::MAX as f64 - 0.5) / 65536.0,
+        (i32::MIN as f64 + 0.5) / 65536.0,
+    ];
+    for v in specials {
+        for x in [
+            v,
+            f64::from_bits(v.to_bits().wrapping_add(1)),
+            f64::from_bits(v.to_bits().wrapping_sub(1)),
+        ] {
+            assert_eq!(Q16_16::from_f64(x), from_f64_reference(x), "{x:e}");
+        }
     }
 }
