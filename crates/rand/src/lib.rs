@@ -128,10 +128,22 @@ impl_int_ranges!(i8, i16, i32, i64, u8, u16, u32, u64, usize, isize);
 pub mod rngs {
     use super::{RngCore, SeedableRng};
 
+    /// SplitMix64's state increment (the golden-ratio constant γ).
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     /// The workspace's standard seeded generator (SplitMix64).
     #[derive(Debug, Clone)]
     pub struct StdRng {
         state: u64,
+    }
+
+    impl StdRng {
+        /// Skips the next `k` outputs of [`RngCore::next_u64`] in O(1):
+        /// after `k` draws the state is `seed + k·γ`, so any draw of a
+        /// seeded stream can be computed directly.
+        pub fn jump(&mut self, k: u64) {
+            self.state = self.state.wrapping_add(k.wrapping_mul(GAMMA));
+        }
     }
 
     impl SeedableRng for StdRng {
@@ -143,7 +155,7 @@ pub mod rngs {
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
             // SplitMix64 (Steele, Lea & Flood 2014).
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            self.state = self.state.wrapping_add(GAMMA);
             let mut z = self.state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -155,7 +167,7 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn same_seed_same_stream() {
@@ -186,6 +198,26 @@ mod tests {
         let va: Vec<u64> = (0..8).map(|_| a.gen_range(0u64..u64::MAX)).collect();
         let vb: Vec<u64> = (0..8).map(|_| b.gen_range(0u64..u64::MAX)).collect();
         assert_ne!(va, vb);
+    }
+
+    #[test]
+    fn jump_skips_exactly_k_draws() {
+        for seed in [0, 11, 17, 42, u64::MAX] {
+            let mut seq = StdRng::seed_from_u64(seed);
+            for k in 0..300u64 {
+                let mut jumped = StdRng::seed_from_u64(seed);
+                jumped.jump(k);
+                assert_eq!(jumped.next_u64(), seq.next_u64(), "seed {seed}, draw {k}");
+            }
+        }
+        // Ranged draws take one output each, so they line up too.
+        let mut seq = StdRng::seed_from_u64(5);
+        let draws: Vec<f64> = (0..64).map(|_| seq.gen_range(-0.2..0.2)).collect();
+        for (k, &d) in draws.iter().enumerate() {
+            let mut jumped = StdRng::seed_from_u64(5);
+            jumped.jump(k as u64);
+            assert_eq!(jumped.gen_range(-0.2..0.2f64).to_bits(), d.to_bits());
+        }
     }
 
     #[test]
