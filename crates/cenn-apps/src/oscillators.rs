@@ -146,8 +146,8 @@ impl KuramotoLattice {
         });
         Ok(SystemSetup {
             model,
-            initial: vec![(theta, phases)],
-            inputs: vec![(theta, freqs)],
+            initial: vec![(theta, phases.into())],
+            inputs: vec![(theta, freqs.into())],
             observed: vec![(theta, "theta")],
         })
     }

@@ -20,7 +20,7 @@
 //! medium, channels of **6–8 cells** conduct reliably
 //! (`channel_conduction_threshold` pins this down).
 
-use cenn_core::{Grid, ModelError};
+use cenn_core::{Field, Grid, ModelError};
 use cenn_equations::{DynamicalSystem, FixedRunner, ReactionDiffusion};
 
 /// A planning problem: free/blocked cells plus endpoints.
@@ -132,8 +132,9 @@ fn compute_arrival(
         } else {
             u_rest
         }
-    });
-    setup.initial[1].1 = Grid::new(rows, cols, v_rest);
+    })
+    .into();
+    setup.initial[1].1 = Field::Const(v_rest);
     // Obstacles are held at rest by a strong inhibitory input current.
     let drive = cfg.obstacle_drive;
     let obstacles = problem.obstacles.clone();
@@ -143,7 +144,8 @@ fn compute_arrival(
             rows,
             cols,
             |r, c| if obstacles.get(r, c) { drive } else { 0.0 },
-        ),
+        )
+        .into(),
     )];
     // Wire the input template the benchmark doesn't use: the current
     // enters through B (centre 1).

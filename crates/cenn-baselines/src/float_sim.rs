@@ -547,14 +547,15 @@ impl FloatRunner {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from loading the setup's grids.
+    /// Propagates shape errors from loading the setup's fields.
     pub fn new(setup: SystemSetup, precision: Precision) -> Result<Self, ModelError> {
         let mut sim = FloatSim::new(setup.model.clone(), precision);
-        for (layer, grid) in &setup.initial {
-            sim.set_state(*layer, grid.clone())?;
+        let (rows, cols) = (setup.model.rows(), setup.model.cols());
+        for (layer, field) in &setup.initial {
+            sim.set_state(*layer, field.to_grid(rows, cols)?)?;
         }
-        for (layer, grid) in &setup.inputs {
-            sim.set_input(*layer, grid.clone())?;
+        for (layer, field) in &setup.inputs {
+            sim.set_input(*layer, field.to_grid(rows, cols)?)?;
         }
         Ok(Self { sim, setup })
     }

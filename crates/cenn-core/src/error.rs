@@ -25,7 +25,8 @@ pub enum ModelError {
         /// Provided `(rows, cols)`.
         got: (usize, usize),
     },
-    /// A template references a layer id not defined in this model.
+    /// A template, post-step rule or field names a layer id not defined
+    /// in this model.
     UnknownLayer(usize),
     /// A dynamic weight references a function id not registered in the
     /// model's library.
@@ -129,7 +130,7 @@ impl fmt::Display for ModelError {
                 "shape mismatch: expected {}x{}, got {}x{}",
                 expected.0, expected.1, got.0, got.1
             ),
-            Self::UnknownLayer(i) => write!(f, "template references unknown layer {i}"),
+            Self::UnknownLayer(i) => write!(f, "reference to unknown layer {i}"),
             Self::UnknownFunction(i) => write!(f, "weight references unknown function {i}"),
             Self::Lut(e) => write!(f, "LUT generation failed: {e}"),
             Self::Fault(e) => write!(f, "fault injection rejected: {e}"),

@@ -21,6 +21,10 @@
 //!   the error-breakdown study of §6.1. It is the sweep [`Engine`] over
 //!   the in-core [`Resident`] store; [`StreamSim`] is the same engine
 //!   over the [`Spooled`] store for grids run under a memory budget.
+//! * [`Field`] — a layer's initial state or input map as a per-cell rule.
+//!   An engine that has not started holds only its [`Fields`]; starting
+//!   it in-core quantizes them into slabs, and starting it streamed
+//!   writes them straight into the chunk spool.
 //! * [`mapping`] — finite-difference stencils (eq. 5–7) and Taylor
 //!   nonlinear-template derivation (eq. 8–10).
 //!
@@ -51,6 +55,7 @@
 mod boundary;
 mod error;
 pub mod exec;
+mod field;
 mod grid;
 mod layer;
 pub mod mapping;
@@ -63,10 +68,11 @@ mod template;
 pub use boundary::Boundary;
 pub use error::{FaultError, ModelError};
 pub use exec::{ExecEngine, StepStats, Tile, TilePlan};
+pub use field::Field;
 pub use grid::{Grid, LayerView, SoaGrid};
 pub use layer::{LayerId, LayerKind, LayerSpec};
 pub use model::{CennModel, CennModelBuilder, Integrator, LutConfig, PostStepRule, TemplateKind};
-pub use sim::{CennSim, Engine, FuncEval, Resident, StepReport};
+pub use sim::{CennSim, Engine, Fields, FuncEval, Resident, StepReport};
 pub use snapshot::{fnv1a64, fnv1a64_init, snapshot_digest, state_digest, SimSnapshot};
 pub use stream::{Spooled, StreamConfig, StreamError, StreamSim};
 pub use template::{Factor, Stencil, Template, WeightExpr};

@@ -251,16 +251,47 @@ pub fn state_digest(sim: &CennSim) -> u64 {
 /// Digest of an already-taken snapshot — the same bytes and fold as
 /// [`state_digest`].
 pub fn snapshot_digest(snap: &SimSnapshot) -> u64 {
-    let mut h = fnv1a64_init();
-    h = fnv1a64(h, &snap.steps.to_le_bytes());
-    h = fnv1a64(h, &snap.time.to_bits().to_le_bytes());
-    h = fnv1a64(h, &snap.run_cells.to_le_bytes());
-    h = fnv1a64(h, &(snap.states.len() as u64).to_le_bytes());
+    let mut d = StateDigest::new((snap.steps, snap.time, snap.run_cells), snap.states.len());
     for layer in &snap.states {
-        h = fnv1a64(h, &(layer.len() as u64).to_le_bytes());
-        for bits in layer {
-            h = fnv1a64(h, &bits.to_le_bytes());
+        d.layer(layer.len());
+        d.cells(layer.iter().copied());
+    }
+    d.finish()
+}
+
+/// The [`snapshot_digest`] fold taken piece by piece: the counters and
+/// layer count, then each layer's cell count followed by its cells in
+/// row order, in as many pieces as the caller likes. A streamed engine
+/// digests its spool this way, one chunk at a time
+/// ([`Engine::fold_state`](crate::Engine::fold_state)).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StateDigest(u64);
+
+impl StateDigest {
+    /// Starts the fold with the `(steps, time, run_cells)` counters and
+    /// the layer count.
+    pub(crate) fn new((steps, time, run_cells): (u64, f64, u64), n_layers: usize) -> Self {
+        let mut h = fnv1a64_init();
+        h = fnv1a64(h, &steps.to_le_bytes());
+        h = fnv1a64(h, &time.to_bits().to_le_bytes());
+        h = fnv1a64(h, &run_cells.to_le_bytes());
+        Self(fnv1a64(h, &(n_layers as u64).to_le_bytes()))
+    }
+
+    /// Opens the next layer, of `cells` cells.
+    pub(crate) fn layer(&mut self, cells: usize) {
+        self.0 = fnv1a64(self.0, &(cells as u64).to_le_bytes());
+    }
+
+    /// Folds the next raw Q16.16 words of the open layer.
+    pub(crate) fn cells(&mut self, words: impl IntoIterator<Item = i32>) {
+        for w in words {
+            self.0 = fnv1a64(self.0, &w.to_le_bytes());
         }
     }
-    h
+
+    /// The digest.
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
 }

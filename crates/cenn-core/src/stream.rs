@@ -77,7 +77,7 @@ use crate::grid::{Grid, SoaGrid};
 use crate::layer::{LayerId, LayerKind};
 use crate::model::{CennModel, Integrator};
 use crate::sim::{
-    CennSim, Core, Engine, FuncEval, LayerLanes, ShardBuf, StepReport, Store, WindowMut,
+    CennSim, Core, Engine, Fields, FuncEval, LayerLanes, ShardBuf, StepReport, Store, WindowMut,
 };
 use crate::snapshot::{self, SimSnapshot, HEADER_LEN};
 
@@ -443,12 +443,29 @@ struct StreamMetrics {
 }
 
 /// The streamed out-of-core simulator: the engine over the [`Spooled`]
-/// store. Construction is via [`from_sim`](Self::from_sim) (spooling an
-/// in-core sim's state) or [`recover`](Self::recover) (resuming an
-/// existing spool).
+/// store. Construction is via [`start`](Self::start) (writing an
+/// unstarted engine's fields into a fresh spool), [`from_sim`](Self::from_sim)
+/// (spooling an in-core sim's state) or [`recover`](Self::recover)
+/// (resuming an existing spool).
 pub type StreamSim = Engine<Spooled>;
 
 impl Engine<Spooled> {
+    /// Starts `seed` streamed: opens a fresh chunk spool and writes the
+    /// seed's state and input fields into it window by window, so nothing
+    /// whole-grid is ever built. The engine keeps the seed's evaluation
+    /// mode, thread count, recorder and tracer. The spool directory is
+    /// created if absent; an existing journal there is truncated.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::Unsupported`] if the model has non-dynamic layers,
+    /// [`StreamError::Io`] on spool I/O failure.
+    pub fn start(seed: &Engine<Fields>, cfg: StreamConfig) -> Result<Self, StreamError> {
+        let mut s = Self::open(seed.core.clone(), cfg, true)?;
+        s.seed_spool(|input, l, r, out| seed.store.quantize_row(input, l, r, out))?;
+        Ok(s)
+    }
+
     /// Spools an in-core sim's current state (and inputs) to a fresh
     /// chunk spool and returns a streamed engine positioned at the same
     /// step/time counters, with the sim's evaluation mode, thread count,
@@ -461,30 +478,53 @@ impl Engine<Spooled> {
     /// [`StreamError::Unsupported`] if the model has non-dynamic layers,
     /// [`StreamError::Io`] on spool I/O failure.
     pub fn from_sim(sim: &CennSim, cfg: StreamConfig) -> Result<Self, StreamError> {
-        let counters = (sim.core.steps, sim.core.time, sim.core.run_cells);
-        let mut s = Self::open(sim.model().clone(), cfg, sim.eval_mode(), counters, true)?;
+        let mut core = Core::new(sim.model().clone(), sim.eval_mode())?;
+        (core.steps, core.time, core.run_cells) =
+            (sim.core.steps, sim.core.time, sim.core.run_cells);
+        core.recorder = sim.core.recorder.clone();
+        core.tracer = sim.core.tracer.clone();
+        let mut s = Self::open(core, cfg, true)?;
         s.set_threads(sim.threads());
-        s.core.recorder = sim.core.recorder.clone();
-        s.core.tracer = sim.core.tracer.clone();
-        // Seed the spool: state chunks on the current parity, and inputs
-        // once when a layer gathers them.
-        let now = (s.core.steps, s.core.time);
         let cols = s.core.model.cols();
-        let st = &mut s.store;
-        let inputs = st.uses_inputs.then_some(("in", sim.inputs()));
+        s.seed_spool(|input, l, r, out| {
+            let slab = if input { sim.inputs() } else { sim.states() };
+            out.copy_from_slice(&slab.layer_slice(l)[r * cols..][..cols]);
+        })?;
+        Ok(s)
+    }
+
+    /// Writes a fresh spool's first chunks, window by window: the state on
+    /// the current parity, and the inputs once when a layer gathers them.
+    /// `row(input, layer, r, out)` fills row `r` of one layer of either
+    /// into the chunk buffer. This is the one seeding loop: a fresh start
+    /// fills rows from fields, [`from_sim`](Self::from_sim) from its slabs.
+    fn seed_spool(
+        &mut self,
+        mut row: impl FnMut(bool, usize, usize, &mut [Q16_16]),
+    ) -> Result<(), StreamError> {
+        let now = (self.core.steps, self.core.time);
+        let cols = self.core.model.cols();
+        let st = &mut self.store;
+        let streams = [
+            Some((parity_stream(now.0), false)),
+            st.uses_inputs.then_some(("in", true)),
+        ];
         for w in 0..st.n_windows() {
             let (r0, r1) = st.window_bounds(w);
-            for (stream, grid) in
-                std::iter::once((parity_stream(now.0), sim.states())).chain(inputs)
-            {
-                let layers = chunk_layers(grid, r0 * cols..r1 * cols);
+            for &(stream, input) in streams.iter().flatten() {
+                for l in 0..st.out_buf.n_layers() {
+                    let rows = st.out_buf.layer_mut(l).chunks_exact_mut(cols);
+                    for (r, out) in (r0..r1).zip(rows) {
+                        row(input, l, r, out);
+                    }
+                }
+                let layers = chunk_layers(&st.out_buf, 0..(r1 - r0) * cols);
                 st.spill_bytes += st
                     .spool
                     .write_chunk(stream, w, now, layers, &mut st.wstage)?;
             }
         }
-        st.journal.step(&s.core)?;
-        Ok(s)
+        st.journal.step(&self.core)
     }
 
     /// Resumes a spool left by a previous (possibly killed) run: replays
@@ -553,7 +593,9 @@ impl Engine<Spooled> {
             chunk_rows: Some(chunk_rows),
             ..cfg
         };
-        let mut s = Self::open(model, cfg, FuncEval::Lut, baseline, false)?;
+        let mut core = Core::new(model, FuncEval::Lut)?;
+        (core.steps, core.time, core.run_cells) = baseline;
+        let mut s = Self::open(core, cfg, false)?;
         // Validate the window sequence and rebuild the in-flight cursor.
         let n_windows = s.store.n_windows();
         for (k, &(p, w)) in wins.iter().enumerate() {
@@ -590,26 +632,17 @@ impl Engine<Spooled> {
         Ok(s)
     }
 
-    /// Shared construction: model checks, the engine core positioned at
-    /// the `(steps, time, run_cells)` counters, window geometry, resident
-    /// buffers. `fresh` starts a new journal.
-    fn open(
-        model: CennModel,
-        cfg: StreamConfig,
-        eval: FuncEval,
-        (steps, time, run_cells): (u64, f64, u64),
-        fresh: bool,
-    ) -> Result<Self, StreamError> {
-        for id in model.layer_ids() {
-            if model.layer(id).kind() != LayerKind::Dynamic {
+    /// Shared construction over `core`: model checks, window geometry,
+    /// resident buffers. `fresh` starts a new journal.
+    fn open(mut core: Core, cfg: StreamConfig, fresh: bool) -> Result<Self, StreamError> {
+        for id in core.model.layer_ids() {
+            if core.model.layer(id).kind() != LayerKind::Dynamic {
                 return Err(StreamError::Unsupported(format!(
                     "layer {} is not dynamic (algebraic layers need whole-grid sequencing)",
                     id.index()
                 )));
             }
         }
-        let mut core = Core::new(model, eval)?;
-        (core.steps, core.time, core.run_cells) = (steps, time, run_cells);
         let m = &core.model;
         let (rows, cols, n) = (m.rows(), m.cols(), m.n_layers());
         let lut_cfg = m.lut_config();
@@ -741,28 +774,16 @@ impl Engine<Spooled> {
     ///
     /// [`StreamError::Io`] / [`StreamError::Corrupt`] on spool problems.
     pub fn snapshot(&self) -> Result<SimSnapshot, StreamError> {
-        let (n, cols) = (self.core.model.n_layers(), self.core.model.cols());
-        let mut states = vec![vec![0i32; self.core.model.rows() * cols]; n];
-        let mut stage = Vec::new();
-        for w in 0..self.store.n_windows() {
-            let (r0, r1) = self.store.window_bounds(w);
-            let cells = (r1 - r0) * cols;
-            let view = self.store.spool.read_cells(
-                parity_stream(self.core.steps),
-                w,
-                (n, cells),
-                0..cells,
-                &mut stage,
-            )?;
-            for (l, layer) in states.iter_mut().enumerate() {
-                for (slot, v) in layer[r0 * cols..r1 * cols]
-                    .iter_mut()
-                    .zip(view.words(l, 0, cells))
-                {
-                    *slot = v;
-                }
-            }
-        }
+        let cells = self.core.model.rows() * self.core.model.cols();
+        let states = (0..self.core.model.n_layers())
+            .map(|l| {
+                let mut bits = Vec::with_capacity(cells);
+                self.store.visit_layer(&self.core, l, &mut |chunk| {
+                    bits.extend(chunk.iter().map(|v| v.to_bits()));
+                })?;
+                Ok(bits)
+            })
+            .collect::<Result<_, StreamError>>()?;
         Ok(SimSnapshot {
             steps: self.core.steps,
             time: self.core.time,
@@ -777,12 +798,16 @@ impl Engine<Spooled> {
     ///
     /// Propagates spool read failures.
     pub fn state_f64(&self, layer: LayerId) -> Result<Grid<f64>, StreamError> {
-        let snap = self.snapshot()?;
-        let cols = self.core.model.cols();
-        let bits = &snap.states[layer.index()];
-        Ok(Grid::from_fn(self.core.model.rows(), cols, |r, c| {
-            Q16_16::from_bits(bits[r * cols + c]).to_f64()
-        }))
+        let mut grid = Grid::new(self.core.model.rows(), self.core.model.cols(), 0.0);
+        let mut cells = grid.as_mut_slice().iter_mut();
+        self.store
+            .visit_layer(&self.core, layer.index(), &mut |chunk| {
+                // The chunk leads the zip, so its end never drops a grid slot.
+                for (v, slot) in chunk.iter().zip(cells.by_ref()) {
+                    *slot = v.to_f64();
+                }
+            })?;
+        Ok(grid)
     }
 
     /// Advances one full time step (all windows of all passes).
@@ -1106,6 +1131,30 @@ impl Store for Spooled {
 
     fn step_done(&mut self, core: &Core) -> Result<(), StreamError> {
         self.journal.step(core)
+    }
+
+    /// Reads the layer's current-parity cells chunk by chunk. Mid-step
+    /// that parity still holds the last completed step's state (updates
+    /// write the other parity), so the view is always consistent.
+    fn visit_layer(
+        &self,
+        core: &Core,
+        layer: usize,
+        visit: &mut dyn FnMut(&[Q16_16]),
+    ) -> Result<(), StreamError> {
+        let (n, cols) = (core.model.n_layers(), core.model.cols());
+        let (mut stage, mut cells) = (Vec::new(), Vec::new());
+        for w in 0..self.n_windows() {
+            let (r0, r1) = self.window_bounds(w);
+            let k = (r1 - r0) * cols;
+            let view =
+                self.spool
+                    .read_cells(parity_stream(core.steps), w, (n, k), 0..k, &mut stage)?;
+            cells.clear();
+            cells.extend(view.words(layer, 0, k).map(Q16_16::from_bits));
+            visit(&cells);
+        }
+        Ok(())
     }
 
     fn peak_resident_bytes(&self) -> u64 {

@@ -10,7 +10,7 @@
 //! template beyond the Taylor-α form, and a classic CeNN PDE demo (\[37\]).
 
 use cenn_core::{
-    mapping, Boundary, CennModelBuilder, Factor, Grid, ModelError, Template, WeightExpr,
+    mapping, Boundary, CennModelBuilder, Factor, Field, ModelError, Template, WeightExpr,
 };
 use cenn_lut::funcs;
 
@@ -83,7 +83,7 @@ impl DynamicalSystem for Burgers {
         let k = 2.0 * std::f64::consts::PI / cols as f64;
         let ky = 2.0 * std::f64::consts::PI / rows as f64;
         let a = self.u_max;
-        let init = Grid::from_fn(rows, cols, |r, c| {
+        let init = Field::cells(move |r, c| {
             a * (k * c as f64).sin() * (0.5 + 0.5 * (ky * r as f64).cos())
         });
         Ok(SystemSetup {

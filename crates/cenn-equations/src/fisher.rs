@@ -1,6 +1,6 @@
 //! Fisher's equation — coupled diffusion + logistic growth.
 
-use cenn_core::{mapping, Boundary, CennModelBuilder, Factor, Grid, ModelError, WeightExpr};
+use cenn_core::{mapping, Boundary, CennModelBuilder, Factor, Field, ModelError, WeightExpr};
 use cenn_lut::funcs;
 
 use crate::system::{DynamicalSystem, SystemSetup};
@@ -65,7 +65,7 @@ impl DynamicalSystem for Fisher {
         b.lut_config(cfg);
         let model = b.build(self.dt)?;
 
-        let front = Grid::from_fn(rows, cols, |_, c| if c < cols / 8 + 1 { 1.0 } else { 0.0 });
+        let front = Field::cells(move |_, c| if c < cols / 8 + 1 { 1.0 } else { 0.0 });
         Ok(SystemSetup {
             model,
             initial: vec![(u, front)],

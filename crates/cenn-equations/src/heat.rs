@@ -1,6 +1,6 @@
 //! Heat diffusion — the paper's simplest benchmark (single linear PDE).
 
-use cenn_core::{mapping, Boundary, CennModelBuilder, Grid, ModelError};
+use cenn_core::{mapping, Boundary, CennModelBuilder, Field, ModelError};
 
 use crate::system::{DynamicalSystem, SystemSetup};
 
@@ -50,7 +50,7 @@ impl DynamicalSystem for Heat {
         let (cr, cc) = (rows as f64 / 2.0, cols as f64 / 2.0);
         let sigma2 = (rows.min(cols) as f64 / 8.0).powi(2).max(1.0);
         let peak = self.peak;
-        let init = Grid::from_fn(rows, cols, |r, c| {
+        let init = Field::cells(move |r, c| {
             let d2 = (r as f64 - cr).powi(2) + (c as f64 - cc).powi(2);
             peak * (-d2 / (2.0 * sigma2)).exp()
         });

@@ -1,7 +1,7 @@
 //! Hodgkin–Huxley membrane dynamics — the paper's exp/LUT-heavy benchmark.
 
 use cenn_core::{
-    mapping, Boundary, CennModelBuilder, Factor, Grid, ModelError, Template, WeightExpr,
+    mapping, Boundary, CennModelBuilder, Factor, Field, ModelError, Template, WeightExpr,
 };
 use cenn_lut::{funcs, LutSpec, NonlinearFn};
 
@@ -283,14 +283,14 @@ impl DynamicalSystem for HodgkinHuxley {
 
         // Rest-state initialization with steady-state gates at V = -65.
         let v0 = -65.0;
-        let init_v = Grid::new(rows, cols, v0);
-        let init_n = Grid::new(rows, cols, rates::steady(rates::alpha_n, rates::beta_n, v0));
-        let init_m = Grid::new(rows, cols, rates::steady(rates::alpha_m, rates::beta_m, v0));
-        let init_h = Grid::new(rows, cols, rates::steady(rates::alpha_h, rates::beta_h, v0));
+        let init_v = Field::Const(v0);
+        let init_n = Field::Const(rates::steady(rates::alpha_n, rates::beta_n, v0));
+        let init_m = Field::Const(rates::steady(rates::alpha_m, rates::beta_m, v0));
+        let init_h = Field::Const(rates::steady(rates::alpha_h, rates::beta_h, v0));
         // Current injected into a central patch (wave source when coupled).
         let (cr, cc) = (rows / 2, cols / 2);
         let i_inj = self.i_inj;
-        let input = Grid::from_fn(rows, cols, |r, c| {
+        let input = Field::cells(move |r, c| {
             if r.abs_diff(cr) <= rows / 4 && c.abs_diff(cc) <= cols / 4 {
                 i_inj
             } else {

@@ -55,6 +55,7 @@ pub use izhikevich::Izhikevich;
 pub use navier_stokes::NavierStokes;
 pub use rd::ReactionDiffusion;
 pub use system::{
-    all_benchmarks, extended_benchmarks, system_by_name, DynamicalSystem, PostStepRule, SystemSetup,
+    all_benchmarks, extended_benchmarks, system_by_name, DynamicalSystem, Field, PostStepRule,
+    SystemSetup,
 };
 pub use wave::Wave;

@@ -2,7 +2,7 @@
 //! the paper's "single PDE with nonlinear template" benchmark.
 
 use cenn_core::{
-    mapping, Boundary, CennModelBuilder, Factor, Grid, ModelError, Template, WeightExpr,
+    mapping, Boundary, CennModelBuilder, Factor, Field, ModelError, Template, WeightExpr,
 };
 use cenn_lut::funcs;
 
@@ -159,13 +159,11 @@ impl DynamicalSystem for NavierStokes {
         // Taylor–Green initial condition scaled to u_max.
         let k = Self::wavenumber(rows.max(cols));
         let a = self.u_max / k; // psi amplitude
-        let psi0 = Grid::from_fn(rows, cols, |r, c| {
-            a * (k * r as f64).sin() * (k * c as f64).sin()
-        });
-        let omega0 = psi0.map(|p| 2.0 * k * k * p);
+        let psi0 = move |r: usize, c: usize| a * (k * r as f64).sin() * (k * c as f64).sin();
+        let omega0 = Field::cells(move |r, c| 2.0 * k * k * psi0(r, c));
         Ok(SystemSetup {
             model,
-            initial: vec![(psi, psi0), (omega, omega0)],
+            initial: vec![(psi, Field::cells(psi0)), (omega, omega0)],
             inputs: vec![],
             observed: vec![(omega, "omega")],
         })

@@ -15,7 +15,7 @@
 //! well-behaved over long runs — standard practice in CeNN wave
 //! simulation (\[37\] in the paper).
 
-use cenn_core::{mapping, Boundary, CennModelBuilder, Grid, ModelError};
+use cenn_core::{mapping, Boundary, CennModelBuilder, Field, ModelError};
 
 use crate::system::{DynamicalSystem, SystemSetup};
 
@@ -82,7 +82,7 @@ impl DynamicalSystem for Wave {
         let (cr, cc) = (rows as f64 / 2.0, cols as f64 / 2.0);
         let sigma2 = (rows.min(cols) as f64 / 12.0).powi(2).max(1.0);
         let amp = self.amplitude;
-        let init_w = Grid::from_fn(rows, cols, |r, c| {
+        let init_w = Field::cells(move |r, c| {
             let d2 = (r as f64 - cr).powi(2) + (c as f64 - cc).powi(2);
             amp * (-d2 / (2.0 * sigma2)).exp()
         });

@@ -17,10 +17,12 @@ proptest! {
             prop_assert_eq!(setup.model.rows(), rows, "{}", sys.name());
             prop_assert_eq!(setup.model.cols(), cols, "{}", sys.name());
             // Initial grids match the model shape.
-            for (_, g) in &setup.initial {
+            for (_, f) in &setup.initial {
+                let g = f.to_grid(rows, cols).unwrap();
                 prop_assert_eq!((g.rows(), g.cols()), (rows, cols));
             }
-            for (_, g) in &setup.inputs {
+            for (_, f) in &setup.inputs {
+                let g = f.to_grid(rows, cols).unwrap();
                 prop_assert_eq!((g.rows(), g.cols()), (rows, cols));
             }
         }

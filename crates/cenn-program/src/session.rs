@@ -25,8 +25,8 @@ use crate::bitstream::{Program, ProgramError};
 ///
 /// let setup = Fisher::default().build(32, 32).unwrap();
 /// let mut s = SolverSession::new(setup.model.clone(), MemorySpec::hmc_int()).unwrap();
-/// for (layer, grid) in &setup.initial {
-///     s.sim_mut().set_state_f64(*layer, grid).unwrap();
+/// for (layer, field) in &setup.initial {
+///     s.sim_mut().set_state_f64(*layer, &field.to_grid(32, 32).unwrap()).unwrap();
 /// }
 /// s.run(20);
 /// let est = s.estimate();
@@ -230,8 +230,10 @@ mod tests {
     fn session_programs_and_estimates() {
         let setup = Fisher::default().build(32, 32).unwrap();
         let mut s = SolverSession::new(setup.model.clone(), MemorySpec::ddr3()).unwrap();
-        for (layer, grid) in &setup.initial {
-            s.sim_mut().set_state_f64(*layer, grid).unwrap();
+        for (layer, field) in &setup.initial {
+            s.sim_mut()
+                .set_state_f64(*layer, &field.to_grid(32, 32).unwrap())
+                .unwrap();
         }
         s.run(10);
         let (mr1, _) = s.miss_rates();
@@ -249,9 +251,10 @@ mod tests {
         let mut par = SolverSession::new(setup.model.clone(), MemorySpec::ddr3()).unwrap();
         par.set_threads(4);
         assert_eq!(par.threads(), 4);
-        for (layer, grid) in &setup.initial {
-            serial.sim_mut().set_state_f64(*layer, grid).unwrap();
-            par.sim_mut().set_state_f64(*layer, grid).unwrap();
+        for (layer, field) in &setup.initial {
+            let grid = field.to_grid(32, 32).unwrap();
+            serial.sim_mut().set_state_f64(*layer, &grid).unwrap();
+            par.sim_mut().set_state_f64(*layer, &grid).unwrap();
         }
         serial.run(10);
         par.run(10);
@@ -271,8 +274,10 @@ mod tests {
         let mut s = SolverSession::new(setup.model.clone(), MemorySpec::ddr3())
             .unwrap()
             .with_recorder(handle);
-        for (layer, grid) in &setup.initial {
-            s.sim_mut().set_state_f64(*layer, grid).unwrap();
+        for (layer, field) in &setup.initial {
+            s.sim_mut()
+                .set_state_f64(*layer, &field.to_grid(32, 32).unwrap())
+                .unwrap();
         }
         s.run(5);
         s.record_summary();

@@ -62,8 +62,9 @@ fn main() {
         session.program().templates.len(),
         session.program().lut_bytes()
     );
-    for (layer, grid) in &setup.initial {
-        session.sim_mut().set_state_f64(*layer, grid).unwrap();
+    for (layer, field) in &setup.initial {
+        let grid = field.to_grid(64, 64).unwrap();
+        session.sim_mut().set_state_f64(*layer, &grid).unwrap();
     }
     let metrics = metrics_out.map(|path| {
         let sink = JsonlSink::create(&path, canonical).expect("create metrics file");

@@ -52,8 +52,9 @@ fn main() {
         } else {
             u_rest
         }
-    });
-    setup.initial[1].1 = Grid::new(side, side, v_rest);
+    })
+    .into();
+    setup.initial[1].1 = Grid::new(side, side, v_rest).into();
 
     let mut runner = FixedRunner::new(setup).expect("runner");
     for _ in 0..4 {

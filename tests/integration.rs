@@ -14,11 +14,13 @@ fn every_benchmark_runs_end_to_end_on_ddr3() {
             .unwrap_or_else(|_| panic!("{}", sys.name()));
         let mut session = SolverSession::new(setup.model.clone(), MemorySpec::ddr3())
             .unwrap_or_else(|_| panic!("{}", sys.name()));
-        for (layer, grid) in &setup.initial {
-            session.sim_mut().set_state_f64(*layer, grid).unwrap();
+        for (layer, field) in &setup.initial {
+            let grid = field.to_grid(32, 32).unwrap();
+            session.sim_mut().set_state_f64(*layer, &grid).unwrap();
         }
-        for (layer, grid) in &setup.inputs {
-            session.sim_mut().set_input_f64(*layer, grid).unwrap();
+        for (layer, field) in &setup.inputs {
+            let grid = field.to_grid(32, 32).unwrap();
+            session.sim_mut().set_input_f64(*layer, &grid).unwrap();
         }
         session.run(10);
         let est = session.estimate();
@@ -87,8 +89,9 @@ fn measured_miss_rates_feed_plausible_estimates() {
     let sys = cenn::equations::ReactionDiffusion::default();
     let setup = sys.build(64, 64).unwrap();
     let mut session = SolverSession::new(setup.model.clone(), MemorySpec::ddr3()).unwrap();
-    for (layer, grid) in &setup.initial {
-        session.sim_mut().set_state_f64(*layer, grid).unwrap();
+    for (layer, field) in &setup.initial {
+        let grid = field.to_grid(64, 64).unwrap();
+        session.sim_mut().set_state_f64(*layer, &grid).unwrap();
     }
     session.run(20);
     let (mr1, mr2) = session.miss_rates();

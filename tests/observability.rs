@@ -179,8 +179,9 @@ fn quickstart_metrics_match_committed_fixture() {
     };
     let setup = system.build(64, 64).unwrap();
     let mut session = SolverSession::new(setup.model.clone(), MemorySpec::ddr3()).unwrap();
-    for (layer, grid) in &setup.initial {
-        session.sim_mut().set_state_f64(*layer, grid).unwrap();
+    for (layer, field) in &setup.initial {
+        let grid = field.to_grid(64, 64).unwrap();
+        session.sim_mut().set_state_f64(*layer, &grid).unwrap();
     }
     let path = std::env::temp_dir().join("cenn_obs_quickstart_golden.jsonl");
     let handle = RecorderHandle::new(JsonlSink::create(&path, true).unwrap());
