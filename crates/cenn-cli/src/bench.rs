@@ -10,7 +10,7 @@ use cenn::equations::FixedRunner;
 use cenn::obs::trace::{Phase, TraceHandle};
 use cenn::obs::{parse_json, JsonValue};
 
-use crate::cli::{build_profile_setup, CliError};
+use crate::cli::{build_profile_setup, CliError, SpoolDir};
 
 /// Result-file schema version (bumped on breaking shape changes).
 pub const BENCH_SCHEMA: u64 = 1;
@@ -199,30 +199,23 @@ pub fn run_suite(opts: &BenchOpts) -> Result<BenchResults, CliError> {
         let mut totals: Vec<Vec<u64>> = vec![Vec::new(); Phase::ALL.len()];
         let mut walls = Vec::new();
         for rep in 0..opts.repeat {
+            let spool = w.budget.map(|budget| {
+                let name = w.name().replace('@', "_");
+                (budget, SpoolDir::new(None, "bench_spool", &name))
+            });
             let setup = build_profile_setup(w.system, w.grid)?;
             let mut runner =
                 FixedRunner::new(setup).map_err(|e| err(format!("simulator setup: {e}")))?;
             runner.set_threads(opts.threads);
-            let spool = w.budget.map(|budget| {
-                let dir = std::env::temp_dir().join(format!(
-                    "cenn_bench_spool_{}_{}",
-                    std::process::id(),
-                    w.name().replace('@', "_")
-                ));
-                (budget, dir)
-            });
             if let Some((budget, dir)) = &spool {
                 runner
-                    .set_memory_budget(*budget, dir)
+                    .set_memory_budget(*budget, dir.path())
                     .map_err(|e| err(format!("{}: --memory-budget: {e}", w.name())))?;
             }
             let tracer = TraceHandle::histograms_only();
             runner.set_tracer(tracer.clone());
             runner.run(w.steps);
             walls.push(runner.run_nanos());
-            if let Some((_, dir)) = &spool {
-                let _ = std::fs::remove_dir_all(dir);
-            }
             let rep_counts: Vec<(Phase, u64)> = Phase::ALL
                 .iter()
                 .map(|&p| (p, tracer.with(|c| c.phase_count(p))))

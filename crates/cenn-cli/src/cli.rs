@@ -1,12 +1,15 @@
 //! Argument parsing and command implementations.
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use cenn::arch::{CycleModel, MemorySpec, PeArrayConfig};
 use cenn::core::Integrator;
 use cenn::equations::{
     all_benchmarks, extended_benchmarks, DynamicalSystem, FixedRunner, SystemSetup,
 };
+use cenn::fx::Q16_16;
 use cenn::program::Program;
 use cenn::render;
 
@@ -32,7 +35,11 @@ USAGE:
       --memory-budget SIZE (accepts K/M/G suffixes) runs the grid
       streamed out-of-core: only a bounded window of tile rows stays
       resident, with halo exchange against CENNCKPT state chunks spilled
-      to --spool (default: a temp directory, removed after the run).
+      to --spool (default: a temp directory of its own, removed when the
+      command ends, whether or not it succeeds; a --spool DIR is kept).
+      The seeded state is written straight into the spool and the closing
+      digest and ranges are read back chunk by chunk, so the run holds
+      only its budget; --render and --pgm still assemble the whole grid.
       States stay bit-identical to in-core execution — the printed state
       digest is the proof. Incompatible with --guard (the spool journal
       is the streamed recovery path).
@@ -319,6 +326,47 @@ pub fn parse_opts(args: &[String]) -> Result<RunOpts, CliError> {
     Ok(opts)
 }
 
+/// A budgeted command's spool directory: the user's `--spool DIR`, kept
+/// after the command, or a temporary directory named
+/// `cenn_<tag>_<pid>_<n>_<name>`, unique within the process, that the
+/// guard removes when it drops — on every exit path, errors included.
+pub(crate) struct SpoolDir {
+    path: PathBuf,
+    temporary: bool,
+}
+
+impl SpoolDir {
+    pub(crate) fn new(user: Option<&str>, tag: &str, name: &str) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        match user {
+            Some(dir) => Self {
+                path: dir.into(),
+                temporary: false,
+            },
+            None => Self {
+                path: std::env::temp_dir().join(format!(
+                    "cenn_{tag}_{}_{}_{name}",
+                    std::process::id(),
+                    NEXT.fetch_add(1, Ordering::Relaxed)
+                )),
+                temporary: true,
+            },
+        }
+    }
+
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for SpoolDir {
+    fn drop(&mut self) {
+        if self.temporary {
+            let _ = std::fs::remove_dir_all(&self.path);
+        }
+    }
+}
+
 /// Effective worker count: `--threads`, else `CENN_THREADS`, else serial.
 fn resolve_threads(opts: &RunOpts) -> usize {
     opts.threads
@@ -401,25 +449,20 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
     } else {
         opts.steps
     };
+    // Declared before the runner, so it is removed after the runner
+    // closes its journal.
+    let spool = opts
+        .memory_budget
+        .map(|_| SpoolDir::new(opts.spool.as_deref(), "spool", &opts.system));
     let mut runner =
         FixedRunner::new(build_setup(&opts)?).map_err(|e| err(format!("simulator setup: {e}")))?;
     let threads = resolve_threads(&opts);
     runner.set_threads(threads);
-    // Streamed out-of-core mode: spool the seeded state, then every step
-    // sweeps in bounded windows. Must happen before the run starts.
-    let default_spool = opts.memory_budget.is_some() && opts.spool.is_none();
-    let spool_dir = match (&opts.spool, opts.memory_budget) {
-        (Some(dir), _) => Some(std::path::PathBuf::from(dir)),
-        (None, Some(_)) => Some(std::env::temp_dir().join(format!(
-            "cenn_spool_{}_{}",
-            std::process::id(),
-            opts.system
-        ))),
-        (None, None) => None,
-    };
-    if let (Some(budget), Some(dir)) = (opts.memory_budget, &spool_dir) {
+    // Streamed out-of-core mode: seed the spool from the setup, then every
+    // step sweeps in bounded windows. Must happen before the run starts.
+    if let (Some(budget), Some(dir)) = (opts.memory_budget, &spool) {
         runner
-            .set_memory_budget(budget, dir)
+            .set_memory_budget(budget, dir.path())
             .map_err(|e| err(format!("--memory-budget: {e}")))?;
     }
     let metrics = match &opts.metrics_out {
@@ -484,11 +527,17 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
             .map_err(|e| err(format!("writing {path}: {e}")))?;
     }
 
-    let digest = cenn::core::snapshot_digest(
-        &runner
-            .snapshot()
-            .map_err(|e| err(format!("reading spool: {e}")))?,
-    );
+    // The digest and each layer's raw range, in one pass over the state
+    // (chunk by chunk from the spool when streamed).
+    let mut ranges = vec![(i32::MAX, i32::MIN); runner.setup().model.n_layers()];
+    let digest = runner
+        .fold_state(|l, cells| {
+            let (lo, hi) = &mut ranges[l];
+            for v in cells {
+                (*lo, *hi) = ((*lo).min(v.to_bits()), (*hi).max(v.to_bits()));
+            }
+        })
+        .map_err(|e| err(format!("reading spool: {e}")))?;
 
     let mut out = String::new();
     writeln!(
@@ -537,12 +586,13 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
     let (mr1, mr2) = runner.miss_rates();
     writeln!(out, "LUT miss rates: mr_L1 = {mr1:.3}, mr_L2 = {mr2:.3}").unwrap();
     writeln!(out, "state digest: {digest:016x}").unwrap();
-    for (name, grid) in runner.observed_states() {
+    for (id, name) in &runner.setup().observed {
+        let (lo, hi) = ranges[id.index()];
         writeln!(
             out,
             "layer {name}: range [{:.4}, {:.4}]",
-            grid.iter().cloned().fold(f64::MAX, f64::min),
-            grid.iter().cloned().fold(f64::MIN, f64::max)
+            Q16_16::from_bits(lo).to_f64(),
+            Q16_16::from_bits(hi).to_f64()
         )
         .unwrap();
     }
@@ -588,11 +638,6 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         writeln!(out, "  throughput:   {:.1} GOPS", est.achieved_gops()).unwrap();
         writeln!(out, "  system power: {:.2} W", est.system_power_w()).unwrap();
         writeln!(out, "  efficiency:   {:.1} GOPS/W", est.gops_per_watt()).unwrap();
-    }
-    if default_spool {
-        if let Some(dir) = &spool_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
     }
     Ok(out.trim_end().to_string())
 }

@@ -7,7 +7,7 @@ use cenn::equations::FixedRunner;
 use cenn::obs::trace::TraceHandle;
 use cenn::obs::SpanSummary;
 
-use crate::cli::{build_profile_setup, parse_size, system_default_steps, CliError};
+use crate::cli::{build_profile_setup, parse_size, system_default_steps, CliError, SpoolDir};
 
 /// Parsed options for `profile`.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,20 +113,15 @@ pub fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     } else {
         opts.steps
     };
+    let spool = opts
+        .memory_budget
+        .map(|budget| (budget, SpoolDir::new(None, "profile_spool", &opts.system)));
     let setup = build_profile_setup(&opts.system, opts.grid)?;
     let mut runner = FixedRunner::new(setup).map_err(|e| err(format!("simulator setup: {e}")))?;
     runner.set_threads(opts.threads);
-    let spool = opts.memory_budget.map(|budget| {
-        let dir = std::env::temp_dir().join(format!(
-            "cenn_profile_spool_{}_{}",
-            std::process::id(),
-            opts.system
-        ));
-        (budget, dir)
-    });
     if let Some((budget, dir)) = &spool {
         runner
-            .set_memory_budget(*budget, dir)
+            .set_memory_budget(*budget, dir.path())
             .map_err(|e| err(format!("--memory-budget: {e}")))?;
     }
     // Spans are only retained when they will be exported; histograms are
@@ -145,9 +140,6 @@ pub fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         windows: runner.stream().map(|s| (s.chunk_rows(), s.n_windows())),
     };
     let summaries = tracer.summaries();
-    if let Some((_, dir)) = &spool {
-        let _ = std::fs::remove_dir_all(dir);
-    }
     if let Some(path) = &opts.trace_out {
         tracer
             .write_chrome_trace(path)
