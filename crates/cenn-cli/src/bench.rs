@@ -376,24 +376,39 @@ const NOISE_FLOOR_NANOS: u64 = 100_000;
 /// Compares `candidate` against `baseline`: flags any phase whose median
 /// total grew more than `threshold_pct` (beyond the noise floor), and any
 /// drift in the exact span counts (a determinism-contract violation, not
-/// a perf problem — still a regression).
+/// a perf problem — still a regression). A phase present on one side
+/// only is count drift too, whichever side lacks it, and so is a baseline
+/// workload the candidate lacks; a workload new in the candidate has
+/// nothing to compare against.
 pub fn compare(
     baseline: &BenchResults,
     candidate: &BenchResults,
     threshold_pct: f64,
 ) -> Vec<Regression> {
     let mut out = Vec::new();
+    let drift = |workload: &str, phase: &str, detail: &str| Regression {
+        workload: workload.into(),
+        phase: phase.into(),
+        detail: format!("{detail} (count drift)"),
+    };
+    for bw in &baseline.workloads {
+        let Some(cw) = candidate.workloads.iter().find(|c| c.name == bw.name) else {
+            out.push(drift(&bw.name, "*", "workload absent from candidate"));
+            continue;
+        };
+        for (phase, _, _) in &bw.phases {
+            if !cw.phases.iter().any(|(p, _, _)| p == phase) {
+                out.push(drift(&bw.name, phase, "phase absent from candidate"));
+            }
+        }
+    }
     for cw in &candidate.workloads {
         let Some(bw) = baseline.workloads.iter().find(|b| b.name == cw.name) else {
             continue;
         };
         for (phase, count, nanos) in &cw.phases {
             let Some((_, b_count, b_nanos)) = bw.phases.iter().find(|(p, _, _)| p == phase) else {
-                out.push(Regression {
-                    workload: cw.name.clone(),
-                    phase: phase.clone(),
-                    detail: "phase absent from baseline (count drift)".into(),
-                });
+                out.push(drift(&cw.name, phase, "phase absent from baseline"));
                 continue;
             };
             if count != b_count {
@@ -689,6 +704,23 @@ mod tests {
         let mut small_cand = sample(3_000_000, 20);
         small_cand.workloads[0].phases[0].2 = 80_000;
         assert!(compare(&small_base, &small_cand, 25.0).is_empty());
+        // A phase on one side only is count drift, whichever side lacks
+        // it; so is a baseline workload the candidate lacks.
+        let mut lost_phase = sample(3_000_000, 20);
+        lost_phase.workloads[0].phases.remove(0);
+        for (b, c) in [(&base, &lost_phase), (&lost_phase, &base)] {
+            let regs = compare(b, c, 25.0);
+            assert_eq!(regs.len(), 1, "{regs:?}");
+            assert_eq!(regs[0].phase, "lut_lookup");
+            assert!(regs[0].detail.contains("count drift"), "{}", regs[0].detail);
+        }
+        let mut no_workloads = sample(3_000_000, 20);
+        no_workloads.workloads.clear();
+        let regs = compare(&base, &no_workloads, 25.0);
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert_eq!(regs[0].workload, "fisher@16");
+        assert!(regs[0].detail.contains("count drift"), "{}", regs[0].detail);
+        assert!(compare(&no_workloads, &base, 25.0).is_empty());
     }
 
     #[test]

@@ -9,22 +9,26 @@
 //!   each cell is assigned to the LUT shard (L2 group,
 //!   [`cenn_lut::PES_PER_L2`] consecutive PEs) that its PE belongs to,
 //!   preserving row-major order within the tile. A shard's cache state is
-//!   touched only by its own PEs, so tiles are the natural unit of
-//!   parallelism. The plan itself is geometry only; tiles exist only for
-//!   the window being swept.
+//!   touched only by its own PEs, so tiles are the unit of parallelism of
+//!   the weight pass (the LUT lookups). The template pass needs no tiles:
+//!   it works row by row and splits a window into one row band per
+//!   shard. The plan itself is geometry only; tiles exist only for the
+//!   window being swept, and only for models with dynamic weight sites.
 //! * [`ExecEngine`] fans work items out over scoped worker threads
-//!   (`std::thread::scope`; no dependencies, no unsafe). With one thread
-//!   it degenerates to a plain loop.
+//!   (`std::thread::scope`; no dependencies, no unsafe), one contiguous
+//!   share per worker. With one thread it degenerates to a plain loop.
 //! * [`StepStats`] records what one step cost: per-sweep wall-clock nanos,
 //!   per-shard LUT traffic deltas, and cell throughput.
 //!
 //! Determinism contract (also see `DESIGN.md`): LUT cache state never
-//! changes a looked-up *value* — every level stores exact off-chip entries,
-//! so the hit level affects only latency counters. Fixed-point cell values
-//! are therefore bit-identical under any sweep order. Statistics are
-//! per-shard state, and a tile visits its shard's cells in the same
-//! row-major order the serial sweep would, so per-PE and per-shard counters
-//! are bit-identical too; aggregate stats are order-independent `u64` sums.
+//! changes a looked-up *value* — the caches hold tags and every value is
+//! read from the off-chip table, so the hit level affects only latency
+//! counters. Each cell's fixed-point value depends only on the previous
+//! states and its own exact MAC sequence, so values are bit-identical
+//! under any sweep order, row bands included. Statistics are per-shard
+//! state, and a tile visits its shard's cells in the same row-major order
+//! the serial sweep would, so per-PE and per-shard counters are
+//! bit-identical too; aggregate stats are order-independent `u64` sums.
 
 use cenn_lut::{LutStats, PES_PER_L2};
 
@@ -56,8 +60,9 @@ impl Tile {
     }
 
     /// Flat row-major grid index (`r * cols + c`) of every tile cell, in
-    /// the same sweep order as [`cells`](Self::cells) — the gather/scatter
-    /// index stream of the slab kernels.
+    /// the same sweep order as [`cells`](Self::cells) — where the weight
+    /// pass reads its cells' states, and where it writes their weights in
+    /// the row-major site lanes.
     pub fn flats(&self) -> &[u32] {
         &self.flats
     }
@@ -167,13 +172,27 @@ impl TilePlan {
         mut local_row_of: impl FnMut(usize) -> usize,
     ) -> Vec<Tile> {
         assert!(row0 < row1 && row1 <= self.rows, "window out of range");
-        let mut tiles: Vec<Tile> = (0..self.n_shards())
-            .map(|s| Tile {
-                shard: s,
-                pe_base: s * PES_PER_L2,
-                cells: Vec::new(),
-                flats: Vec::new(),
-                pes: Vec::new(),
+        // Cells per shard, so each tile is allocated at exactly its size:
+        // a row's split over shards depends only on its PE row.
+        let n = self.n_shards();
+        let mut per_pe_row = vec![0usize; self.pe_rows * n];
+        for pr in 0..self.pe_rows {
+            for c in 0..self.cols {
+                per_pe_row[pr * n + self.pe_of(pr, c) / PES_PER_L2] += 1;
+            }
+        }
+        let mut tiles: Vec<Tile> = (0..n)
+            .map(|s| {
+                let len = (row0..row1)
+                    .map(|r| per_pe_row[(r % self.pe_rows) * n + s])
+                    .sum();
+                Tile {
+                    shard: s,
+                    pe_base: s * PES_PER_L2,
+                    cells: Vec::with_capacity(len),
+                    flats: Vec::with_capacity(len),
+                    pes: Vec::with_capacity(len),
+                }
             })
             .collect();
         for r in row0..row1 {
@@ -243,22 +262,32 @@ impl ExecEngine {
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
+        self.for_each_chunk_mut(items, |first, part| {
+            for (j, item) in part.iter_mut().enumerate() {
+                f(first + j, item);
+            }
+        });
+    }
+
+    /// Hands each worker its contiguous share of `items` at once:
+    /// `f(first, part)` with `first` the index of `part[0]` in `items`.
+    /// The partition is [`for_each_mut`](Self::for_each_mut)'s, so a
+    /// worker can carry state (a span clock, say) from item to item.
+    pub fn for_each_chunk_mut<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
         let workers = self.threads.min(items.len());
         if workers <= 1 {
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
-            }
+            f(0, items);
             return;
         }
         let chunk = items.len().div_ceil(workers);
         std::thread::scope(|scope| {
             for (w, part) in items.chunks_mut(chunk).enumerate() {
                 let f = &f;
-                scope.spawn(move || {
-                    for (j, item) in part.iter_mut().enumerate() {
-                        f(w * chunk + j, item);
-                    }
-                });
+                scope.spawn(move || f(w * chunk, part));
             }
         });
     }

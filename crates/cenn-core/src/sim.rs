@@ -1,12 +1,34 @@
 //! The functional fixed-point simulator of the CeNN DE solver: one sweep
 //! engine over a pluggable state store.
+//!
+//! # The sweep
+//!
+//! A sweep evaluates eq. (1)'s right-hand side for one window in two
+//! passes (see [`Engine`] for the whole step):
+//!
+//! * the **weight pass**, for layers with dynamic weight sites, runs per
+//!   LUT shard over the shard's tile ([`crate::exec::TilePlan::window`])
+//!   in the serial per-shard cell order, so every cache counter is exact,
+//!   and then writes each site's scaled weights row-major;
+//! * the **template pass** is row-direct: for each output row, each tap
+//!   multiply-accumulates its source row, shifted by the tap's column
+//!   offset, as one contiguous slice, the boundary resolved once per row
+//!   and edge column through [`Boundary::resolve`], and one rounding
+//!   writes the RHS row. Worker threads take one row band per shard.
+//!
+//! Each layer's accumulator is bounded from its weights every sweep;
+//! below 2⁶³ the pass takes the unsaturated [`fixedpt::lanes`] kernels,
+//! which give the saturating kernels' bits there. Algebraic layers stage
+//! their rows in their RHS span and copy them into the states after the
+//! barrier, so no row reads its own layer's fresh values.
 
 use std::convert::Infallible;
 use std::time::Instant;
 
 use cenn_lut::{FuncId, FuncLibrary, LutHierarchy, LutShard, LutStats, OffChipLut, RowCtx};
 use cenn_obs::{Event, Phase, RecorderHandle, RunSummary, Span, SpanRing, TraceHandle};
-use fixedpt::{lanes, MacAcc, Q16_16};
+use fixedpt::lanes::{self, Accumulate, Saturating, Unsaturated};
+use fixedpt::{MacAcc, Q16_16};
 
 use crate::boundary::Boundary;
 use crate::error::{FaultError, ModelError};
@@ -62,33 +84,6 @@ struct LayerPlan {
     offsets: Vec<WeightExpr>,
 }
 
-/// One flattened template tap, lowered for the lane kernels: the source
-/// slab to gather from and a precomputed gather table with the boundary
-/// already resolved per cell.
-///
-/// The gather table stores, for every cell in tile-concatenated order
-/// (shard 0's cells, then shard 1's, …), the flat source index to read —
-/// or [`u32::MAX`] where the stencil falls off the grid and the
-/// boundary's constant applies. Geometry never changes after
-/// construction; *weights* are re-read from the [`LayerPlan`] every
-/// sweep so template-fault injection stays live.
-#[derive(Debug, Clone)]
-pub(crate) struct LaneTap {
-    /// Source layer index (into states or inputs, per `input`).
-    src: usize,
-    /// Gather from the external input slab instead of states.
-    pub(crate) input: bool,
-    /// Clamp gathered operands through the CeNN output function.
-    output: bool,
-    /// Pre-resolved (and, for output taps, pre-clamped) boundary
-    /// constant, raw bits.
-    const_bits: i32,
-    /// Flat source index per cell, tile-concatenated; `u32::MAX` means
-    /// "use `const_bits`". Rows are those of the slab the lanes were
-    /// built for: the grid in-core, the resident window when spooled.
-    pub(crate) gather: Vec<u32>,
-}
-
 /// One nonlinear factor of a dynamic weight site, with its LUT row
 /// context hoisted at construction.
 #[derive(Debug, Clone)]
@@ -101,58 +96,83 @@ struct LaneFactor {
 
 /// The factor list of one dynamic weight site (tap or offset).
 #[derive(Debug, Clone)]
-pub(crate) struct SiteGeom {
+struct SiteGeom {
     factors: Vec<LaneFactor>,
 }
 
-/// A layer's templates lowered to lane form: flattened taps with gather
-/// tables, plus the dynamic weight sites in flat order (taps first, then
+/// A layer's dynamic weight sites in flat order (taps first, then
 /// offsets — the same order [`CennSim::inject_template_fault`] uses).
 #[derive(Debug, Clone)]
-pub(crate) struct LayerLanes {
-    pub(crate) taps: Vec<LaneTap>,
-    pub(crate) sites: Vec<SiteGeom>,
+struct LayerSites {
+    sites: Vec<SiteGeom>,
     /// Every site's factor contexts flattened in site order — the batched
     /// weight pass walks them per cell in exactly this (scalar) order.
     ctxs: Vec<RowCtx>,
 }
 
-/// A tap or offset weight resolved for one sweep: either a constant's
-/// raw bits or an index into the sweep's dynamic-site weight lanes.
+impl LayerSites {
+    /// One single-factor site: the weight pass takes the batched row
+    /// path ([`LutShard::lookup_row`]) instead of the interleaved walk.
+    fn one_factor(&self) -> bool {
+        self.sites.len() == 1 && self.ctxs.len() == 1
+    }
+}
+
+/// A tap or offset weight resolved for one sweep: either a constant, or
+/// the sweep-wide index of a site among the row-major site-weight lanes.
 #[derive(Debug, Clone, Copy)]
 enum LaneWeight {
-    Const(i32),
+    Const(Q16_16),
     Dyn(usize),
 }
 
-/// One layer's share of a sweep: its lane geometry plus the weights
-/// re-read from the plan (so injected template faults take effect) and
-/// the per-site scales consumed by the weight pass.
+/// One template tap as a sweep applies it: where its operands come from,
+/// how its boundary resolves, and its weight re-read from the plan.
+#[derive(Debug, Clone, Copy)]
+struct SweepTap {
+    /// Source layer index (into states or inputs, per `input`).
+    src: usize,
+    /// Read the external input slab instead of states.
+    input: bool,
+    /// Clamp operands through the CeNN output function.
+    output: bool,
+    boundary: Boundary,
+    dr: i32,
+    dc: i32,
+    /// The boundary constant (clamped for output taps) past the edge.
+    const_val: Q16_16,
+    weight: LaneWeight,
+}
+
+/// One layer's share of a sweep: its taps and offsets with the weights
+/// re-read from the plan (so injected template faults take effect), the
+/// per-site scales consumed by the weight pass, and the kernel the bound
+/// on its accumulator allows.
 struct SweepLayer<'a> {
     /// Destination layer index.
     layer: usize,
     /// Add the `-x` leak term of eq. (1) (dynamic layers only).
     leak: bool,
-    lanes: &'a LayerLanes,
-    /// Per-tap weight, parallel to `lanes.taps`.
-    tap_weights: Vec<LaneWeight>,
+    sites: &'a LayerSites,
+    taps: Vec<SweepTap>,
     /// Per-offset weight, in plan order.
-    offset_weights: Vec<LaneWeight>,
-    /// Per-site scale, parallel to `lanes.sites`.
+    offsets: Vec<LaneWeight>,
+    /// Per-site scale, parallel to `sites.sites`.
     site_scales: Vec<Q16_16>,
+    /// No partial sum of the layer's accumulator can reach the i64 rails
+    /// (see [`exact_without_saturation`]), so the unsaturated kernels
+    /// give the saturating kernels' bits.
+    unsaturated: bool,
 }
 
-/// Persistent per-shard scratch for the lane sweeps, sized so the hot
+/// Persistent per-shard scratch for the weight pass, sized so the hot
 /// loop never allocates.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ShardBuf {
-    /// Resolved cell results, one segment per swept layer.
-    out: Vec<i32>,
-    /// Wide accumulator lanes (the PE's 48-bit accumulate, held in i64).
-    accs: Vec<i64>,
-    /// Gathered operand lanes, raw bits.
-    ops: Vec<i32>,
-    /// Evaluated dynamic weight lanes, `[site][cell]` per swept layer.
+struct ShardBuf {
+    /// Gathered state lanes of a single-factor site, raw bits.
+    xs: Vec<i32>,
+    /// Evaluated dynamic weight lanes in tile order, `[site][cell]` over
+    /// the sweep's sites.
     site_w: Vec<i32>,
     /// Interleaved `[cell][factor]` state lanes for multi-factor sites.
     fx: Vec<i32>,
@@ -160,32 +180,50 @@ pub(crate) struct ShardBuf {
     fv: Vec<i32>,
 }
 
-impl ShardBuf {
-    /// Grows the scratch to hold at least `cells` cells (grow-only — the
-    /// spooled store's tile sizes vary per window, and the kernels slice
-    /// exactly `cells` elements off the front of each lane).
-    pub(crate) fn ensure(&mut self, cells: usize, (layers, sites, factors): (usize, usize, usize)) {
-        let grow = |v: &mut Vec<i32>, n: usize| {
-            if v.len() < n {
-                v.resize(n, 0);
-            }
-        };
-        grow(&mut self.out, layers * cells);
-        if self.accs.len() < cells {
-            self.accs.resize(cells, 0);
-        }
-        grow(&mut self.ops, cells);
-        grow(&mut self.site_w, sites * cells);
-        grow(&mut self.fx, factors * cells);
-        grow(&mut self.fv, factors * cells);
+/// Grows `v` to `n` elements with exactly that capacity (grow-only), so
+/// the resident-footprint count of a buffer is its real size.
+fn grow_exact<T: Copy + Default>(v: &mut Vec<T>, n: usize) {
+    if v.len() < n {
+        v.reserve_exact(n - v.len());
+        v.resize(n, T::default());
     }
+}
 
-    /// Bytes of scratch currently allocated (for resident-footprint
-    /// accounting).
+/// Per-band row scratch of the template pass: one row of accumulators
+/// and one row of staged operands (output-clamped or boundary-constant).
+#[derive(Debug, Clone, Default)]
+struct BandBuf {
+    accs: Vec<i64>,
+    ops: Vec<Q16_16>,
+}
+
+/// The sweep scratch every store shares: the weight pass's per-shard
+/// buffers, the row-major site weights the template pass reads, and the
+/// template pass's per-band rows. Grow-only.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
+    /// Per-shard weight-pass buffers (empty without dynamic weight sites).
+    shards: Vec<ShardBuf>,
+    /// The sweep's scaled site weights, row-major: `[site][window cell]`.
+    site_rows: Vec<Q16_16>,
+    /// Per-band template-pass rows, one per shard.
+    bands: Vec<BandBuf>,
+}
+
+impl Scratch {
+    /// Bytes the scratch holds (for resident-footprint accounting).
     pub(crate) fn bytes(&self) -> u64 {
-        let i32s =
-            self.out.len() + self.ops.len() + self.site_w.len() + self.fx.len() + self.fv.len();
-        (i32s * std::mem::size_of::<i32>() + self.accs.len() * std::mem::size_of::<i64>()) as u64
+        let shards: usize = self
+            .shards
+            .iter()
+            .map(|b| b.xs.len() + b.site_w.len() + b.fx.len() + b.fv.len())
+            .sum();
+        let bands: usize = self
+            .bands
+            .iter()
+            .map(|b| 2 * b.accs.len() + b.ops.len())
+            .sum();
+        (4 * (shards + self.site_rows.len() + bands)) as u64
     }
 }
 
@@ -195,11 +233,15 @@ impl ShardBuf {
 pub struct WindowMut<'a> {
     pub(crate) rows: (usize, usize),
     pub(crate) base: usize,
+    /// Global row → row of `states` / `inputs`, for every row the
+    /// window's stencils reach.
+    pub(crate) row_map: &'a [u32],
+    /// The window's per-shard tiles (empty without dynamic weight sites).
     pub(crate) tiles: &'a [Tile],
-    pub(crate) lanes: &'a [LayerLanes],
     pub(crate) states: &'a mut SoaGrid<Q16_16>,
     pub(crate) inputs: &'a SoaGrid<Q16_16>,
-    /// Where this pass's dynamic-layer RHS lands.
+    /// Where this pass's dynamic-layer RHS lands; algebraic sweeps stage
+    /// their layer's output here.
     pub(crate) rhs: &'a mut SoaGrid<Q16_16>,
     /// Heun corrector operands `(x₀, k₁)` — the corrector pass only.
     pub(crate) heun: Option<(&'a SoaGrid<Q16_16>, &'a SoaGrid<Q16_16>)>,
@@ -268,14 +310,24 @@ pub trait Store {
 pub struct Core {
     pub(crate) model: CennModel,
     plan: Vec<LayerPlan>,
+    /// Each layer's dynamic weight sites, parallel to the plan.
+    sites: Vec<LayerSites>,
     /// Dynamic layer indices in declaration order.
     dyn_layers: Vec<usize>,
+    /// The scratch's per-cell sizing: the most weight sites one sweep
+    /// evaluates (the fused dynamic layers', or one algebraic layer's),
+    /// whether some layer gathers a single factor's states for the
+    /// batched row path, and the most factors a layer interleaves.
+    site_cap: usize,
+    one_factor: bool,
+    factor_cap: usize,
     hierarchy: LutHierarchy,
     engine: ExecEngine,
-    /// Per-shard sweep scratch, indexed by shard.
-    pub(crate) shard_bufs: Vec<ShardBuf>,
-    /// Scratch sizing: `(swept layers, weight sites, factors)` at most.
-    pub(crate) scratch: (usize, usize, usize),
+    pub(crate) scratch: Scratch,
+    /// One span ring per shard (and per template-pass band), drained into
+    /// the tracer once a window's wall time is taken; disabled while no
+    /// tracer is attached.
+    rings: Vec<SpanRing>,
     eval: FuncEval,
     /// Compute the per-step residual even without an enabled recorder
     /// (the guard's divergence/stall watchdogs read it from
@@ -334,16 +386,38 @@ impl Core {
             cfg.n_pes(),
         )?;
         let plan = compile(&model);
-        let dyn_layers = (0..plan.len())
+        let sites: Vec<LayerSites> = plan.iter().map(|p| layer_sites(p, cfg)).collect();
+        let dyn_layers: Vec<usize> = (0..plan.len())
             .filter(|&i| plan[i].kind == LayerKind::Dynamic)
             .collect();
+        let n_sites = |i: usize| sites[i].sites.len();
+        let alg_sites = (0..plan.len())
+            .filter(|&i| plan[i].kind == LayerKind::Algebraic)
+            .map(n_sites)
+            .max()
+            .unwrap_or(0);
+        let site_cap = dyn_layers
+            .iter()
+            .map(|&i| n_sites(i))
+            .sum::<usize>()
+            .max(alg_sites);
+        let one_factor = sites.iter().any(LayerSites::one_factor);
+        let factor_cap = (sites.iter().filter(|s| !s.one_factor()))
+            .map(|s| s.ctxs.len())
+            .max()
+            .unwrap_or(0);
+        let rings = vec![SpanRing::disabled(); hierarchy.shards().len()];
         Ok(Self {
             plan,
+            sites,
             dyn_layers,
+            site_cap,
+            one_factor,
+            factor_cap,
             hierarchy,
             engine: ExecEngine::serial(),
-            shard_bufs: Vec::new(),
-            scratch: (0, 0, 0),
+            scratch: Scratch::default(),
+            rings,
             eval,
             track_residual: false,
             time: 0.0,
@@ -368,41 +442,62 @@ impl Core {
         })
     }
 
-    /// Sizes the sweep scratch from the program's lane geometry: one
-    /// buffer per shard, holding `cells` cells each. The dynamic sweep is
-    /// fused over all dynamic layers; algebraic sweeps run one layer at a
-    /// time; the weight pass batches one layer's factors at a time.
-    pub(crate) fn size_scratch(
-        &mut self,
-        lanes: &[LayerLanes],
-        cells: impl Iterator<Item = usize>,
-    ) {
-        let dyn_sites: usize = self.dyn_layers.iter().map(|&i| lanes[i].sites.len()).sum();
-        let alg_sites = self
-            .plan
+    /// Grows the sweep scratch for a window of `window_cells` cells over
+    /// `tiles`: each shard's weight-pass buffer to its tile, the
+    /// row-major site weights to the window, and one band row per shard.
+    /// The dynamic sweep is fused over all dynamic layers; algebraic
+    /// sweeps run one layer at a time; the weight pass batches one
+    /// layer's factors at a time.
+    pub(crate) fn size_scratch(&mut self, tiles: &[Tile], window_cells: usize) {
+        let (sites, factors) = (self.site_cap, self.factor_cap);
+        let one_factor = usize::from(self.one_factor);
+        let s = &mut self.scratch;
+        s.shards.resize_with(tiles.len(), ShardBuf::default);
+        for (buf, tile) in s.shards.iter_mut().zip(tiles) {
+            let cells = tile.len();
+            grow_exact(&mut buf.xs, one_factor * cells);
+            grow_exact(&mut buf.site_w, sites * cells);
+            grow_exact(&mut buf.fx, factors * cells);
+            grow_exact(&mut buf.fv, factors * cells);
+        }
+        grow_exact(&mut s.site_rows, sites * window_cells);
+        let cols = self.model.cols();
+        s.bands.resize_with(self.rings.len(), BandBuf::default);
+        for band in &mut s.bands {
+            grow_exact(&mut band.accs, cols);
+            grow_exact(&mut band.ops, cols);
+        }
+    }
+
+    /// `true` when some layer has dynamic weight sites, so sweeps run the
+    /// weight pass over per-shard tiles.
+    pub(crate) fn has_sites(&self) -> bool {
+        self.site_cap > 0
+    }
+
+    /// Per cell of a window, the row-major site weights and the weight
+    /// pass's per-shard lanes the scratch holds: `(sites, lane bytes)`.
+    pub(crate) fn scratch_per_cell(&self) -> (usize, usize) {
+        let lanes = 4 * usize::from(self.one_factor) + 4 * self.site_cap + 8 * self.factor_cap;
+        (self.site_cap, lanes)
+    }
+
+    /// Shards of the LUT hierarchy: the tiles per window, and the bands
+    /// the template pass splits a window into.
+    pub(crate) fn n_shards(&self) -> usize {
+        self.rings.len()
+    }
+
+    /// Layers with dynamic weight sites.
+    pub(crate) fn lut_layers(&self) -> usize {
+        self.sites.iter().filter(|s| !s.sites.is_empty()).count()
+    }
+
+    /// `true` when some template reads an external input map.
+    pub(crate) fn uses_inputs(&self) -> bool {
+        self.plan
             .iter()
-            .zip(lanes)
-            .filter(|(p, _)| p.kind == LayerKind::Algebraic)
-            .map(|(_, l)| l.sites.len())
-            .max()
-            .unwrap_or(0);
-        let max_factors = lanes
-            .iter()
-            .map(|l| l.sites.iter().map(|s| s.factors.len()).sum::<usize>())
-            .max()
-            .unwrap_or(0);
-        self.scratch = (
-            self.dyn_layers.len().max(1),
-            dyn_sites.max(alg_sites),
-            max_factors,
-        );
-        self.shard_bufs = cells
-            .map(|n| {
-                let mut buf = ShardBuf::default();
-                buf.ensure(n, self.scratch);
-                buf
-            })
-            .collect();
+            .any(|p| p.convs.iter().any(|c| c.kind == TemplateKind::Input))
     }
 
     /// Integrator passes per step.
@@ -432,35 +527,18 @@ impl Core {
         self.stepping = true;
     }
 
-    /// Lowers every layer's templates over `tiles`, with gather rows
-    /// mapped through `local_row_of` (see [`build_lanes`]).
-    pub(crate) fn lanes(
-        &self,
-        tiles: &[Tile],
-        local_row_of: impl Fn(usize) -> usize + Copy,
-    ) -> Vec<LayerLanes> {
-        let m = &self.model;
-        self.plan
-            .iter()
-            .map(|p| build_lanes(p, tiles, m.rows(), m.cols(), local_row_of, m.lut_config()))
-            .collect()
-    }
-
     /// The window's sweeps: algebraic layers in declaration order, each
-    /// one barriered sweep scattered back into the states (so later
-    /// layers read earlier layers' fresh values), then one fused sweep
-    /// over the dynamic layers into the window's RHS.
+    /// one barriered sweep written back into the states (so later layers
+    /// read earlier layers' fresh values), then one fused sweep over the
+    /// dynamic layers into the window's RHS.
     fn sweep(&mut self, win: &mut WindowMut<'_>) {
-        let epoch = self.tracer.as_ref().map(TraceHandle::epoch);
         let cells = (win.rows.1 - win.rows.0) * self.model.cols();
-        let lanes = win.lanes;
-        for (i, layer_lanes) in lanes.iter().enumerate() {
+        for i in 0..self.plan.len() {
             if self.plan[i].kind != LayerKind::Algebraic {
                 continue;
             }
             let start = Instant::now();
-            let sweep = [resolve_layer(&self.plan[i], layer_lanes, i, false)];
-            self.sweep_layers(win, &sweep, epoch);
+            self.sweep_layers(win, Some(i), start);
             self.pending.cells += cells as u64;
             self.pending
                 .sweeps
@@ -470,80 +548,209 @@ impl Core {
             return;
         }
         let start = Instant::now();
-        let sweep: Vec<SweepLayer<'_>> = self
-            .dyn_layers
-            .iter()
-            .map(|&i| resolve_layer(&self.plan[i], &lanes[i], i, true))
-            .collect();
-        self.sweep_layers(win, &sweep, epoch);
+        self.sweep_layers(win, None, start);
         self.pending.cells += (self.dyn_layers.len() * cells) as u64;
         self.pass_rhs_nanos += start.elapsed().as_nanos() as u64;
     }
 
-    /// One barriered sweep of `sweep` over the window's tiles: each
-    /// shard's weight and template passes fan out over the worker threads
-    /// (a shard walks its layers in declaration order over its own cells
-    /// — the serial per-shard access sequence — so shards need no barrier
-    /// between layers), then each shard's results are scattered into the
-    /// window's RHS (the fused dynamic sweep, whose layers carry the leak
-    /// term) or straight back into its states, timed per shard as
-    /// `halo_sync` spans.
-    fn sweep_layers(
-        &mut self,
-        win: &mut WindowMut<'_>,
-        sweep: &[SweepLayer<'_>],
-        epoch: Option<Instant>,
-    ) {
-        let lut_phase = sweep.iter().any(|sl| !sl.lanes.sites.is_empty());
-        let dynamic = sweep.iter().any(|sl| sl.leak);
-        let ctx = EvalCtx {
-            lib: self.model.library(),
-            eval: self.eval,
-        };
-        let (tables, shards) = self.hierarchy.split();
-        let mut off = 0;
-        let mut work: Vec<WorkItem<'_>> = shards
-            .iter_mut()
-            .zip(win.tiles)
-            .zip(self.shard_bufs.iter_mut())
-            .map(|((s, t), b)| {
-                let ring = if epoch.is_some() {
-                    SpanRing::new(SPANS_PER_SWEEP)
-                } else {
-                    SpanRing::disabled()
-                };
-                off += t.len();
-                (s, t, off - t.len(), b, ring)
+    /// One barriered sweep of algebraic layer `algebraic`, or of the fused
+    /// dynamic layers, over the window, begun at `start`:
+    ///
+    /// 1. the **weight pass** (layers with dynamic weight sites only):
+    ///    each shard evaluates its tile's sites in the serial per-shard
+    ///    cell order, fanned out over the worker threads (`lut_lookup`,
+    ///    one span per shard); then each shard's weights are scattered
+    ///    into the row-major site lanes (`halo_sync`, one span per shard);
+    /// 2. the **template pass**: the window's rows split into one band
+    ///    per shard, fanned out over the worker threads, each row
+    ///    MAC'd straight from its source rows into the RHS row
+    ///    (`template_apply`, one span per band);
+    /// 3. an algebraic sweep then copies its staged rows into the states
+    ///    (`halo_sync`, one span per band), so no row ever reads its own
+    ///    layer's fresh values.
+    ///
+    /// Span counts are per shard or band, never per thread. The sweep's
+    /// set-up (weights re-read, bounds, band split) is timed into the
+    /// first span of the phase it precedes.
+    fn sweep_layers(&mut self, win: &mut WindowMut<'_>, algebraic: Option<usize>, start: Instant) {
+        let Core {
+            model,
+            plan,
+            sites,
+            dyn_layers,
+            hierarchy,
+            engine,
+            scratch,
+            rings,
+            eval,
+            tracer,
+            ..
+        } = self;
+        let epoch = tracer.as_ref().map(TraceHandle::epoch);
+        let layers = algebraic
+            .as_ref()
+            .map_or(&dyn_layers[..], std::slice::from_ref);
+        let dynamic = algebraic.is_none();
+        let mut n_sites = 0;
+        let sweep: Vec<SweepLayer<'_>> = layers
+            .iter()
+            .map(|&i| {
+                let sl = resolve_layer(&plan[i], &sites[i], i, dynamic, n_sites);
+                n_sites += sl.sites.sites.len();
+                sl
             })
             .collect();
-        let (states, inputs) = (&*win.states, win.inputs);
-        self.engine.for_each_mut(&mut work, |_, item| {
-            let (shard, tile, tile_off, buf, ring) = item;
-            sweep_shard(
-                shard, tables, tile, *tile_off, sweep, states, inputs, &ctx, buf, lut_phase,
-                dynamic, ring, epoch,
-            );
-        });
-        let (dest, off) = if dynamic {
-            (&mut *win.rhs, win.base * self.model.cols())
-        } else {
-            (&mut *win.states, 0)
-        };
-        for (_, tile, _, buf, ring) in &mut work {
-            let t0 = ring.is_enabled().then(Instant::now);
-            let n = tile.len();
-            for (li, sl) in sweep.iter().enumerate() {
-                let dest = dest.layer_mut(sl.layer);
-                for (&flat, &v) in tile.flats().iter().zip(&buf.out[li * n..(li + 1) * n]) {
-                    dest[flat as usize - off] = Q16_16::from_bits(v);
+        let (rows, cols) = (model.rows(), model.cols());
+        let window_cells = (win.rows.1 - win.rows.0) * cols;
+        let Scratch {
+            shards: shard_bufs,
+            site_rows,
+            bands,
+        } = scratch;
+        let mut phase_start = start;
+        if n_sites > 0 {
+            let ctx = EvalCtx {
+                lib: model.library(),
+                eval: *eval,
+            };
+            let (tables, shards) = hierarchy.split();
+            let states = &*win.states;
+            let mut work: Vec<_> = shards
+                .iter_mut()
+                .zip(win.tiles)
+                .zip(shard_bufs.iter_mut())
+                .zip(rings.iter_mut())
+                .collect();
+            engine.for_each_chunk_mut(&mut work, |first, part| {
+                let mut t0 = epoch.map(|_| if first == 0 { start } else { Instant::now() });
+                for (j, (((shard, tile), buf), ring)) in part.iter_mut().enumerate() {
+                    weight_pass(shard, tables, tile, &sweep, states, &ctx, buf);
+                    t0 = push_span(ring, Phase::LutLookup, first + j, t0, epoch);
                 }
+            });
+            // One indexed write per site per cell: tile order to row-major.
+            let off = win.base * cols;
+            let mut t0 = epoch.map(|_| Instant::now());
+            for (s, (((_, tile), buf), ring)) in work.iter_mut().enumerate() {
+                let lanes = buf.site_w.chunks_exact(tile.len().max(1));
+                for (lane, dst) in lanes.zip(site_rows.chunks_exact_mut(window_cells).take(n_sites))
+                {
+                    for (&flat, &w) in tile.flats().iter().zip(lane) {
+                        dst[flat as usize - off] = Q16_16::from_bits(w);
+                    }
+                }
+                t0 = push_span(ring, Phase::HaloSync, s, t0, epoch);
             }
-            push_halo_span(ring, tile, t0, epoch);
+            phase_start = t0.unwrap_or(start);
         }
-        if let Some(tr) = &self.tracer {
-            for (_, _, _, _, ring) in &mut work {
-                tr.sink_ring(ring);
+
+        // The template pass writes each layer's chunk rows of the RHS,
+        // split into one contiguous band per shard.
+        let n_bands = rings.len();
+        let band_row = |b: usize| win.rows.0 + (win.rows.1 - win.rows.0) * b / n_bands;
+        let stride = win.rhs.cells_per_layer();
+        let mut dests: Vec<Option<&mut [Q16_16]>> = win
+            .rhs
+            .slab_mut()
+            .chunks_exact_mut(stride)
+            .map(Some)
+            .collect();
+        let mut rest: Vec<&mut [Q16_16]> = layers
+            .iter()
+            .map(|&i| &mut dests[i].take().expect("each layer swept once")[..window_cells])
+            .collect();
+        // Band-major: band `b`'s rows of every swept layer, in sweep order.
+        let mut band_rows: Vec<&mut [Q16_16]> = Vec::with_capacity(n_bands * layers.len());
+        for b in 0..n_bands {
+            let n = (band_row(b + 1) - band_row(b)) * cols;
+            for slot in &mut rest {
+                let (head, tail) = std::mem::take(slot).split_at_mut(n);
+                *slot = tail;
+                band_rows.push(head);
             }
+        }
+        let mut items: Vec<_> = (band_rows.chunks_mut(layers.len()))
+            .zip(bands.iter_mut().zip(rings.iter_mut()))
+            .enumerate()
+            .map(|(b, (dest, (buf, ring)))| ((band_row(b), band_row(b + 1)), dest, buf, ring))
+            .collect();
+        let src = RowSrc {
+            states: &*win.states,
+            inputs: win.inputs,
+            row_map: win.row_map,
+            chunk_row0: win.rows.0,
+            shape: (rows, cols),
+            site_rows: &site_rows[..n_sites * window_cells],
+            window_cells,
+        };
+        engine.for_each_chunk_mut(&mut items, |first, part| {
+            let mut t0 = epoch.map(|_| {
+                if first == 0 {
+                    phase_start
+                } else {
+                    Instant::now()
+                }
+            });
+            for (j, (band, dest, buf, ring)) in part.iter_mut().enumerate() {
+                for r in band.0..band.1 {
+                    let at = (r - band.0) * cols;
+                    for (sl, dest) in sweep.iter().zip(dest.iter_mut()) {
+                        let out = &mut dest[at..at + cols];
+                        if sl.unsaturated {
+                            layer_row::<Unsaturated>(&src, sl, r, out, buf);
+                        } else {
+                            layer_row::<Saturating>(&src, sl, r, out, buf);
+                        }
+                    }
+                }
+                if cfg!(feature = "slow-template-apply")
+                    && dynamic
+                    && std::env::var_os("CENN_SLOW_TEMPLATE_APPLY").is_some()
+                {
+                    std::thread::sleep(std::time::Duration::from_micros(500));
+                }
+                t0 = push_span(ring, Phase::TemplateApply, first + j, t0, epoch);
+            }
+        });
+        if let Some(i) = algebraic {
+            let states = win.states.layer_mut(i);
+            let mut t0 = epoch.map(|_| Instant::now());
+            for (b, (band, staged, _, ring)) in items.iter_mut().enumerate() {
+                let lo = (win.base + band.0 - win.rows.0) * cols;
+                states[lo..lo + staged[0].len()].copy_from_slice(staged[0]);
+                t0 = push_span(ring, Phase::HaloSync, b, t0, epoch);
+            }
+        }
+    }
+
+    /// Attaches or detaches the span tracer, enabling the span rings only
+    /// while one is attached. A window drains its rings once it is done,
+    /// so each holds every sweep's spans, and ring 0 the update's and a
+    /// store's fills.
+    pub(crate) fn set_tracer(&mut self, tracer: Option<TraceHandle>) {
+        let sweeps = self.plan.len() - self.dyn_layers.len() + 1;
+        let ring = || match tracer {
+            Some(_) => SpanRing::new(SPANS_PER_SWEEP * sweeps + 2),
+            None => SpanRing::disabled(),
+        };
+        self.rings = (0..self.rings.len()).map(|_| ring()).collect();
+        self.tracer = tracer;
+    }
+
+    /// Records `phase` from `t0` to now on track 0, the driving thread's
+    /// (the update, a spooled store's fills), and returns its nanos.
+    pub(crate) fn span_since(&mut self, phase: Phase, t0: Instant) -> u64 {
+        let epoch = self.tracer.as_ref().map(TraceHandle::epoch);
+        let end = push_span(&mut self.rings[0], phase, 0, Some(t0), epoch);
+        end.unwrap_or_else(Instant::now)
+            .saturating_duration_since(t0)
+            .as_nanos() as u64
+    }
+
+    /// Drains every span ring into the tracer under one lock.
+    fn drain_spans(&mut self) {
+        if let Some(tr) = &self.tracer {
+            tr.with(|c| self.rings.iter_mut().for_each(|ring| c.sink_ring(ring)));
         }
     }
 
@@ -591,10 +798,7 @@ impl Core {
     /// span on track 0 (the update runs on the driving thread, so one
     /// span per window keeps counts thread-count independent).
     fn finish_update(&mut self, start: Instant) {
-        self.pass_update_nanos += match &self.tracer {
-            Some(tr) => tr.record_since(Phase::Integrate, 0, start),
-            None => start.elapsed().as_nanos() as u64,
-        };
+        self.pass_update_nanos += self.span_since(Phase::Integrate, start);
     }
 
     /// Closes a pass: its `dynamic` and `update` sweep timings.
@@ -676,19 +880,26 @@ fn corrector<const TRACK: bool>(
 /// ready, and starting it chooses the store.
 ///
 /// State is held structure-of-arrays: one contiguous Q16.16 slab per
-/// grid set ([`SoaGrid`]), each layer a contiguous span. Sweeps are
-/// two-pass over each shard's tile: a *weight pass* evaluates every
-/// dynamic weight site through the batched LUT row path
-/// ([`cenn_lut::LutShard::lookup_row`]), then a *template pass* runs
-/// gather + unrolled lane MAC kernels ([`fixedpt::lanes`]) over the
-/// slabs. Both passes replay the scalar per-cell order exactly, so
-/// results — states *and* per-PE LUT statistics — are bit-identical to
-/// the pre-lane serial sweep for any thread count (the determinism
-/// contract in [`crate::exec`]).
+/// grid set ([`SoaGrid`]), each layer a contiguous span. A sweep has two
+/// passes. The *weight pass* evaluates every dynamic weight site through
+/// the batched LUT row path ([`cenn_lut::LutShard::lookup_row`]) per LUT
+/// shard, over the shard's tile ([`TilePlan::window`]): its cells in
+/// row-major order, so each shard's cache sees the serial access
+/// sequence and every counter is exact; the weights then land in
+/// row-major site lanes. The *template pass* is row-direct: for each
+/// output row, each tap multiply-accumulates its source row, shifted by
+/// the tap's column offset, as one contiguous slice ([`fixedpt::lanes`]),
+/// the boundary resolved once per row and edge column, and the result
+/// lands in the RHS row. A layer whose weights bound its accumulator
+/// below the i64 rails takes the unsaturated kernels, which give the
+/// saturating kernels' bits there. Per cell both passes replay the
+/// scalar `MacAcc` sequence, so results — states *and* per-PE LUT
+/// statistics — are bit-identical for any thread count (the
+/// determinism contract in [`crate::exec`]).
 ///
-/// A window's tiles ([`TilePlan::window`]) assign each cell to the LUT
-/// shard its PE belongs to, and the [`ExecEngine`] fans the shards out
-/// over worker threads (see [`set_threads`]).
+/// The [`ExecEngine`] fans the weight pass out by shard and the template
+/// pass by row band, one band per shard, over worker threads (see
+/// [`set_threads`]).
 ///
 /// [`set_threads`]: Self::set_threads
 #[derive(Debug, Clone)]
@@ -741,22 +952,25 @@ impl<S> Engine<S> {
 
     /// Attaches a span tracer: every subsequent sweep attributes its
     /// wall-clock time to the [`Phase`] taxonomy (`lut_lookup`,
-    /// `template_apply`, `integrate`, `halo_sync`) via per-shard span
-    /// rings drained into the shared collector after each barrier. The
+    /// `template_apply`, `integrate`, `halo_sync`) via span rings, one
+    /// per shard, drained into the shared collector once per window. The
     /// `lut_lookup` phase covers the weight pass and is only emitted for
     /// sweeps whose layers have dynamic weight sites — LUT-free models
-    /// report no `lut_lookup` spans at all. Span *counts* are per shard
+    /// report no `lut_lookup` spans at all; `template_apply` covers the
+    /// row-direct template pass, one span per row band (one band per
+    /// shard); `halo_sync` covers the weight scatter into row-major
+    /// lanes, an algebraic sweep's copy back into the states and a
+    /// spooled store's chunk fills. Span *counts* are per shard or band
     /// per sweep, so they are identical for any worker-thread count;
     /// without a tracer the span path costs one branch per sweep and
-    /// performs no allocations. A spooled store also attributes its
-    /// chunk fills to `halo_sync`.
+    /// performs no allocations.
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.core.tracer = Some(tracer);
+        self.core.set_tracer(Some(tracer));
     }
 
     /// Detaches the tracer (subsequent sweeps emit no spans).
     pub fn clear_tracer(&mut self) {
-        self.core.tracer = None;
+        self.core.set_tracer(None);
     }
 
     /// The attached tracer, if any.
@@ -821,6 +1035,18 @@ impl<S> Engine<S> {
     /// on otherwise-uninstrumented runs.
     pub fn set_residual_tracking(&mut self, on: bool) {
         self.core.track_residual = on;
+    }
+
+    /// Per layer, whether its weights bound every partial sum of its
+    /// accumulator below the i64 rails, so its sweeps add without
+    /// saturating (see [`fixedpt::lanes`]) and still give the saturating
+    /// adds' bits. Read from the current weights, as every sweep reads
+    /// them: a template fault can turn a layer's off.
+    pub fn unsaturated_layers(&self) -> Vec<bool> {
+        let core = &self.core;
+        (core.plan.iter().zip(&core.sites).enumerate())
+            .map(|(i, (p, s))| resolve_layer(p, s, i, p.kind == LayerKind::Dynamic, 0).unsaturated)
+            .collect()
     }
 
     /// Cumulative LUT statistics (the trace the cycle model consumes).
@@ -906,9 +1132,8 @@ impl<S: Store> Engine<S> {
     }
 
     /// Largest resident working set so far, bytes: the state slabs
-    /// in-core; window buffers, per-shard scratch, gather tables and I/O
-    /// staging when spooled. Geometry-derived, so identical at every
-    /// thread count.
+    /// in-core; window buffers, tiles, sweep scratch and I/O staging when
+    /// spooled. Geometry-derived, so identical at every thread count.
     pub fn peak_resident_bytes(&self) -> u64 {
         self.store.peak_resident_bytes()
     }
@@ -938,6 +1163,8 @@ impl<S: Store> Engine<S> {
         store.spill(core, pass, w)?;
         core.finish_update(t_update);
         core.step_wall_nanos += t0.elapsed().as_nanos() as u64;
+        // The tracer's bookkeeping is not the step's work.
+        core.drain_spans();
         store.window_done(pass, w)?;
         core.window += 1;
         if core.window < store.n_windows() {
@@ -1080,14 +1307,15 @@ pub struct Resident {
     window: Option<GridWindow>,
 }
 
-/// The in-core window: the whole grid's tiles and lanes, plus the three
-/// slabs only stepping needs.
+/// The in-core window: the whole grid's tiles (none without dynamic
+/// weight sites) and identity row map, plus the three slabs only
+/// stepping needs.
 #[derive(Debug, Clone)]
 struct GridWindow {
     tiles: Vec<Tile>,
-    /// Lane-lowered template geometry, parallel to the plan.
-    lanes: Vec<LayerLanes>,
-    /// RHS of the Euler step and of Heun's predictor pass.
+    row_map: Vec<u32>,
+    /// RHS of the Euler step and of Heun's predictor pass (algebraic
+    /// sweeps stage their output in their layer's span).
     aux: SoaGrid<Q16_16>,
     /// RHS of Heun's corrector pass.
     aux2: SoaGrid<Q16_16>,
@@ -1103,8 +1331,8 @@ impl Store for Resident {
         1
     }
 
-    /// Builds the grid-spanning window and sizes the sweep scratch to its
-    /// tiles, once.
+    /// Builds the grid-spanning window and sizes the sweep scratch to it,
+    /// once.
     fn begin_step(&mut self, core: &mut Core) {
         if self.window.is_some() {
             return;
@@ -1112,12 +1340,15 @@ impl Store for Resident {
         let (rows, cols) = self.plan.shape();
         let blank = SoaGrid::new(self.states.n_layers(), rows, cols, Q16_16::ZERO);
         let (aux, aux2, saved) = (blank.clone(), blank.clone(), blank);
-        let tiles = self.plan.window(0, rows, |r| r);
-        let lanes = core.lanes(&tiles, |r| r);
-        core.size_scratch(&lanes, tiles.iter().map(Tile::len));
+        let tiles = if core.has_sites() {
+            self.plan.window(0, rows, |r| r)
+        } else {
+            Vec::new()
+        };
+        core.size_scratch(&tiles, rows * cols);
         self.window = Some(GridWindow {
             tiles,
-            lanes,
+            row_map: (0..rows as u32).collect(),
             aux,
             aux2,
             saved,
@@ -1137,8 +1368,8 @@ impl Store for Resident {
         WindowMut {
             rows: (0, self.plan.shape().0),
             base: 0,
+            row_map: &w.row_map,
             tiles: &w.tiles,
-            lanes: &w.lanes,
             states: &mut self.states,
             inputs: &self.inputs,
             rhs,
@@ -1514,35 +1745,33 @@ struct EvalCtx<'a> {
     eval: FuncEval,
 }
 
-/// One sweep's work item: a shard, its tile and the tile's start offset
-/// in the gather tables, its persistent scratch buffers, and a span ring
-/// (disabled — zero-capacity, no allocation — unless the sim has a tracer
-/// attached).
-type WorkItem<'a> = (
-    &'a mut LutShard,
-    &'a Tile,
-    usize,
-    &'a mut ShardBuf,
-    SpanRing,
-);
-
-/// Spans a shard can emit per sweep: lut_lookup + template_apply from the
-/// worker, halo_sync from the scatter loop.
+/// Spans a ring takes per sweep: `lut_lookup` and the weight scatter's
+/// `halo_sync` as a shard, `template_apply` and an algebraic sweep's
+/// write-back `halo_sync` as a band.
 const SPANS_PER_SWEEP: usize = 4;
 
-/// Records the scatter of one shard's tile buffer back into the global
-/// slab as a `halo_sync` span. No-op when the ring is disabled.
+/// Records `phase` from `t0` to now on `track` and returns the span's
+/// end, where the next span of a serial loop starts. No-op (and `None`)
+/// when untraced.
 #[inline]
-fn push_halo_span(ring: &mut SpanRing, tile: &Tile, t0: Option<Instant>, epoch: Option<Instant>) {
+fn push_span(
+    ring: &mut SpanRing,
+    phase: Phase,
+    track: usize,
+    t0: Option<Instant>,
+    epoch: Option<Instant>,
+) -> Option<Instant> {
     let (Some(t0), Some(epoch)) = (t0, epoch) else {
-        return;
+        return None;
     };
+    let end = Instant::now();
     ring.push(Span {
-        phase: Phase::HaloSync,
-        track: tile.shard() as u32,
+        phase,
+        track: track as u32,
         start_nanos: t0.saturating_duration_since(epoch).as_nanos() as u64,
-        dur_nanos: t0.elapsed().as_nanos() as u64,
+        dur_nanos: end.saturating_duration_since(t0).as_nanos() as u64,
     });
+    Some(end)
 }
 
 /// Compiles the model's templates into per-layer tap lists with zero
@@ -1582,71 +1811,24 @@ fn compile(model: &CennModel) -> Vec<LayerPlan> {
         .collect()
 }
 
-/// Lowers one compiled layer plan to lane form: flattened taps with
-/// per-cell gather tables (boundary resolved once per geometry) and the
-/// dynamic weight sites with their LUT row contexts hoisted.
-///
-/// `tiles` is the tile set the gather tables are concatenated over: one
-/// window's [`TilePlan::window`] tiles, the whole grid's for the resident
-/// store, a chunk's for the spooled store. A gather addresses
-/// source row `local_row_of(r)` for the boundary-resolved grid row `r`
-/// (the identity in-core, the resident window's row when spooled).
-fn build_lanes(
-    plan: &LayerPlan,
-    tiles: &[Tile],
-    rows: usize,
-    cols: usize,
-    local_row_of: impl Fn(usize) -> usize,
-    cfg: &LutConfig,
-) -> LayerLanes {
-    let n_cells: usize = tiles.iter().map(Tile::len).sum();
-    let mut taps = Vec::new();
-    let mut sites = Vec::new();
-    for conv in &plan.convs {
-        for &(dr, dc, ref w) in &conv.taps {
-            let output = conv.kind == TemplateKind::Output;
-            let input = conv.kind == TemplateKind::Input;
-            let const_val = {
-                let v = Q16_16::from_f64(conv.boundary.constant());
-                if output {
-                    v.cenn_output()
-                } else {
-                    v
-                }
-            };
-            let mut gather = Vec::with_capacity(n_cells);
-            for tile in tiles {
-                for &(r, c) in tile.cells() {
-                    let idx = conv
-                        .boundary
-                        .resolve(rows, cols, r as usize, c as usize, dr, dc)
-                        .map(|(nr, nc)| (local_row_of(nr) * cols + nc) as u32)
-                        .unwrap_or(u32::MAX);
-                    gather.push(idx);
-                }
-            }
-            taps.push(LaneTap {
-                src: conv.src,
-                input,
-                output,
-                const_bits: const_val.to_bits(),
-                gather,
-            });
-            if let WeightExpr::Dyn { factors, .. } = w {
-                sites.push(site_geom(factors, cfg));
-            }
-        }
-    }
-    for w in &plan.offsets {
-        if let WeightExpr::Dyn { factors, .. } = w {
-            sites.push(site_geom(factors, cfg));
-        }
-    }
+/// The dynamic weight sites of one compiled layer plan, with their LUT
+/// row contexts hoisted.
+fn layer_sites(plan: &LayerPlan, cfg: &LutConfig) -> LayerSites {
+    let sites: Vec<SiteGeom> = plan
+        .convs
+        .iter()
+        .flat_map(|conv| conv.taps.iter().map(|(_, _, w)| w))
+        .chain(&plan.offsets)
+        .filter_map(|w| match w {
+            WeightExpr::Dyn { factors, .. } => Some(site_geom(factors, cfg)),
+            WeightExpr::Const(_) => None,
+        })
+        .collect();
     let ctxs = sites
         .iter()
         .flat_map(|s| s.factors.iter().map(|f| f.ctx))
         .collect();
-    LayerLanes { taps, sites, ctxs }
+    LayerSites { sites, ctxs }
 }
 
 fn site_geom(factors: &[Factor], cfg: &LutConfig) -> SiteGeom {
@@ -1663,114 +1845,74 @@ fn site_geom(factors: &[Factor], cfg: &LutConfig) -> SiteGeom {
 }
 
 /// Re-reads a layer's weights from the plan for one sweep (template
-/// faults mutate the plan, so weights cannot be baked into the lanes).
+/// faults mutate the plan, so weights cannot be baked in) and picks its
+/// kernels. Its sites are numbered from `site_base` among the sweep's.
 fn resolve_layer<'a>(
     plan: &LayerPlan,
-    lanes: &'a LayerLanes,
+    sites: &'a LayerSites,
     layer: usize,
     leak: bool,
+    site_base: usize,
 ) -> SweepLayer<'a> {
-    let mut site = 0usize;
-    let mut site_scales = Vec::with_capacity(lanes.sites.len());
-    let mut resolve = |w: &WeightExpr, scales: &mut Vec<Q16_16>| match w {
-        WeightExpr::Const(v) => LaneWeight::Const(v.to_bits()),
+    let mut site_scales = Vec::with_capacity(sites.sites.len());
+    let mut resolve = |w: &WeightExpr| match w {
+        WeightExpr::Const(v) => LaneWeight::Const(*v),
         WeightExpr::Dyn { scale, .. } => {
-            scales.push(*scale);
-            let s = site;
-            site += 1;
-            LaneWeight::Dyn(s)
+            site_scales.push(*scale);
+            LaneWeight::Dyn(site_base + site_scales.len() - 1)
         }
     };
-    let tap_weights = plan
-        .convs
-        .iter()
-        .flat_map(|conv| conv.taps.iter().map(|(_, _, w)| w))
-        .map(|w| resolve(w, &mut site_scales))
-        .collect();
-    let offset_weights = plan
-        .offsets
-        .iter()
-        .map(|w| resolve(w, &mut site_scales))
-        .collect();
+    let mut taps = Vec::new();
+    for conv in &plan.convs {
+        let output = conv.kind == TemplateKind::Output;
+        let edge = Q16_16::from_f64(conv.boundary.constant());
+        for &(dr, dc, ref w) in &conv.taps {
+            taps.push(SweepTap {
+                src: conv.src,
+                input: conv.kind == TemplateKind::Input,
+                output,
+                boundary: conv.boundary,
+                dr,
+                dc,
+                const_val: if output { edge.cenn_output() } else { edge },
+                weight: resolve(w),
+            });
+        }
+    }
+    let offsets: Vec<LaneWeight> = plan.offsets.iter().map(&mut resolve).collect();
+    let unsaturated = exact_without_saturation(leak, &taps, &offsets);
     SweepLayer {
         layer,
         leak,
-        lanes,
-        tap_weights,
-        offset_weights,
+        sites,
+        taps,
+        offsets,
         site_scales,
+        unsaturated,
     }
 }
 
-/// Runs one shard's share of a sweep: the weight pass (`lut_phase`
-/// only), the template pass, and the phase spans. `dynamic` marks the
-/// fused dynamic-layer sweep (the bench-regression test hook slows that
-/// sweep down when the `slow-template-apply` feature is on).
-#[allow(clippy::too_many_arguments)]
-fn sweep_shard(
-    shard: &mut LutShard,
-    tables: &[OffChipLut],
-    tile: &Tile,
-    tile_off: usize,
-    sweep: &[SweepLayer<'_>],
-    states: &SoaGrid<Q16_16>,
-    inputs: &SoaGrid<Q16_16>,
-    ctx: &EvalCtx<'_>,
-    buf: &mut ShardBuf,
-    lut_phase: bool,
-    dynamic: bool,
-    ring: &mut SpanRing,
-    epoch: Option<Instant>,
-) {
-    let t0 = ring.is_enabled().then(Instant::now);
-    if lut_phase {
-        weight_pass(shard, tables, tile, sweep, states, ctx, buf);
-    }
-    let t_mid = if lut_phase {
-        t0.map(|_| Instant::now())
-    } else {
-        None
+/// Whether a layer's accumulator provably never reaches the i64 rails,
+/// so the unsaturated kernels give the saturating kernels' bits. The
+/// magnitudes it can add are bounded from the weights alone: the leak
+/// `|x|·2¹⁶ ≤ 2⁴⁷`, each tap `|w|·2³¹` (a dynamic weight counts as
+/// 2³¹), each offset `|v|·2¹⁶`. Every partial sum is at most their sum,
+/// so a sum below 2⁶³ keeps every add exact.
+fn exact_without_saturation(leak: bool, taps: &[SweepTap], offsets: &[LaneWeight]) -> bool {
+    const WORD: u128 = 1 << 31;
+    let magnitude = |w: LaneWeight| match w {
+        LaneWeight::Const(v) => u128::from(v.to_bits().unsigned_abs()),
+        LaneWeight::Dyn(_) => WORD,
     };
-    template_pass(tile, tile_off, sweep, states, inputs, buf);
-    if cfg!(feature = "slow-template-apply")
-        && dynamic
-        && std::env::var_os("CENN_SLOW_TEMPLATE_APPLY").is_some()
-    {
-        std::thread::sleep(std::time::Duration::from_micros(500));
-    }
-    let (Some(t0), Some(epoch)) = (t0, epoch) else {
-        return;
-    };
-    let total = t0.elapsed().as_nanos() as u64;
-    let start = t0.saturating_duration_since(epoch).as_nanos() as u64;
-    let track = tile.shard() as u32;
-    if let Some(t_mid) = t_mid {
-        let lutn = (t_mid.saturating_duration_since(t0).as_nanos() as u64).min(total);
-        ring.push(Span {
-            phase: Phase::LutLookup,
-            track,
-            start_nanos: start,
-            dur_nanos: lutn,
-        });
-        ring.push(Span {
-            phase: Phase::TemplateApply,
-            track,
-            start_nanos: start,
-            dur_nanos: total - lutn,
-        });
-    } else {
-        ring.push(Span {
-            phase: Phase::TemplateApply,
-            track,
-            start_nanos: start,
-            dur_nanos: total,
-        });
-    }
+    let leak = if leak { WORD << 16 } else { 0 };
+    let taps: u128 = taps.iter().map(|t| magnitude(t.weight) * WORD).sum();
+    let offsets: u128 = offsets.iter().map(|&w| magnitude(w) << 16).sum();
+    leak + taps + offsets < 1 << 63
 }
 
 /// The weight pass: evaluates every dynamic weight site of every swept
 /// layer for all of the tile's cells, leaving raw weight bits in
-/// `buf.site_w` (`[site][cell]` per layer, layers back to back).
+/// `buf.site_w` (`[site][cell]` over the sweep's sites, in tile order).
 ///
 /// Single-factor layers take the batched [`LutShard::lookup_row`] path;
 /// multi-site/multi-factor layers walk cells in the scalar order so the
@@ -1786,25 +1928,17 @@ fn weight_pass(
     buf: &mut ShardBuf,
 ) {
     let cells = tile.len();
-    let ShardBuf {
-        ops,
-        site_w,
-        fx,
-        fv,
-        ..
-    } = buf;
+    let ShardBuf { xs, site_w, fx, fv } = buf;
     let mut base = 0usize;
     for sl in sweep {
-        let n_sites = sl.lanes.sites.len();
-        if n_sites == 0 {
+        let sites = &sl.sites.sites;
+        if sites.is_empty() {
             continue;
         }
-        let batched =
-            n_sites == 1 && sl.lanes.sites[0].factors.len() == 1 && ctx.eval == FuncEval::Lut;
-        if batched {
-            let f = &sl.lanes.sites[0].factors[0];
+        if sl.sites.one_factor() && ctx.eval == FuncEval::Lut {
+            let f = &sites[0].factors[0];
             let src = states.layer_slice(f.layer);
-            let xs = &mut ops[..cells];
+            let xs = &mut xs[..cells];
             for (x, &flat) in xs.iter_mut().zip(tile.flats()) {
                 *x = src[flat as usize].to_bits();
             }
@@ -1819,10 +1953,11 @@ fn weight_pass(
             // through the interleaved walk, then the per-site products.
             // The lookup order (cells outer, flattened factors inner) is
             // exactly the scalar nesting, so counters stay bit-identical.
-            let k = sl.lanes.ctxs.len();
+            let ctxs = &sl.sites.ctxs;
+            let k = ctxs.len();
             let xs = &mut fx[..cells * k];
             let mut pos = 0usize;
-            for site in &sl.lanes.sites {
+            for site in sites {
                 for f in &site.factors {
                     let src = states.layer_slice(f.layer);
                     for (j, &flat) in tile.flats().iter().enumerate() {
@@ -1832,9 +1967,9 @@ fn weight_pass(
                 }
             }
             let vals = &mut fv[..cells * k];
-            shard.lookup_cells(tables, &sl.lanes.ctxs, tile.pes(), xs, vals);
+            shard.lookup_cells(tables, ctxs, tile.pes(), xs, vals);
             let mut pos = 0usize;
-            for (si, site) in sl.lanes.sites.iter().enumerate() {
+            for (si, site) in sites.iter().enumerate() {
                 let nf = site.factors.len();
                 let scale = sl.site_scales[si];
                 let dst = &mut site_w[base + si * cells..base + (si + 1) * cells];
@@ -1851,7 +1986,7 @@ fn weight_pass(
             // Exact (f64 library) evaluation stays scalar: it is the
             // accuracy-validation path, not the hot path.
             for (j, &flat) in tile.flats().iter().enumerate() {
-                for (si, site) in sl.lanes.sites.iter().enumerate() {
+                for (si, site) in sites.iter().enumerate() {
                     let mut w = sl.site_scales[si];
                     for f in &site.factors {
                         let x = states.layer_slice(f.layer)[flat as usize];
@@ -1861,94 +1996,127 @@ fn weight_pass(
                 }
             }
         }
-        base += n_sites * cells;
+        base += sites.len() * cells;
     }
 }
 
-/// The template pass: for each swept layer, initializes the accumulator
-/// lanes (leak term for dynamic layers), streams every tap's operands
-/// through its gather table into the unrolled lane MAC kernels, adds
-/// the offset terms, and resolves to Q16.16 in `buf.out`.
-///
-/// Per cell this performs exactly the scalar `MacAcc` op sequence —
-/// leak, taps in flattened order, offsets in order, one resolve — so
-/// the saturating i64 accumulator state matches the scalar sweep bit
-/// for bit at every step.
-fn template_pass(
-    tile: &Tile,
-    tile_off: usize,
-    sweep: &[SweepLayer<'_>],
-    states: &SoaGrid<Q16_16>,
-    inputs: &SoaGrid<Q16_16>,
-    buf: &mut ShardBuf,
-) {
-    let cells = tile.len();
-    let ShardBuf {
-        out,
-        accs,
-        ops,
-        site_w,
-        ..
-    } = buf;
-    let mut site_base = 0usize;
-    for (li, sl) in sweep.iter().enumerate() {
-        let accs = &mut accs[..cells];
-        if sl.leak {
-            let src = states.layer_slice(sl.layer);
-            let xs = &mut ops[..cells];
-            for (x, &flat) in xs.iter_mut().zip(tile.flats()) {
-                *x = src[flat as usize].to_bits();
-            }
-            lanes::leak_lanes::<16>(accs, xs);
-        } else {
-            accs.fill(0);
-        }
-        for (tap, w) in sl.lanes.taps.iter().zip(&sl.tap_weights) {
-            let src = if tap.input {
-                inputs.layer_slice(tap.src)
-            } else {
-                states.layer_slice(tap.src)
-            };
-            let gather = &tap.gather[tile_off..tile_off + cells];
-            let ops = &mut ops[..cells];
-            if tap.output {
-                for (o, &gi) in ops.iter_mut().zip(gather) {
-                    *o = if gi == u32::MAX {
-                        tap.const_bits
-                    } else {
-                        src[gi as usize].cenn_output().to_bits()
-                    };
-                }
-            } else {
-                for (o, &gi) in ops.iter_mut().zip(gather) {
-                    *o = if gi == u32::MAX {
-                        tap.const_bits
-                    } else {
-                        src[gi as usize].to_bits()
-                    };
-                }
-            }
-            match *w {
-                LaneWeight::Const(bits) => lanes::mac_lanes(accs, bits, ops),
-                LaneWeight::Dyn(s) => {
-                    let ws = &site_w[site_base + s * cells..site_base + (s + 1) * cells];
-                    lanes::mac_lanes_dyn(accs, ws, ops);
-                }
-            }
-        }
-        for w in &sl.offset_weights {
-            match *w {
-                LaneWeight::Const(bits) => lanes::add_lanes::<16>(accs, bits),
-                LaneWeight::Dyn(s) => {
-                    let ws = &site_w[site_base + s * cells..site_base + (s + 1) * cells];
-                    lanes::add_lanes_dyn::<16>(accs, ws);
-                }
-            }
-        }
-        lanes::resolve_lanes::<16>(accs, &mut out[li * cells..(li + 1) * cells]);
-        site_base += sl.lanes.sites.len() * cells;
+/// What the template pass reads, shared by every band.
+struct RowSrc<'a> {
+    states: &'a SoaGrid<Q16_16>,
+    inputs: &'a SoaGrid<Q16_16>,
+    /// Global row → row of `states` / `inputs`.
+    row_map: &'a [u32],
+    /// The window's first chunk row.
+    chunk_row0: usize,
+    /// Grid `(rows, cols)`.
+    shape: (usize, usize),
+    /// The sweep's site weights, row-major: `[site][window cell]`.
+    site_rows: &'a [Q16_16],
+    window_cells: usize,
+}
+
+impl RowSrc<'_> {
+    /// Global row `r` of layer `layer` of the states, or with `input` of
+    /// the inputs.
+    fn row(&self, input: bool, layer: usize, r: usize) -> &[Q16_16] {
+        let slab = if input { self.inputs } else { self.states };
+        let cols = self.shape.1;
+        &slab.layer_slice(layer)[self.row_map[r] as usize * cols..][..cols]
     }
 }
+
+/// A tap's weight over one row: a constant, or its site's lane.
+#[derive(Clone, Copy)]
+enum RowWeight<'a> {
+    Const(Q16_16),
+    Lanes(&'a [Q16_16]),
+}
+
+impl RowWeight<'_> {
+    fn at(self, c: usize) -> Q16_16 {
+        match self {
+            Self::Const(w) => w,
+            Self::Lanes(ws) => ws[c],
+        }
+    }
+
+    /// `accs[c] ⊕= w[lo + c]·ops[c]`.
+    fn mac<A: Accumulate>(self, accs: &mut [i64], lo: usize, ops: &[Q16_16]) {
+        match self {
+            Self::Const(w) => lanes::mac_lanes::<A, _>(accs, w, ops),
+            Self::Lanes(ws) => lanes::mac_lanes_dyn::<A, _>(accs, &ws[lo..lo + accs.len()], ops),
+        }
+    }
+}
+
+/// The template pass over output row `r` of one swept layer, in the
+/// scalar `MacAcc` order per cell: the leak (dynamic layers), every tap
+/// in flattened order, every offset, one rounding into `out`. A tap
+/// reads its source row, resolved through the boundary once per row: the
+/// columns whose shifted reads stay on the grid as one contiguous slice,
+/// the few edge columns one by one through [`Boundary::resolve`].
+fn layer_row<A: Accumulate>(
+    src: &RowSrc<'_>,
+    sl: &SweepLayer<'_>,
+    r: usize,
+    out: &mut [Q16_16],
+    buf: &mut BandBuf,
+) {
+    let (rows, cols) = src.shape;
+    let (accs, ops) = (&mut buf.accs[..cols], &mut buf.ops[..cols]);
+    if sl.leak {
+        lanes::leak_lanes(accs, src.row(false, sl.layer, r));
+    } else {
+        accs.fill(0);
+    }
+    let at = (r - src.chunk_row0) * cols;
+    let weight = |w: LaneWeight| match w {
+        LaneWeight::Const(w) => RowWeight::Const(w),
+        LaneWeight::Dyn(s) => RowWeight::Lanes(&src.site_rows[s * src.window_cells + at..][..cols]),
+    };
+    for tap in &sl.taps {
+        let w = weight(tap.weight);
+        let Some((sr, _)) = tap.boundary.resolve(rows, cols, r, 0, tap.dr, 0) else {
+            // The whole source row lies past a constant boundary.
+            ops.fill(tap.const_val);
+            w.mac::<A>(accs, 0, ops);
+            continue;
+        };
+        let mut row = src.row(tap.input, tap.src, sr);
+        if tap.output {
+            for (o, v) in ops.iter_mut().zip(row) {
+                *o = v.cenn_output();
+            }
+            row = ops;
+        }
+        let (n, dc) = (cols as i64, i64::from(tap.dc));
+        let lo = (-dc).clamp(0, n) as usize;
+        let hi = (n - dc).clamp(lo as i64, n) as usize;
+        if lo < hi {
+            let shifted = &row[(lo as i64 + dc) as usize..(hi as i64 + dc) as usize];
+            w.mac::<A>(&mut accs[lo..hi], lo, shifted);
+        }
+        for c in (0..lo).chain(hi..cols) {
+            let op = match tap.boundary.resolve(rows, cols, r, c, tap.dr, tap.dc) {
+                Some((nr, nc)) => {
+                    debug_assert_eq!(nr, sr, "row and column resolve independently");
+                    row[nc]
+                }
+                None => tap.const_val,
+            };
+            let prod = i64::from(w.at(c).to_bits()) * i64::from(op.to_bits());
+            accs[c] = A::add(accs[c], prod);
+        }
+    }
+    for &o in &sl.offsets {
+        match weight(o) {
+            RowWeight::Const(v) => lanes::add_lanes::<A, _>(accs, v),
+            RowWeight::Lanes(vs) => lanes::add_lanes_dyn::<A, _>(accs, vs),
+        }
+    }
+    lanes::resolve_lanes(accs, out);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2448,12 +2616,14 @@ mod tests {
             let (sim, _) = heat_sim(12, 10, 1.0, 0.1);
             sim.tile_plan().n_shards() as u64
         };
-        // Euler heat model: per step one dynamic sweep (1 span/shard —
-        // heat has no dynamic weight sites, so no lut_lookup spans) +
-        // one scatter (1 span/shard) + one update pass (1 span).
+        // Euler heat model: per step one dynamic sweep (1 template_apply
+        // span per band, one band per shard — heat has no dynamic weight
+        // sites, so no lut_lookup spans and no weight scatter, and the
+        // row pass writes its RHS rows in place, so no halo_sync) + one
+        // update pass (1 span).
         assert_eq!(serial[Phase::LutLookup.index()], 0);
         assert_eq!(serial[Phase::TemplateApply.index()], 5 * n_shards);
-        assert_eq!(serial[Phase::HaloSync.index()], 5 * n_shards);
+        assert_eq!(serial[Phase::HaloSync.index()], 0);
         assert_eq!(serial[Phase::Integrate.index()], 5);
         assert_eq!(serial[Phase::Scrub.index()], 0);
         assert_eq!(serial[Phase::Checkpoint.index()], 0);
@@ -2526,6 +2696,54 @@ mod tests {
         sim.set_recorder(handle);
         sim.step();
         assert!((sim.step_stats().residual - 0.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_template_fault_past_the_bound_falls_back_to_saturating_adds() {
+        // A centre weight of -32768 (|w|·2³¹ = 2⁶²) and a small east tap
+        // keep the bound below 2⁶³: the layer adds without saturating.
+        // Setting the east weight's sign bit makes it about -32768 too,
+        // the bound passes 2⁶³, and with states at the bottom rail the
+        // sums do saturate: the sweep must fall back and give the scalar
+        // MacAcc bits.
+        let mut b = CennModelBuilder::new(3, 5);
+        let u = b.dynamic_layer("u", Boundary::Zero);
+        let mut t = crate::template::Template::zero(3);
+        t.set(0, 0, WeightExpr::Const(Q16_16::MIN));
+        t.set(0, 1, WeightExpr::Const(Q16_16::from_f64(0.25)));
+        b.state_template(u, u, t);
+        let mut sim = CennSim::new(b.build(0.5).unwrap()).unwrap();
+        let init = Grid::from_fn(3, 5, |r, c| {
+            Q16_16::from_bits(i32::MIN + (r * 5 + c) as i32)
+        });
+        sim.set_state(u, init.clone()).unwrap();
+        assert_eq!(sim.unsaturated_layers(), [true]);
+        sim.inject_template_fault(0, 1, 31).unwrap();
+        assert_eq!(sim.unsaturated_layers(), [false]);
+        sim.step();
+        let east = Q16_16::from_bits(Q16_16::from_f64(0.25).to_bits() ^ i32::MIN);
+        for r in 0..3 {
+            for c in 0..5 {
+                let x = init.get(r, c);
+                let mut k = MacAcc::<16>::new();
+                k.mac(Q16_16::NEG_ONE, x);
+                k.mac(Q16_16::MIN, x);
+                k.mac(
+                    east,
+                    if c + 1 < 5 {
+                        init.get(r, c + 1)
+                    } else {
+                        Q16_16::ZERO
+                    },
+                );
+                if c + 1 < 5 {
+                    assert_eq!(k.raw_sum(), i64::MAX, "the sum saturates at ({r}, {c})");
+                }
+                let mut x1 = MacAcc::<16>::with_init(x);
+                x1.mac(Q16_16::from_f64(0.5), k.resolve());
+                assert_eq!(sim.state(u).get(r, c), x1.resolve(), "({r}, {c})");
+            }
+        }
     }
 
     #[test]

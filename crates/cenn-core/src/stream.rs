@@ -13,20 +13,36 @@
 //! text **journal** records every completed window so a partially swept
 //! step is restartable via [`StreamSim::recover`].
 //!
-//! # Window lanes
+//! # Window rows and tiles
 //!
-//! A window's tiles come from [`TilePlan::window`], whose cells and PE ids
-//! stay global while flats address the resident rows, and its lanes lower
-//! the templates over them with gathers on the resident rows. They are
+//! The template pass reads rows, not cells: a window's row map takes a
+//! global row to its resident row, and each tap of each output row
+//! multiply-accumulates its boundary-resolved source row as one
+//! contiguous slice, so a window needs no per-cell geometry for it.
+//!
+//! Only the weight pass of a model with dynamic weight sites walks
+//! cells. Its tiles come from [`TilePlan::window`], whose cells and PE
+//! ids stay global while flats address the resident rows, and they are
 //! built once per window geometry. A window is *interior* when its
-//! resident rows are exactly `[r0 − halo, r1 + halo)` inside the grid, so
-//! no row goes through boundary resolution; two interior windows with the
-//! same height and the same `r0 mod pe_rows` have identical flats, PE
-//! ids, shard split and gathers. The store keeps the last window's tiles
-//! and lanes, and the next window reuses them, moving only the tiles'
-//! cells, when both are interior with the same key. Edge windows and key
-//! changes rebuild ([`StreamSim::lane_builds`] counts builds): a 1024-row
-//! grid in 48-row chunks over 8 PE rows builds 3 times per pass, not 22.
+//! resident rows are exactly `[r0 − halo, r1 + halo)` inside the grid;
+//! two interior windows with the same height and the same
+//! `r0 mod pe_rows` have identical flats, PE ids and shard split. The
+//! store keeps the last window's tiles, and the next window reuses them,
+//! moving only their cells, when both are interior with the same key.
+//! Edge windows and key changes rebuild ([`StreamSim::tile_builds`]
+//! counts builds): a 1024-row grid in 88-row chunks builds 3 times per
+//! pass, not 12.
+//!
+//! # Memory budget
+//!
+//! A budget sets the chunk height: the largest whose window — resident
+//! state and input rows, RHS and Heun chunk buffers, I/O staging, tiles,
+//! weight-pass lanes, row-major site weights and band rows — fits it,
+//! rounded down to a multiple of the PE array's rows when at least that
+//! many fit. The solver charges exactly what
+//! [`peak_resident_bytes`](Engine::peak_resident_bytes) counts, so a run
+//! whose chunk height is such a multiple never holds more than its
+//! budget.
 //!
 //! # Determinism
 //!
@@ -76,9 +92,7 @@ use crate::exec::{Tile, TilePlan};
 use crate::grid::{Grid, SoaGrid};
 use crate::layer::{LayerId, LayerKind};
 use crate::model::{CennModel, Integrator};
-use crate::sim::{
-    CennSim, Core, Engine, Fields, FuncEval, LayerLanes, ShardBuf, StepReport, Store, WindowMut,
-};
+use crate::sim::{CennSim, Core, Engine, Fields, FuncEval, Scratch, StepReport, Store, WindowMut};
 use crate::snapshot::{self, SimSnapshot, HEADER_LEN};
 
 /// Journal header tag and version.
@@ -91,8 +105,9 @@ pub struct StreamConfig {
     /// Directory holding the chunk spool and journal (created if absent).
     pub spool_dir: PathBuf,
     /// Byte budget for the resident working set. The engine solves for the
-    /// largest chunk height whose window (chunk + halo + scratch + gather
-    /// tables + I/O staging) fits the budget; a budget smaller than a
+    /// largest chunk height whose window (chunk + halo rows, tiles, sweep
+    /// scratch, I/O staging) fits the budget, a multiple of the PE
+    /// array's rows when at least that many fit; a budget smaller than a
     /// single-row window degrades to one-row chunks (best effort).
     pub memory_budget: Option<u64>,
     /// Explicit chunk height in rows (overrides `memory_budget`; clamped
@@ -194,10 +209,11 @@ impl Spool {
         stream: &str,
         idx: usize,
         (steps, time): (u64, f64),
-        layers: impl ExactSizeIterator<Item = &'g [Q16_16]>,
+        layers: impl ExactSizeIterator<Item = &'g [Q16_16]> + Clone,
         stage: &mut Vec<u8>,
     ) -> Result<u64, StreamError> {
         stage.clear();
+        stage.reserve_exact(HEADER_LEN + layers.clone().map(|l| 4 + 4 * l.len()).sum::<usize>());
         snapshot::encode(
             stage,
             (steps, time, 0),
@@ -217,15 +233,17 @@ impl Spool {
         Ok(len)
     }
 
-    /// Stages cells `range` of every layer of one chunk holding `n_layers`
-    /// layers of `cells` cells: the whole chunk, or only the rows a window
-    /// needs. The file's length is checked before reading, then its magic,
-    /// version, layer count and layer lengths.
+    /// Stages cells `range` of layers `layers` of one chunk holding
+    /// `n_layers` layers of `cells` cells: the whole chunk, only the rows
+    /// a window needs, or one layer's span. The file's length is checked
+    /// before reading, then its magic, version, layer count and the
+    /// staged layers' lengths.
     fn read_cells<'s>(
         &self,
         stream: &str,
         idx: usize,
         (n_layers, cells): (usize, usize),
+        layers: Range<usize>,
         range: Range<usize>,
         stage: &'s mut Vec<u8>,
     ) -> Result<Staged<'s>, StreamError> {
@@ -238,10 +256,10 @@ impl Spool {
         }
         let k = range.len();
         stage.clear();
-        stage.reserve_exact(HEADER_LEN + n_layers * (4 + 4 * k));
+        stage.reserve_exact(HEADER_LEN + layers.len() * (4 + 4 * k));
         // The header, then per layer its length word and the cells, read
         // as one seek + read per contiguous span of the file.
-        let spans = std::iter::once((0, HEADER_LEN)).chain((0..n_layers).flat_map(|l| {
+        let spans = std::iter::once((0, HEADER_LEN)).chain(layers.clone().flat_map(|l| {
             let at = HEADER_LEN + l * layer_bytes;
             [(at, 4), (at + 4 + 4 * range.start, 4 * k)]
         }));
@@ -256,13 +274,14 @@ impl Spool {
         read_span(&mut f, run, stage)?;
         let staged = Staged {
             bytes: stage,
+            first: layers.start,
             cells: k,
         };
-        let (_, _, layers) = snapshot::parse_header(staged.bytes).map_err(|m| err(&m))?;
-        if layers != n_layers {
+        let (_, _, count) = snapshot::parse_header(staged.bytes).map_err(|m| err(&m))?;
+        if count != n_layers {
             return Err(err("layer count mismatch"));
         }
-        if (0..n_layers).any(|l| staged.layer_len(l) != cells) {
+        if layers.into_iter().any(|l| staged.layer_len(l) != cells) {
             return Err(err("cell count mismatch"));
         }
         Ok(staged)
@@ -278,18 +297,20 @@ fn read_span(f: &mut fs::File, (at, len): (usize, usize), stage: &mut Vec<u8>) -
 }
 
 /// Cells staged by [`Spool::read_cells`], laid out as the chunk file with
-/// only those cells in each layer record: the header, then per layer its
-/// length word (the whole chunk's) and the staged cells.
+/// only the staged layers and cells: the header, then per staged layer
+/// its length word (the whole chunk's) and the staged cells.
 struct Staged<'s> {
     bytes: &'s [u8],
+    /// The first staged layer.
+    first: usize,
     /// Cells staged per layer.
     cells: usize,
 }
 
 impl<'s> Staged<'s> {
-    /// Byte offset of layer `l`'s length word.
+    /// Byte offset of staged layer `l`'s length word.
     fn layer_at(&self, l: usize) -> usize {
-        HEADER_LEN + l * (4 + 4 * self.cells)
+        HEADER_LEN + (l - self.first) * (4 + 4 * self.cells)
     }
 
     /// Layer `l`'s length word: the cells the chunk holds per layer.
@@ -311,7 +332,7 @@ impl<'s> Staged<'s> {
 fn chunk_layers(
     grid: &SoaGrid<Q16_16>,
     range: Range<usize>,
-) -> impl ExactSizeIterator<Item = &[Q16_16]> {
+) -> impl ExactSizeIterator<Item = &[Q16_16]> + Clone {
     (0..grid.n_layers()).map(move |l| &grid.layer_slice(l)[range.clone()])
 }
 
@@ -372,8 +393,8 @@ fn grid_record(model: &CennModel, chunk_rows: usize) -> String {
 }
 
 /// The spooled state store: chunk spool, journal, halo-row residency,
-/// and window lanes with gathers remapped onto the resident rows, built
-/// once per window geometry. See the module docs for the execution model.
+/// and the window's per-shard tiles, built once per window geometry. See
+/// the module docs for the execution model.
 ///
 /// Scope: every layer must be [`LayerKind::Dynamic`] — algebraic layers
 /// form declaration-order chains that need whole-grid barriers between
@@ -389,7 +410,7 @@ pub struct Spooled {
     boundaries: Vec<Boundary>,
     /// Template halo radius in rows.
     halo: usize,
-    /// Any lane tap gathers from the external-input slab.
+    /// Some template reads the external-input slab.
     uses_inputs: bool,
     chunk_rows: usize,
     spool: Spool,
@@ -413,18 +434,17 @@ pub struct Spooled {
     rows: (usize, usize),
     /// Sorted global rows resident for the window (chunk + halo).
     win_rows: Vec<usize>,
-    /// Tiles and lanes of the window, kept for the next window of the
-    /// same geometry.
+    /// Tiles of the window (none without dynamic weight sites), kept for
+    /// the next window of the same geometry.
     win_tiles: Vec<Tile>,
-    win_lanes: Vec<LayerLanes>,
-    /// `(r0 mod pe_rows, height)` of the interior window the tiles and
-    /// lanes were built for; `None` after an edge window.
-    lanes_key: Option<(usize, usize)>,
+    /// `(r0 mod pe_rows, height)` of the interior window the tiles were
+    /// built for; `None` after an edge window.
+    tiles_key: Option<(usize, usize)>,
     // --- counters --------------------------------------------------------
     peak_resident: u64,
     spill_bytes: u64,
     fill_bytes: u64,
-    lane_builds: u64,
+    tile_builds: u64,
     /// LUT-bearing layer count — decides `lut_counters` fidelity (module
     /// docs: >1 and windowed interleaving preserves only access totals).
     lut_layers: usize,
@@ -436,7 +456,7 @@ pub struct Spooled {
 struct StreamMetrics {
     hub: MetricsHub,
     windows: CounterId,
-    lane_builds: CounterId,
+    tile_builds: CounterId,
     spill: GaugeId,
     fill: GaugeId,
     peak: GaugeId,
@@ -482,7 +502,7 @@ impl Engine<Spooled> {
         (core.steps, core.time, core.run_cells) =
             (sim.core.steps, sim.core.time, sim.core.run_cells);
         core.recorder = sim.core.recorder.clone();
-        core.tracer = sim.core.tracer.clone();
+        core.set_tracer(sim.core.tracer.clone());
         let mut s = Self::open(core, cfg, true)?;
         s.set_threads(sim.threads());
         let cols = s.core.model.cols();
@@ -634,7 +654,7 @@ impl Engine<Spooled> {
 
     /// Shared construction over `core`: model checks, window geometry,
     /// resident buffers. `fresh` starts a new journal.
-    fn open(mut core: Core, cfg: StreamConfig, fresh: bool) -> Result<Self, StreamError> {
+    fn open(core: Core, cfg: StreamConfig, fresh: bool) -> Result<Self, StreamError> {
         for id in core.model.layer_ids() {
             if core.model.layer(id).kind() != LayerKind::Dynamic {
                 return Err(StreamError::Unsupported(format!(
@@ -647,18 +667,14 @@ impl Engine<Spooled> {
         let (rows, cols, n) = (m.rows(), m.cols(), m.n_layers());
         let lut_cfg = m.lut_config();
         let plan = TilePlan::new(rows, cols, lut_cfg.pe_rows, lut_cfg.pe_cols);
-        // Geometry-only lanes (no tiles) expose tap/site/factor counts for
-        // scratch sizing and the budget solver without building gathers.
-        let geom = core.lanes(&[], |r| r);
-        let uses_inputs = geom.iter().any(|l| l.taps.iter().any(|t| t.input));
-        let lut_layers = geom.iter().filter(|l| !l.sites.is_empty()).count();
+        let uses_inputs = core.uses_inputs();
+        let lut_layers = core.lut_layers();
         if lut_layers > 1 {
             eprintln!(
                 "cenn: streamed run has {lut_layers} LUT-bearing layers; per-PE LUT \
                  counters are totals-only under windowed interleaving (states stay exact)"
             );
         }
-        let n_taps: usize = geom.iter().map(|l| l.taps.len()).sum();
         let mut boundaries: Vec<Boundary> = Vec::new();
         for id in m.layer_ids() {
             let b = m.layer(id).boundary();
@@ -668,13 +684,9 @@ impl Engine<Spooled> {
         }
         let halo = (m.kernel_size() - 1) / 2;
         let heun = m.integrator() == Integrator::Heun;
-        core.size_scratch(&geom, std::iter::repeat_n(0, plan.n_shards()));
-        let (_, max_sites, max_factors) = core.scratch;
         let chunk_rows = match (cfg.chunk_rows, cfg.memory_budget) {
             (Some(g), _) => g.clamp(1, rows),
-            (None, Some(b)) => {
-                solve_chunk_rows(&core.model, halo, n_taps, max_sites, max_factors, heun, b)
-            }
+            (None, Some(b)) => WindowCost::of(&core).solve(b),
             (None, None) => rows,
         };
         let r_max = rows.min(chunk_rows + 2 * halo);
@@ -706,12 +718,11 @@ impl Engine<Spooled> {
             rows: (0, 0),
             win_rows: Vec::new(),
             win_tiles: Vec::new(),
-            win_lanes: Vec::new(),
-            lanes_key: None,
+            tiles_key: None,
             peak_resident: 0,
             spill_bytes: 0,
             fill_bytes: 0,
-            lane_builds: 0,
+            tile_builds: 0,
             lut_layers,
             metrics: None,
         };
@@ -740,17 +751,18 @@ impl Engine<Spooled> {
         self.store.fill_bytes
     }
 
-    /// Window tile and lane builds so far. An interior window (its
-    /// resident rows are its chunk plus the halo rows either side, all
-    /// inside the grid) reuses the previous window's build when both have
-    /// the same height and first-row PE phase; every other window builds
-    /// its own. Geometry-derived, so identical at every thread count.
-    pub fn lane_builds(&self) -> u64 {
-        self.store.lane_builds
+    /// Window tile builds so far (none without dynamic weight sites). An
+    /// interior window (its resident rows are its chunk plus the halo
+    /// rows either side, all inside the grid) reuses the previous
+    /// window's tiles when both have the same height and first-row PE
+    /// phase; every other window builds its own. Geometry-derived, so
+    /// identical at every thread count.
+    pub fn tile_builds(&self) -> u64 {
+        self.store.tile_builds
     }
 
     /// Routes streaming instruments into `hub`: counters
-    /// `stream.windows_swept_total` and `stream.lane_builds_total`, gauges
+    /// `stream.windows_swept_total` and `stream.tile_builds_total`, gauges
     /// `stream.spill_bytes`, `stream.fill_bytes` and
     /// `stream.peak_resident_bytes`. Updated once per swept window and on
     /// [`record_summary`](Self::record_summary) — never inside kernel
@@ -758,7 +770,7 @@ impl Engine<Spooled> {
     pub fn set_metrics(&mut self, hub: MetricsHub) {
         self.store.metrics = Some(StreamMetrics {
             windows: hub.counter("stream.windows_swept_total"),
-            lane_builds: hub.counter("stream.lane_builds_total"),
+            tile_builds: hub.counter("stream.tile_builds_total"),
             spill: hub.gauge("stream.spill_bytes"),
             fill: hub.gauge("stream.fill_bytes"),
             peak: hub.gauge("stream.peak_resident_bytes"),
@@ -852,12 +864,22 @@ impl Engine<Spooled> {
         let cells = (r1 - r0) * self.core.model.cols();
         let st = &mut self.store;
         let mut next = Vec::new();
-        let old =
-            st.spool
-                .read_cells(parity_stream(steps), w, (n, cells), 0..cells, &mut st.stage)?;
-        let new =
-            st.spool
-                .read_cells(parity_stream(steps + 1), w, (n, cells), 0..cells, &mut next)?;
+        let old = st.spool.read_cells(
+            parity_stream(steps),
+            w,
+            (n, cells),
+            0..n,
+            0..cells,
+            &mut st.stage,
+        )?;
+        let new = st.spool.read_cells(
+            parity_stream(steps + 1),
+            w,
+            (n, cells),
+            0..n,
+            0..cells,
+            &mut next,
+        )?;
         let mut max_raw = self.core.residual_raw;
         for l in 0..n {
             for (o, nv) in old.words(l, 0, cells).zip(new.words(l, 0, cells)) {
@@ -899,7 +921,7 @@ impl Spooled {
     }
 
     /// Pushes the cumulative I/O gauges (and `swept` freshly completed
-    /// windows and `built` lane builds) into the attached hub; no-op
+    /// windows and `built` tile builds) into the attached hub; no-op
     /// without one.
     fn publish_metrics(&self, swept: u64, built: u64) {
         let Some(m) = &self.metrics else { return };
@@ -907,7 +929,7 @@ impl Spooled {
             m.hub.inc(m.windows, swept);
         }
         if built > 0 {
-            m.hub.inc(m.lane_builds, built);
+            m.hub.inc(m.tile_builds, built);
         }
         m.hub.gauge_set(m.spill, self.spill_bytes as i64);
         m.hub.gauge_set(m.fill, self.fill_bytes as i64);
@@ -937,6 +959,7 @@ impl Spooled {
                 stream,
                 chunk,
                 (n, (c1 - c0) * cols),
+                0..n,
                 span,
                 &mut self.stage,
             )?;
@@ -955,19 +978,22 @@ impl Spooled {
         Ok(())
     }
 
-    /// Points the window's tiles and lanes at chunk rows `[r0, r1)` and
-    /// returns whether that took a build. Two interior windows — resident
-    /// rows exactly `[r0 − halo, r1 + halo)`, all inside the grid, so no
-    /// row goes through boundary resolution — with the same height and
-    /// the same `r0 mod pe_rows` have identical flats, PE ids, shard split
-    /// and resident-local gathers: the next one only moves the tiles'
-    /// cells. Every other window builds its tiles (global cells and PEs)
-    /// and lanes, with flats and gathers on the resident rows.
-    fn place_lanes(&mut self, core: &Core, r0: usize, r1: usize) -> bool {
+    /// Points the window's tiles at chunk rows `[r0, r1)` and returns
+    /// whether that took a build; a model without dynamic weight sites
+    /// has no tiles. Two interior windows — resident rows exactly
+    /// `[r0 − halo, r1 + halo)`, all inside the grid — with the same
+    /// height and the same `r0 mod pe_rows` have identical flats, PE ids
+    /// and shard split: the next one only moves the tiles' cells. Every
+    /// other window builds its tiles (global cells and PEs, flats on the
+    /// resident rows).
+    fn place_tiles(&mut self, core: &Core, r0: usize, r1: usize) -> bool {
+        if !core.has_sites() {
+            return false;
+        }
         let rows = self.row_map.len();
         let interior = r0 >= self.halo && r1 + self.halo <= rows;
         let key = interior.then_some((r0 % self.plan.pe_shape().0, r1 - r0));
-        if key.is_some() && key == self.lanes_key {
+        if key.is_some() && key == self.tiles_key {
             let by = r0 as i64 - self.rows.0 as i64;
             for tile in &mut self.win_tiles {
                 tile.shift_rows(by);
@@ -976,42 +1002,32 @@ impl Spooled {
         }
         // Drop the old build first, so two never coexist.
         self.win_tiles.clear();
-        self.win_lanes.clear();
         let row_map = &self.row_map;
-        let local = |r: usize| {
+        self.win_tiles = self.plan.window(r0, r1, |r| {
             debug_assert_ne!(row_map[r], u32::MAX, "row {r} not resident");
             row_map[r] as usize
-        };
-        self.win_tiles = self.plan.window(r0, r1, local);
-        self.win_lanes = core.lanes(&self.win_tiles, local);
-        self.lanes_key = key;
-        self.lane_builds += 1;
+        });
+        self.tiles_key = key;
+        self.tile_builds += 1;
         true
     }
 
     /// Records the resident working set of the window in memory: window
-    /// buffers, per-shard scratch, gather tables, tile bookkeeping and
-    /// I/O staging (geometry-derived, deterministic).
-    fn note_peak(&mut self, bufs: &[ShardBuf]) {
-        let lanes_bytes: u64 = self
-            .win_lanes
+    /// buffers, tiles, sweep scratch and I/O staging (geometry-derived,
+    /// deterministic). [`WindowCost::bytes`] is the same sum as a
+    /// function of the chunk height.
+    fn note_peak(&mut self, scratch: &Scratch) {
+        let tiles: usize = self.win_tiles.iter().map(|t| 16 * t.len()).sum();
+        let mut slabs = [&self.resident, &self.resident_in, &self.out_buf]
             .iter()
-            .map(|l| l.taps.iter().map(|t| t.gather.len() * 4).sum::<usize>() as u64)
-            .sum();
-        let tiles_bytes: u64 = self.win_tiles.iter().map(|t| t.len() as u64 * 16).sum();
-        let buf_bytes: u64 = bufs.iter().map(ShardBuf::bytes).sum();
-        let word = std::mem::size_of::<Q16_16>() as u64;
-        let mut fixed = (self.resident.slab().len()
-            + self.resident_in.slab().len()
-            + self.out_buf.slab().len()) as u64
-            * word;
+            .map(|g| g.slab().len())
+            .sum::<usize>();
         if let Some((a, b)) = &self.heun_buf {
-            fixed += (a.slab().len() + b.slab().len()) as u64 * word;
+            slabs += a.slab().len() + b.slab().len();
         }
-        fixed += (self.stage.capacity() + self.wstage.capacity()) as u64;
-        self.peak_resident = self
-            .peak_resident
-            .max(fixed + lanes_bytes + tiles_bytes + buf_bytes);
+        let staging = self.stage.capacity() + self.wstage.capacity();
+        let bytes = (4 * slabs + staging + tiles) as u64 + scratch.bytes();
+        self.peak_resident = self.peak_resident.max(bytes);
     }
 }
 
@@ -1023,8 +1039,8 @@ impl Store for Spooled {
     }
 
     /// Halo fill from the spool (the current-parity state, or Heun's
-    /// predictor on the corrector pass), then the window's tiles and
-    /// lanes (see [`place_lanes`](Spooled::place_lanes)).
+    /// predictor on the corrector pass), then the window's tiles (see
+    /// [`place_tiles`](Spooled::place_tiles)) and scratch.
     fn fill(&mut self, core: &mut Core, pass: usize, w: usize) -> Result<(), StreamError> {
         let src = if pass == 0 {
             parity_stream(core.steps)
@@ -1041,15 +1057,11 @@ impl Store for Spooled {
         if self.uses_inputs {
             self.fill_rows("in", true)?;
         }
-        if let Some(tr) = &core.tracer {
-            tr.record_since(Phase::HaloSync, 0, t_fill);
-        }
-        let built = self.place_lanes(core, r0, r1);
-        for (buf, tile) in core.shard_bufs.iter_mut().zip(&self.win_tiles) {
-            buf.ensure(tile.len(), core.scratch);
-        }
+        core.span_since(Phase::HaloSync, t_fill);
+        let built = self.place_tiles(core, r0, r1);
+        core.size_scratch(&self.win_tiles, (r1 - r0) * self.plan.shape().1);
         self.rows = (r0, r1);
-        self.note_peak(&core.shard_bufs);
+        self.note_peak(&core.scratch);
         self.publish_metrics(1, u64::from(built));
         Ok(())
     }
@@ -1058,8 +1070,8 @@ impl Store for Spooled {
         WindowMut {
             rows: self.rows,
             base: self.row_map[self.rows.0] as usize,
+            row_map: &self.row_map,
             tiles: &self.win_tiles,
-            lanes: &self.win_lanes,
             states: &mut self.resident,
             inputs: &self.resident_in,
             rhs: &mut self.out_buf,
@@ -1080,9 +1092,9 @@ impl Store for Spooled {
         let n = core.model.n_layers();
         let cells = (self.rows.1 - self.rows.0) * core.model.cols();
         for (stream, dest) in [(parity_stream(core.steps), x0), ("k1", k1)] {
-            let view = self
-                .spool
-                .read_cells(stream, w, (n, cells), 0..cells, &mut self.stage)?;
+            let view =
+                self.spool
+                    .read_cells(stream, w, (n, cells), 0..n, 0..cells, &mut self.stage)?;
             for l in 0..n {
                 for (slot, v) in dest.layer_mut(l)[..cells]
                     .iter_mut()
@@ -1133,9 +1145,10 @@ impl Store for Spooled {
         self.journal.step(core)
     }
 
-    /// Reads the layer's current-parity cells chunk by chunk. Mid-step
-    /// that parity still holds the last completed step's state (updates
-    /// write the other parity), so the view is always consistent.
+    /// Reads the layer's current-parity cells chunk by chunk, staging
+    /// only that layer's span of each chunk. Mid-step that parity still
+    /// holds the last completed step's state (updates write the other
+    /// parity), so the view is always consistent.
     fn visit_layer(
         &self,
         core: &Core,
@@ -1147,9 +1160,10 @@ impl Store for Spooled {
         for w in 0..self.n_windows() {
             let (r0, r1) = self.window_bounds(w);
             let k = (r1 - r0) * cols;
+            let parity = parity_stream(core.steps);
             let view =
                 self.spool
-                    .read_cells(parity_stream(core.steps), w, (n, k), 0..k, &mut stage)?;
+                    .read_cells(parity, w, (n, k), layer..layer + 1, 0..k, &mut stage)?;
             cells.clear();
             cells.extend(view.words(layer, 0, k).map(Q16_16::from_bits));
             visit(&cells);
@@ -1188,38 +1202,92 @@ fn parity_stream(steps: u64) -> &'static str {
     }
 }
 
-/// Solves for the largest chunk height whose resident window fits
-/// `budget` bytes. The linear model charges, per chunk row: the resident
-/// state and input rows, the RHS/update buffers, the gather tables, the
-/// per-shard lane scratch, tile bookkeeping, and chunk I/O staging; plus
-/// a fixed charge for the `2·halo` halo rows. Degrades to one-row chunks
-/// when the budget is smaller than a single-row window.
-fn solve_chunk_rows(
-    model: &CennModel,
+/// What a window holds resident, as a function of its chunk height `g`:
+/// the sum [`Spooled::note_peak`] counts once its buffers have seen a
+/// full window. The budget solver charges exactly this.
+#[derive(Debug, Clone, Copy)]
+struct WindowCost {
+    rows: usize,
+    cols: usize,
+    layers: usize,
     halo: usize,
-    n_taps: usize,
-    max_sites: usize,
-    max_factors: usize,
+    pe_rows: usize,
+    inputs: bool,
     heun: bool,
-    budget: u64,
-) -> usize {
-    let word = std::mem::size_of::<Q16_16>() as u64;
-    let cols = model.cols() as u64;
-    let n = model.n_layers() as u64;
-    let resident_row = 2 * n * cols * word; // states + inputs
-    let scratch_cell = n * 4 + 8 + 4 + max_sites as u64 * 4 + max_factors as u64 * 8;
-    let mut chunk_row = n * cols * word // out_buf
-        + n_taps as u64 * cols * 4 // gather tables
-        + cols * scratch_cell // shard lane scratch
-        + cols * 16 // tile cells/flats/pes
-        + 2 * n * cols * word; // read + write staging
-    if heun {
-        chunk_row += 2 * n * cols * word; // pred / x0+k1 chunk buffers
+    /// Per cell: the row-major site weights, and the bytes of the weight
+    /// pass's per-shard lanes; tiles exist when there are sites.
+    sites: usize,
+    lane_bytes: usize,
+    /// Template-pass bands, one row of scratch each.
+    bands: usize,
+}
+
+impl WindowCost {
+    fn of(core: &Core) -> Self {
+        let m = &core.model;
+        let (sites, lane_bytes) = core.scratch_per_cell();
+        Self {
+            rows: m.rows(),
+            cols: m.cols(),
+            layers: m.n_layers(),
+            halo: (m.kernel_size() - 1) / 2,
+            pe_rows: m.lut_config().pe_rows,
+            inputs: core.uses_inputs(),
+            heun: m.integrator() == Integrator::Heun,
+            sites,
+            lane_bytes,
+            bands: core.n_shards(),
+        }
     }
-    let base = 2 * halo as u64 * resident_row + 256;
-    let per_row = resident_row + chunk_row;
-    let g = budget.saturating_sub(base) / per_row.max(1);
-    (g as usize).clamp(1, model.rows())
+
+    /// Resident bytes of windows of `g` chunk rows: the resident state
+    /// (and input) rows, the RHS and Heun chunk buffers, read and write
+    /// staging of one chunk, the tiles (16 B a cell) with the weight
+    /// pass's per-shard lanes, the row-major site weights, and one
+    /// accumulator and operand row per band. Tiles and weight lanes sum
+    /// over shards to one window only when every window's rows split
+    /// over the PE rows alike: `g` a multiple of `pe_rows`, or one window.
+    fn bytes(&self, g: usize) -> u64 {
+        let row = 4 * self.layers * self.cols;
+        let resident = self.rows.min(g + 2 * self.halo);
+        let input_rows = if self.inputs { resident } else { 1 };
+        let chunk_bufs = if self.heun { 3 } else { 1 };
+        let staging = 2 * (HEADER_LEN + self.layers * (4 + 4 * g * self.cols));
+        let cells = g * self.cols;
+        let tiles = if self.sites > 0 {
+            cells * (16 + self.lane_bytes)
+        } else {
+            0
+        };
+        let bands = self.bands * self.cols * (8 + 4);
+        ((resident + input_rows + chunk_bufs * g) * row
+            + staging
+            + tiles
+            + 4 * self.sites * cells
+            + bands) as u64
+    }
+
+    /// The chunk height for `budget`: the largest whose windows fit it,
+    /// rounded down to a multiple of `pe_rows` when at least that many
+    /// rows fit (so every window splits over the shards alike and the
+    /// grow-only scratch never exceeds one window's). A budget below one
+    /// row's windows degrades to one-row chunks (best effort).
+    fn solve(&self, budget: u64) -> usize {
+        let (mut lo, mut hi) = (1, self.rows);
+        while lo < hi {
+            let mid = (lo + hi).div_ceil(2);
+            if self.bytes(mid) <= budget {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        if lo < self.rows && lo >= self.pe_rows {
+            lo - lo % self.pe_rows
+        } else {
+            lo
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1320,10 +1388,10 @@ mod tests {
         let mut b = CennModelBuilder::new(64, 64);
         let u = b.dynamic_layer("u", Boundary::ZeroFlux);
         b.state_template(u, u, mapping::laplacian(0.1, 1.0).into_state_template());
-        let model = b.build(0.1).unwrap();
-        let g_small = solve_chunk_rows(&model, 1, 9, 0, 0, false, 1);
-        let g_mid = solve_chunk_rows(&model, 1, 9, 0, 0, false, 64 * 1024);
-        let g_big = solve_chunk_rows(&model, 1, 9, 0, 0, false, u64::MAX);
+        let cost = WindowCost::of(&Core::new(b.build(0.1).unwrap(), FuncEval::Lut).unwrap());
+        let g_small = cost.solve(1);
+        let g_mid = cost.solve(64 * 1024);
+        let g_big = cost.solve(u64::MAX);
         assert_eq!(g_small, 1, "tiny budget degrades to one-row chunks");
         assert!(g_small <= g_mid && g_mid <= g_big, "monotone in budget");
         assert_eq!(g_big, 64, "huge budget clamps to the grid");
@@ -1353,13 +1421,15 @@ mod tests {
         let short = write(&[&a[..6]]);
         assert!(short < long);
         assert_eq!(len(&spool), short);
-        let view = spool.read_cells("x1", 0, (1, 6), 0..6, &mut stage).unwrap();
+        let view = spool
+            .read_cells("x1", 0, (1, 6), 0..1, 0..6, &mut stage)
+            .unwrap();
         assert!(view.words(0, 0, 6).eq(a[..6].iter().map(|v| v.to_bits())));
         // Row spans of a two-layer chunk: only the span's cells are staged.
         write(&[&a, &b]);
         for span in [0..4, 4..8, 8..12] {
             let view = spool
-                .read_cells("x1", 0, (2, 12), span.clone(), &mut stage)
+                .read_cells("x1", 0, (2, 12), 0..2, span.clone(), &mut stage)
                 .unwrap();
             for (l, layer) in [&a, &b].into_iter().enumerate() {
                 let want = layer[span.clone()].iter().map(|v| v.to_bits());
@@ -1372,13 +1442,13 @@ mod tests {
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
         assert!(spool
-            .read_cells("x1", 0, (2, 12), 8..12, &mut stage)
+            .read_cells("x1", 0, (2, 12), 0..2, 8..12, &mut stage)
             .is_err());
         let mut garbled = bytes.clone();
         garbled[..8].fill(0xA5);
         fs::write(&path, &garbled).unwrap();
         assert!(spool
-            .read_cells("x1", 0, (2, 12), 0..4, &mut stage)
+            .read_cells("x1", 0, (2, 12), 0..2, 0..4, &mut stage)
             .is_err());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1399,8 +1469,83 @@ mod tests {
             }
         }
         // The two edge windows and the first interior one.
-        assert_eq!(streamed.lane_builds(), 3);
+        assert_eq!(streamed.tile_builds(), 3);
         let _ = fs::remove_dir_all(streamed.spool_dir());
+    }
+
+    /// Four coupled dynamic layers (the Hodgkin–Huxley layer count).
+    fn four_layer_sim(rows: usize, cols: usize) -> CennSim {
+        let mut b = CennModelBuilder::new(rows, cols);
+        let ids: Vec<_> = (0..4)
+            .map(|i| b.dynamic_layer(&format!("l{i}"), Boundary::ZeroFlux))
+            .collect();
+        for (i, &id) in ids.iter().enumerate() {
+            b.state_template(id, id, mapping::laplacian(0.1, 1.0).into_state_template());
+            b.state_template(id, ids[(i + 1) % 4], mapping::center(0.05).into_template());
+        }
+        let mut sim = CennSim::new(b.build(0.1).unwrap()).unwrap();
+        for (i, &id) in ids.iter().enumerate() {
+            let init = Grid::from_fn(rows, cols, |r, c| ((r * 7 + c * 3 + i) % 11) as f64 * 0.1);
+            sim.set_state_f64(id, &init).unwrap();
+        }
+        sim
+    }
+
+    #[test]
+    fn a_layer_read_stages_only_that_layers_span() {
+        let mut in_core = four_layer_sim(10, 6);
+        let dir = tmp_dir("one_layer");
+        let mut streamed =
+            StreamSim::from_sim(&in_core, StreamConfig::new(&dir).with_chunk_rows(4)).unwrap();
+        in_core.run(3);
+        streamed.run(3).unwrap();
+        // Digests (and every cell) match in-core, layer by layer.
+        assert_eq!(streamed.snapshot().unwrap(), in_core.snapshot());
+        let fold = |sim: &StreamSim| sim.fold_state(|_, _| {}).unwrap();
+        assert_eq!(fold(&streamed), crate::snapshot_digest(&in_core.snapshot()));
+        // One layer of a four-layer chunk stages the header and that
+        // layer's record only.
+        let st = &streamed.store;
+        let mut stage = Vec::new();
+        let cells = 4 * 6;
+        for l in 0..4 {
+            let view = st
+                .spool
+                .read_cells("x1", 0, (4, cells), l..l + 1, 0..cells, &mut stage)
+                .unwrap();
+            let want = &in_core.snapshot().states[l][..cells];
+            assert!(view.words(l, 0, cells).eq(want.iter().copied()));
+            assert_eq!(stage.len(), HEADER_LEN + 4 + 4 * cells);
+        }
+        // Visiting layer 0 reads no other layer's record: a torn length
+        // word in layer 2 fails layer 2's visit only.
+        let path = st.spool.chunk_path("x1", 0);
+        let mut bytes = fs::read(&path).unwrap();
+        let at = HEADER_LEN + 2 * (4 + 4 * cells);
+        bytes[at..at + 4].copy_from_slice(&7u32.to_le_bytes());
+        fs::write(&path, bytes).unwrap();
+        let visit = |l: usize| st.visit_layer(&streamed.core, l, &mut |_| {});
+        assert!(visit(0).is_ok());
+        assert!(visit(2).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_solver_charges_exactly_what_a_window_holds() {
+        for (rows, cols, budget) in [(64, 9, 12 << 10), (64, 32, 40 << 10), (40, 17, 1 << 20)] {
+            for sim in [fisher_sim(rows, cols), four_layer_sim(rows, cols)] {
+                let dir = tmp_dir("charge");
+                let cfg = StreamConfig::new(&dir).with_memory_budget(budget);
+                let mut streamed = StreamSim::from_sim(&sim, cfg).unwrap();
+                streamed.run(1).unwrap();
+                let chunk = streamed.chunk_rows();
+                assert!(chunk.is_multiple_of(8) || chunk == rows, "{chunk} rows");
+                let charged = WindowCost::of(&streamed.core).bytes(chunk);
+                assert_eq!(streamed.peak_resident_bytes(), charged);
+                assert!(charged <= budget);
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]
@@ -1417,14 +1562,14 @@ mod tests {
         assert_eq!(&bytes[..8], snapshot::MAGIC, "guard-compatible magic");
         assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
         let view = spool
-            .read_cells("x0", 3, (1, 12), 0..12, &mut stage)
+            .read_cells("x0", 3, (1, 12), 0..1, 0..12, &mut stage)
             .unwrap();
         assert!(view.words(0, 0, 12).eq(vals.iter().map(|v| v.to_bits())));
         assert!(spool
-            .read_cells("x0", 3, (2, 12), 0..12, &mut stage)
+            .read_cells("x0", 3, (2, 12), 0..2, 0..12, &mut stage)
             .is_err());
         assert!(spool
-            .read_cells("x0", 3, (1, 11), 0..11, &mut stage)
+            .read_cells("x0", 3, (1, 11), 0..1, 0..11, &mut stage)
             .is_err());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -1,7 +1,10 @@
 //! Property-based tests for the CeNN model and functional simulator.
 
-use cenn_core::{mapping, Boundary, CennModelBuilder, CennSim, Grid, TilePlan};
-use fixedpt::Q16_16;
+use cenn_core::{
+    mapping, Boundary, CennModel, CennModelBuilder, CennSim, Grid, Integrator, LayerId,
+    StreamConfig, StreamSim, Template, TemplateKind, TilePlan, WeightExpr,
+};
+use fixedpt::{MacAcc, Q16_16};
 use proptest::prelude::*;
 
 fn small_grid(rows: usize, cols: usize, lo: f64, hi: f64) -> impl Strategy<Value = Grid<f64>> {
@@ -242,5 +245,272 @@ proptest! {
         let back = q.map(|v| v.to_f64());
         let (mean, _) = g.abs_error_stats(&back);
         prop_assert!(mean <= 0.5 / 65536.0);
+    }
+}
+
+/// A deterministic draw stream for the random-model test (xorshift64).
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A raw Q16.16 word of at most `bits` magnitude bits (31: any word).
+    fn word(&mut self, bits: u32) -> Q16_16 {
+        Q16_16::from_bits((self.next() as i32) >> (31 - bits))
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len())]
+    }
+}
+
+/// How wide a random model's weights and states are.
+#[derive(Clone, Copy)]
+enum Magnitude {
+    /// Words of at most `(weight, state)` magnitude bits.
+    Bits(u32, u32),
+    /// Words within 2^20 of the rail of one sign for the weights and one
+    /// for the states, so products share a sign and sums saturate.
+    Rails(bool, bool),
+}
+
+impl Magnitude {
+    fn word(self, d: &mut Draw, weight: bool) -> Q16_16 {
+        match self {
+            Self::Bits(w, x) => d.word(if weight { w } else { x }),
+            Self::Rails(w, x) => {
+                let off = (d.next() >> 44) as i32;
+                let negative = if weight { w } else { x };
+                Q16_16::from_bits(if negative {
+                    i32::MIN + off
+                } else {
+                    i32::MAX - off
+                })
+            }
+        }
+    }
+}
+
+/// A random constant-weight model: 1–3 dynamic layers of random
+/// boundary kinds, each with random 3×3 state, output and input
+/// templates and constant offsets, on a 1×1 to 20×20 grid. One
+/// magnitude draw per model sets how wide its weights and states are:
+/// a few bits (every accumulator bound far below 2⁶³), full 32-bit words,
+/// or words at the rails whose sums saturate.
+fn random_model(d: &mut Draw, heun: bool) -> (CennModel, Vec<Vec<Q16_16>>, Vec<Vec<Q16_16>>) {
+    let (rows, cols) = (1 + d.below(20), 1 + d.below(20));
+    let n = 1 + d.below(3);
+    let magnitude = match d.below(5) {
+        0 => Magnitude::Bits(6, 12),
+        1 => Magnitude::Bits(14, 20),
+        2 => Magnitude::Bits(22, 31),
+        3 => Magnitude::Bits(31, 31),
+        _ => Magnitude::Rails(d.below(2) == 0, d.below(2) == 0),
+    };
+    let mut b = CennModelBuilder::new(rows, cols);
+    let layers: Vec<LayerId> = (0..n)
+        .map(|i| {
+            let boundary = match d.below(4) {
+                0 => Boundary::ZeroFlux,
+                1 => Boundary::Periodic,
+                2 => Boundary::Dirichlet(d.word(20).to_f64()),
+                _ => Boundary::Zero,
+            };
+            b.dynamic_layer(&format!("l{i}"), boundary)
+        })
+        .collect();
+    for &dest in &layers {
+        for kind in 0..3 {
+            if d.below(3) == 0 {
+                continue;
+            }
+            let src = d.pick(&layers);
+            let mut t = Template::zero(3);
+            for dr in -1..=1 {
+                for dc in -1..=1 {
+                    if d.below(2) == 0 {
+                        t.set(dr, dc, WeightExpr::Const(magnitude.word(d, true)));
+                    }
+                }
+            }
+            match kind {
+                0 => b.state_template(dest, src, t),
+                1 => b.output_template(dest, src, t),
+                _ => b.input_template(dest, src, t),
+            };
+        }
+        for _ in 0..d.below(3) {
+            b.offset_expr(dest, WeightExpr::Const(magnitude.word(d, true)));
+        }
+    }
+    b.integrator(if heun {
+        Integrator::Heun
+    } else {
+        Integrator::Euler
+    });
+    let model = b.build(d.pick(&[0.5, 0.25, 0.125, 0.1])).unwrap();
+    let mut field = || (0..rows * cols).map(|_| magnitude.word(d, false)).collect();
+    let states = (0..n).map(|_| field()).collect();
+    let inputs = (0..n).map(|_| field()).collect();
+    (model, states, inputs)
+}
+
+/// Eq. (1)'s right-hand side of every layer, cell by cell, as the PE
+/// computes it: one `MacAcc` per cell — the leak, then every tap of every
+/// state, output and input template in declaration order, each operand
+/// resolved through its source's boundary, then the offsets — rounded
+/// once.
+fn reference_rhs(
+    m: &CennModel,
+    states: &[Vec<Q16_16>],
+    inputs: &[Vec<Q16_16>],
+) -> Vec<Vec<Q16_16>> {
+    let (rows, cols) = (m.rows(), m.cols());
+    m.layer_ids()
+        .map(|dest| {
+            (0..rows * cols)
+                .map(|cell| {
+                    let (r, c) = (cell / cols, cell % cols);
+                    let mut acc = MacAcc::<16>::new();
+                    acc.mac(Q16_16::NEG_ONE, states[dest.index()][cell]);
+                    for kind in [
+                        TemplateKind::State,
+                        TemplateKind::Output,
+                        TemplateKind::Input,
+                    ] {
+                        for (src, t) in m.templates(kind, dest) {
+                            let boundary = m.layer(src).boundary();
+                            let grid = match kind {
+                                TemplateKind::Input => &inputs[src.index()],
+                                _ => &states[src.index()],
+                            };
+                            for (dr, dc, w) in t.iter() {
+                                let WeightExpr::Const(w) = w else {
+                                    unreachable!("constant weights only")
+                                };
+                                let v = match boundary.resolve(rows, cols, r, c, dr, dc) {
+                                    Some((nr, nc)) => grid[nr * cols + nc],
+                                    None => Q16_16::from_f64(boundary.constant()),
+                                };
+                                let v = match kind {
+                                    TemplateKind::Output => v.cenn_output(),
+                                    _ => v,
+                                };
+                                acc.mac(*w, v);
+                            }
+                        }
+                    }
+                    for w in m.offsets(dest) {
+                        let WeightExpr::Const(v) = w else {
+                            unreachable!("constant offsets only")
+                        };
+                        acc.add(*v);
+                    }
+                    acc.resolve()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// One reference step: forward Euler, or Heun's predictor and corrector,
+/// each a single wide-MAC rounding per cell.
+fn reference_step(
+    m: &CennModel,
+    states: &[Vec<Q16_16>],
+    inputs: &[Vec<Q16_16>],
+) -> Vec<Vec<Q16_16>> {
+    let euler = |x: &[Vec<Q16_16>], k: &[Vec<Q16_16>]| -> Vec<Vec<Q16_16>> {
+        x.iter()
+            .zip(k)
+            .map(|(x, k)| {
+                x.iter()
+                    .zip(k)
+                    .map(|(&x, &k)| {
+                        let mut acc = MacAcc::<16>::with_init(x);
+                        acc.mac(m.dt_fx(), k);
+                        acc.resolve()
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let k1 = reference_rhs(m, states, inputs);
+    if m.integrator() == Integrator::Euler {
+        return euler(states, &k1);
+    }
+    let k2 = reference_rhs(m, &euler(states, &k1), inputs);
+    let half = Q16_16::from_f64(m.dt() / 2.0);
+    states
+        .iter()
+        .zip(k1.iter().zip(&k2))
+        .map(|(x0, (k1, k2))| {
+            x0.iter()
+                .zip(k1.iter().zip(k2))
+                .map(|(&x0, (&k1, &k2))| {
+                    let mut acc = MacAcc::<16>::with_init(x0);
+                    acc.mac(half, k1);
+                    acc.mac(half, k2);
+                    acc.resolve()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn row_direct_sweep_matches_a_scalar_mac_acc_reference(case in any::<u64>()) {
+        // Both kernels (unsaturated where the weights bound every
+        // accumulator below 2^63, saturating elsewhere), every boundary
+        // kind, grids on and off the 8x8 PE array: two steps in-core at 1
+        // and 3 threads, and streamed at a random chunk height, equal the
+        // scalar reference bit for bit.
+        let mut d = Draw(case | 1);
+        for heun in [false, true] {
+            let (model, states, inputs) = random_model(&mut d, heun);
+            let (rows, cols) = (model.rows(), model.cols());
+            let mut want = states.clone();
+            for _ in 0..2 {
+                want = reference_step(&model, &want, &inputs);
+            }
+            let want: Vec<Vec<i32>> = want
+                .iter()
+                .map(|l| l.iter().map(|v| v.to_bits()).collect())
+                .collect();
+            let chunk = 1 + d.below(rows);
+            for threads in [1, 3] {
+                let mut sim = CennSim::new(model.clone()).unwrap();
+                sim.set_threads(threads);
+                for (id, (x, u)) in model.layer_ids().zip(states.iter().zip(&inputs)) {
+                    sim.set_state(id, Grid::from_fn(rows, cols, |r, c| x[r * cols + c])).unwrap();
+                    sim.set_input(id, Grid::from_fn(rows, cols, |r, c| u[r * cols + c])).unwrap();
+                }
+                let dir = std::env::temp_dir().join(format!(
+                    "cenn_row_direct_{}_{case}_{heun}_{threads}",
+                    std::process::id()
+                ));
+                let mut streamed =
+                    StreamSim::from_sim(&sim, StreamConfig::new(&dir).with_chunk_rows(chunk)).unwrap();
+                streamed.set_threads(threads);
+                sim.run(2);
+                streamed.run(2).unwrap();
+                let what = format!("{rows}x{cols} heun={heun} threads={threads} chunk={chunk}");
+                prop_assert_eq!(&sim.snapshot().states, &want, "in-core {}", what);
+                prop_assert_eq!(&streamed.snapshot().unwrap().states, &want, "streamed {}", what);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }

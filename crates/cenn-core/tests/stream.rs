@@ -1,6 +1,6 @@
 //! Property tests for the streamed out-of-core engine: bit-identity with
 //! the in-core simulator across window sizes and thread counts (including
-//! windows that reuse another window's lanes), canonical per-step
+//! windows that reuse another window's tiles), canonical per-step
 //! observability equality, and mid-sweep kill/restart recovery from
 //! spilled chunks, torn ones included.
 
@@ -254,11 +254,11 @@ proptest! {
                     let windows = streamed.n_windows() as u64;
                     let per_pass = if chunk == 12 { windows } else { 3 };
                     let passes = if heun { 2 } else { 1 };
-                    prop_assert_eq!(streamed.lane_builds(), per_pass * passes * steps);
+                    prop_assert_eq!(streamed.tile_builds(), per_pass * passes * steps);
                     let counters = hub.snapshot();
                     prop_assert_eq!(
-                        counters.counter("stream.lane_builds_total"),
-                        Some(streamed.lane_builds())
+                        counters.counter("stream.tile_builds_total"),
+                        Some(streamed.tile_builds())
                     );
                     prop_assert_eq!(
                         counters.counter("stream.windows_swept_total"),
@@ -365,5 +365,57 @@ fn memory_budget_bounds_the_resident_window() {
         streamed.snapshot().unwrap().states,
         reference.snapshot().states
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn budgets_of_at_least_a_pe_row_block_are_never_exceeded(
+        rows in 8usize..72,
+        cols in 1usize..40,
+        budget in 4096u64..300_000,
+        heun in any::<bool>(),
+        case in 0u64..u64::MAX,
+    ) {
+        // The solver charges what the window holds and rounds heights to
+        // a multiple of pe_rows, so every budget that buys at least a
+        // PE-row block of rows bounds the peak, for the single-LUT-layer
+        // Euler model and the two-layer Heun model with inputs.
+        let init = Grid::from_fn(rows, cols, |r, c| 0.1 + 0.01 * ((r + c) % 7) as f64);
+        let in_core = if heun {
+            heun_sim(rows, cols, &init)
+        } else {
+            fisher_sim(rows, cols, &init)
+        };
+        let dir = spool_dir("budget", case);
+        let mut streamed = StreamSim::from_sim(
+            &in_core,
+            StreamConfig::new(&dir).with_memory_budget(budget),
+        )
+        .unwrap();
+        streamed.run(2).unwrap();
+        let (chunk, peak) = (streamed.chunk_rows(), streamed.peak_resident_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+        if chunk >= in_core.model().lut_config().pe_rows {
+            prop_assert!(peak <= budget, "{rows}x{cols} in {chunk}-row chunks: {peak} > {budget}");
+        }
+    }
+}
+
+#[test]
+fn fisher_256_squared_holds_a_256_kib_budget() {
+    // It peaked at 269,404 bytes in 11-row chunks before heights were
+    // rounded to the PE rows.
+    let init = Grid::from_fn(256, 256, |r, c| 0.05 + 0.001 * ((r * 3 + c) % 17) as f64);
+    let in_core = fisher_sim(256, 256, &init);
+    let dir = spool_dir("fisher256", 0);
+    let budget = 256 << 10;
+    let mut streamed =
+        StreamSim::from_sim(&in_core, StreamConfig::new(&dir).with_memory_budget(budget)).unwrap();
+    streamed.run(1).unwrap();
+    assert_eq!(streamed.chunk_rows() % 8, 0);
+    assert!(streamed.peak_resident_bytes() <= budget);
     let _ = std::fs::remove_dir_all(&dir);
 }

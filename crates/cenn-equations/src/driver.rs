@@ -387,7 +387,21 @@ impl FixedRunner {
 mod tests {
     use super::*;
     use crate::system::DynamicalSystem;
-    use crate::{Fisher, Heat, Izhikevich, NavierStokes};
+    use crate::{Fisher, Heat, HodgkinHuxley, Izhikevich, NavierStokes};
+
+    #[test]
+    fn heat_fisher_and_hh_layers_add_without_saturating() {
+        let systems: [&dyn DynamicalSystem; 3] = [
+            &Heat::default(),
+            &Fisher::default(),
+            &HodgkinHuxley::default(),
+        ];
+        for system in systems {
+            let runner = FixedRunner::new(system.build(16, 16).unwrap()).unwrap();
+            let layers = runner.sim().unsaturated_layers();
+            assert!(layers.iter().all(|&u| u), "{}: {layers:?}", system.name());
+        }
+    }
 
     #[test]
     fn runner_loads_initial_conditions() {
