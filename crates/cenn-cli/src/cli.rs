@@ -33,7 +33,7 @@ USAGE:
       --metrics-canonical zeroes wall-clock fields so the stream is
       byte-for-byte reproducible.
       --memory-budget SIZE (accepts K/M/G suffixes) runs the grid
-      streamed out-of-core: only a bounded window of tile rows stays
+      streamed out-of-core: only a bounded window of grid rows stays
       resident, with halo exchange against CENNCKPT state chunks spilled
       to --spool (default: a temp directory of its own, removed when the
       command ends, whether or not it succeeds; a --spool DIR is kept).

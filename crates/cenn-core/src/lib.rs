@@ -67,7 +67,7 @@ mod template;
 
 pub use boundary::Boundary;
 pub use error::{FaultError, ModelError};
-pub use exec::{ExecEngine, StepStats, Tile, TilePlan};
+pub use exec::{ExecEngine, RowPattern, StepStats, TilePlan};
 pub use field::Field;
 pub use grid::{Grid, LayerView, SoaGrid};
 pub use layer::{LayerId, LayerKind, LayerSpec};

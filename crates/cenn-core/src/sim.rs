@@ -7,22 +7,27 @@
 //! passes (see [`Engine`] for the whole step):
 //!
 //! * the **weight pass**, for layers with dynamic weight sites, runs per
-//!   LUT shard over the shard's tile ([`crate::exec::TilePlan::window`])
-//!   in the serial per-shard cell order, so every cache counter is exact,
-//!   and then writes each site's scaled weights row-major;
+//!   LUT shard: each shard walks its rows of the window in ascending
+//!   order through the engine's [`RowPattern`] (its columns of a row and
+//!   their PE ids, per PE row), one batched LUT call per row, so it sees
+//!   the serial per-shard cell order and every cache counter is exact;
+//!   then each site's scaled weights are written row-major;
 //! * the **template pass** is row-direct: for each output row, each tap
 //!   multiply-accumulates its source row, shifted by the tap's column
 //!   offset, as one contiguous slice, the boundary resolved once per row
 //!   and edge column through [`Boundary::resolve`], and one rounding
 //!   writes the RHS row. Worker threads take one row band per shard.
 //!
-//! Each layer's accumulator is bounded from its weights every sweep;
-//! below 2⁶³ the pass takes the unsaturated [`fixedpt::lanes`] kernels,
-//! which give the saturating kernels' bits there. Algebraic layers stage
+//! Each layer is compiled once, when the engine is built, into the form
+//! its sweeps apply (taps, offsets, sites and the bound on its
+//! accumulator; a template fault flips a word there and re-bounds the
+//! layer). Below 2⁶³ the pass takes the unsaturated [`fixedpt::lanes`]
+//! kernels, which give the saturating kernels' bits there. Algebraic layers stage
 //! their rows in their RHS span and copy them into the states after the
 //! barrier, so no row reads its own layer's fresh values.
 
 use std::convert::Infallible;
+use std::ops::Range;
 use std::time::Instant;
 
 use cenn_lut::{FuncId, FuncLibrary, LutHierarchy, LutShard, LutStats, OffChipLut, RowCtx};
@@ -32,13 +37,13 @@ use fixedpt::{MacAcc, Q16_16};
 
 use crate::boundary::Boundary;
 use crate::error::{FaultError, ModelError};
-use crate::exec::{ExecEngine, StepStats, Tile, TilePlan};
+use crate::exec::{ExecEngine, RowPattern, StepStats, TilePlan};
 use crate::field::Field;
 use crate::grid::{Grid, LayerView, SoaGrid};
 use crate::layer::{LayerId, LayerKind};
-use crate::model::{CennModel, Integrator, LutConfig, TemplateKind};
+use crate::model::{CennModel, Integrator, TemplateKind};
 use crate::snapshot::{SimSnapshot, StateDigest};
-use crate::template::{Factor, WeightExpr};
+use crate::template::WeightExpr;
 
 /// How dynamic template weights evaluate their nonlinear factors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,25 +70,6 @@ pub struct StepReport {
     pub fired: u64,
 }
 
-/// One compiled template application: all non-zero entries of a template
-/// from `src` into the destination layer, with the source's boundary.
-#[derive(Debug, Clone)]
-struct CompiledConv {
-    kind: TemplateKind,
-    src: usize,
-    boundary: Boundary,
-    /// `(dr, dc, weight)` for non-zero entries only.
-    taps: Vec<(i32, i32, WeightExpr)>,
-}
-
-/// Per-destination-layer execution plan.
-#[derive(Debug, Clone)]
-struct LayerPlan {
-    kind: LayerKind,
-    convs: Vec<CompiledConv>,
-    offsets: Vec<WeightExpr>,
-}
-
 /// One nonlinear factor of a dynamic weight site, with its LUT row
 /// context hoisted at construction.
 #[derive(Debug, Clone)]
@@ -94,32 +80,17 @@ struct LaneFactor {
     ctx: RowCtx,
 }
 
-/// The factor list of one dynamic weight site (tap or offset).
+/// One dynamic weight site (tap or offset): its scale and the factors
+/// the weight pass multiplies into it.
 #[derive(Debug, Clone)]
 struct SiteGeom {
+    scale: Q16_16,
     factors: Vec<LaneFactor>,
 }
 
-/// A layer's dynamic weight sites in flat order (taps first, then
-/// offsets — the same order [`CennSim::inject_template_fault`] uses).
-#[derive(Debug, Clone)]
-struct LayerSites {
-    sites: Vec<SiteGeom>,
-    /// Every site's factor contexts flattened in site order — the batched
-    /// weight pass walks them per cell in exactly this (scalar) order.
-    ctxs: Vec<RowCtx>,
-}
-
-impl LayerSites {
-    /// One single-factor site: the weight pass takes the batched row
-    /// path ([`LutShard::lookup_row`]) instead of the interleaved walk.
-    fn one_factor(&self) -> bool {
-        self.sites.len() == 1 && self.ctxs.len() == 1
-    }
-}
-
-/// A tap or offset weight resolved for one sweep: either a constant, or
-/// the sweep-wide index of a site among the row-major site-weight lanes.
+/// A tap or offset weight as the sweeps apply it: a constant, or the
+/// index of one of the layer's dynamic weight sites, whose row-major lane
+/// the weight pass fills.
 #[derive(Debug, Clone, Copy)]
 enum LaneWeight {
     Const(Q16_16),
@@ -127,7 +98,7 @@ enum LaneWeight {
 }
 
 /// One template tap as a sweep applies it: where its operands come from,
-/// how its boundary resolves, and its weight re-read from the plan.
+/// how its boundary resolves, and its weight.
 #[derive(Debug, Clone, Copy)]
 struct SweepTap {
     /// Source layer index (into states or inputs, per `input`).
@@ -144,39 +115,66 @@ struct SweepTap {
     weight: LaneWeight,
 }
 
-/// One layer's share of a sweep: its taps and offsets with the weights
-/// re-read from the plan (so injected template faults take effect), the
-/// per-site scales consumed by the weight pass, and the kernel the bound
-/// on its accumulator allows.
-struct SweepLayer<'a> {
+/// One layer compiled into the form its sweeps apply, once, when the
+/// engine is built: its non-zero taps (state, then output, then input
+/// templates) and offsets, its dynamic weight sites, and the kernel the
+/// bound on its accumulator allows. A template fault flips a word here
+/// and re-bounds the layer.
+#[derive(Debug, Clone)]
+struct SweepLayer {
     /// Destination layer index.
     layer: usize,
-    /// Add the `-x` leak term of eq. (1) (dynamic layers only).
-    leak: bool,
-    sites: &'a LayerSites,
+    kind: LayerKind,
     taps: Vec<SweepTap>,
-    /// Per-offset weight, in plan order.
     offsets: Vec<LaneWeight>,
-    /// Per-site scale, parallel to `sites.sites`.
-    site_scales: Vec<Q16_16>,
+    /// The dynamic weight sites in flat order (taps first, then offsets —
+    /// the order [`CennSim::inject_template_fault`] uses).
+    sites: Vec<SiteGeom>,
+    /// Every site's factor contexts flattened in site order — the batched
+    /// weight pass walks them per cell in exactly this (scalar) order.
+    ctxs: Vec<RowCtx>,
+    /// The first site lane of the layer among its sweep's: dynamic
+    /// layers sweep fused, in declaration order; algebraic layers alone.
+    site_base: usize,
     /// No partial sum of the layer's accumulator can reach the i64 rails
     /// (see [`exact_without_saturation`]), so the unsaturated kernels
     /// give the saturating kernels' bits.
     unsaturated: bool,
 }
 
+impl SweepLayer {
+    /// Adds the `-x` leak term of eq. (1): dynamic layers only.
+    fn leak(&self) -> bool {
+        self.kind == LayerKind::Dynamic
+    }
+
+    /// One single-factor site: the weight pass takes the batched row
+    /// path ([`LutShard::lookup_row`]) instead of the interleaved walk.
+    fn one_factor(&self) -> bool {
+        self.sites.len() == 1 && self.ctxs.len() == 1
+    }
+
+    /// Re-derives [`unsaturated`](Self::unsaturated) from the weights.
+    fn rebound(&mut self) {
+        self.unsaturated = exact_without_saturation(self.leak(), &self.taps, &self.offsets);
+    }
+}
+
 /// Persistent per-shard scratch for the weight pass, sized so the hot
 /// loop never allocates.
 #[derive(Debug, Clone, Default)]
 struct ShardBuf {
-    /// Gathered state lanes of a single-factor site, raw bits.
+    /// Gathered state lanes of a single-factor site over one row, raw
+    /// bits.
     xs: Vec<i32>,
-    /// Evaluated dynamic weight lanes in tile order, `[site][cell]` over
-    /// the sweep's sites.
+    /// Evaluated dynamic weights of the shard's cells of the window, in
+    /// walk order: `[layer][row][site][cell]` over the sweep's layers.
     site_w: Vec<i32>,
-    /// Interleaved `[cell][factor]` state lanes for multi-factor sites.
+    /// Interleaved `[cell][factor]` state lanes of one row for
+    /// multi-factor sites.
     fx: Vec<i32>,
-    /// Interleaved `[cell][factor]` function values for multi-factor sites.
+    /// Interleaved `[cell][factor]` function values of one row for
+    /// multi-factor sites.
     fv: Vec<i32>,
 }
 
@@ -236,8 +234,6 @@ pub struct WindowMut<'a> {
     /// Global row → row of `states` / `inputs`, for every row the
     /// window's stencils reach.
     pub(crate) row_map: &'a [u32],
-    /// The window's per-shard tiles (empty without dynamic weight sites).
-    pub(crate) tiles: &'a [Tile],
     pub(crate) states: &'a mut SoaGrid<Q16_16>,
     pub(crate) inputs: &'a SoaGrid<Q16_16>,
     /// Where this pass's dynamic-layer RHS lands; algebraic sweeps stage
@@ -309,18 +305,20 @@ pub trait Store {
 #[derive(Debug, Clone)]
 pub struct Core {
     pub(crate) model: CennModel,
-    plan: Vec<LayerPlan>,
-    /// Each layer's dynamic weight sites, parallel to the plan.
-    sites: Vec<LayerSites>,
+    /// Each layer in its sweep form.
+    layers: Vec<SweepLayer>,
     /// Dynamic layer indices in declaration order.
     dyn_layers: Vec<usize>,
-    /// The scratch's per-cell sizing: the most weight sites one sweep
-    /// evaluates (the fused dynamic layers', or one algebraic layer's),
-    /// whether some layer gathers a single factor's states for the
-    /// batched row path, and the most factors a layer interleaves.
+    /// The scratch's sizing: the most weight sites one sweep evaluates
+    /// (the fused dynamic layers', or one algebraic layer's), whether
+    /// some layer gathers a single factor's states for the batched row
+    /// path, and the most factors a layer interleaves.
     site_cap: usize,
     one_factor: bool,
     factor_cap: usize,
+    /// Each shard's share of a row (empty without dynamic weight sites):
+    /// the weight pass walks the window's rows through it.
+    pattern: RowPattern,
     hierarchy: LutHierarchy,
     engine: ExecEngine,
     pub(crate) scratch: Scratch,
@@ -369,8 +367,9 @@ pub struct Core {
 }
 
 impl Core {
-    /// Compiles `model` and builds its LUT hierarchy; the sweep scratch
-    /// is sized later by [`size_scratch`](Self::size_scratch).
+    /// Compiles `model` and builds its LUT hierarchy, and for a model
+    /// with dynamic weight sites its row pattern; the sweep scratch is
+    /// sized later by [`size_scratch`](Self::size_scratch).
     pub(crate) fn new(model: CennModel, eval: FuncEval) -> Result<Self, ModelError> {
         let cfg = model.lut_config();
         let specs: Vec<_> = model
@@ -385,35 +384,30 @@ impl Core {
             cfg.l2_capacity,
             cfg.n_pes(),
         )?;
-        let plan = compile(&model);
-        let sites: Vec<LayerSites> = plan.iter().map(|p| layer_sites(p, cfg)).collect();
-        let dyn_layers: Vec<usize> = (0..plan.len())
-            .filter(|&i| plan[i].kind == LayerKind::Dynamic)
-            .collect();
-        let n_sites = |i: usize| sites[i].sites.len();
-        let alg_sites = (0..plan.len())
-            .filter(|&i| plan[i].kind == LayerKind::Algebraic)
-            .map(n_sites)
+        let layers = compile(&model);
+        let dyn_layers: Vec<usize> = (0..layers.len()).filter(|&i| layers[i].leak()).collect();
+        let site_cap = (layers.iter())
+            .map(|l| l.site_base + l.sites.len())
             .max()
             .unwrap_or(0);
-        let site_cap = dyn_layers
-            .iter()
-            .map(|&i| n_sites(i))
-            .sum::<usize>()
-            .max(alg_sites);
-        let one_factor = sites.iter().any(LayerSites::one_factor);
-        let factor_cap = (sites.iter().filter(|s| !s.one_factor()))
-            .map(|s| s.ctxs.len())
+        let one_factor = layers.iter().any(SweepLayer::one_factor);
+        let factor_cap = (layers.iter().filter(|l| !l.one_factor()))
+            .map(|l| l.ctxs.len())
             .max()
             .unwrap_or(0);
+        let pattern = if site_cap > 0 {
+            TilePlan::new(model.rows(), model.cols(), cfg.pe_rows, cfg.pe_cols).row_pattern()
+        } else {
+            RowPattern::default()
+        };
         let rings = vec![SpanRing::disabled(); hierarchy.shards().len()];
         Ok(Self {
-            plan,
-            sites,
+            layers,
             dyn_layers,
             site_cap,
             one_factor,
             factor_cap,
+            pattern,
             hierarchy,
             engine: ExecEngine::serial(),
             scratch: Scratch::default(),
@@ -442,26 +436,31 @@ impl Core {
         })
     }
 
-    /// Grows the sweep scratch for a window of `window_cells` cells over
-    /// `tiles`: each shard's weight-pass buffer to its tile, the
-    /// row-major site weights to the window, and one band row per shard.
-    /// The dynamic sweep is fused over all dynamic layers; algebraic
-    /// sweeps run one layer at a time; the weight pass batches one
-    /// layer's factors at a time.
-    pub(crate) fn size_scratch(&mut self, tiles: &[Tile], window_cells: usize) {
+    /// Grows the sweep scratch for the window of chunk rows `rows`: each
+    /// shard's weights to its cells of the window and its gather lanes
+    /// to the longest run of the row pattern, the row-major site weights
+    /// to the window, and one band row per shard. The dynamic sweep is
+    /// fused over all dynamic layers; algebraic sweeps run one layer at
+    /// a time; the weight pass gathers one layer's factors for one row at
+    /// a time.
+    pub(crate) fn size_scratch(&mut self, rows: Range<usize>) {
         let (sites, factors) = (self.site_cap, self.factor_cap);
         let one_factor = usize::from(self.one_factor);
-        let s = &mut self.scratch;
-        s.shards.resize_with(tiles.len(), ShardBuf::default);
-        for (buf, tile) in s.shards.iter_mut().zip(tiles) {
-            let cells = tile.len();
-            grow_exact(&mut buf.xs, one_factor * cells);
-            grow_exact(&mut buf.site_w, sites * cells);
-            grow_exact(&mut buf.fx, factors * cells);
-            grow_exact(&mut buf.fv, factors * cells);
-        }
-        grow_exact(&mut s.site_rows, sites * window_cells);
         let cols = self.model.cols();
+        let s = &mut self.scratch;
+        if sites > 0 {
+            let longest = self.pattern.longest_run();
+            s.shards
+                .resize_with(self.pattern.n_shards(), ShardBuf::default);
+            for (shard, buf) in s.shards.iter_mut().enumerate() {
+                let cells = self.pattern.shard_cells(shard, rows.clone());
+                grow_exact(&mut buf.xs, one_factor * longest);
+                grow_exact(&mut buf.site_w, sites * cells);
+                grow_exact(&mut buf.fx, factors * longest);
+                grow_exact(&mut buf.fv, factors * longest);
+            }
+        }
+        grow_exact(&mut s.site_rows, sites * rows.len() * cols);
         s.bands.resize_with(self.rings.len(), BandBuf::default);
         for band in &mut s.bands {
             grow_exact(&mut band.accs, cols);
@@ -469,35 +468,39 @@ impl Core {
         }
     }
 
-    /// `true` when some layer has dynamic weight sites, so sweeps run the
-    /// weight pass over per-shard tiles.
-    pub(crate) fn has_sites(&self) -> bool {
-        self.site_cap > 0
+    /// What the weight pass holds resident beyond the template pass:
+    /// per window cell, its per-shard weights and the row-major site
+    /// weights; and fixed, the row pattern and every shard's gather
+    /// lanes, one pattern run long. Zero without dynamic weight sites.
+    pub(crate) fn weight_pass_bytes(&self) -> (usize, usize) {
+        if self.site_cap == 0 {
+            return (0, 0);
+        }
+        let lane = 4 * usize::from(self.one_factor) + 8 * self.factor_cap;
+        let lanes = lane * self.pattern.longest_run() * self.pattern.n_shards();
+        (8 * self.site_cap, self.pattern.bytes() + lanes)
     }
 
-    /// Per cell of a window, the row-major site weights and the weight
-    /// pass's per-shard lanes the scratch holds: `(sites, lane bytes)`.
-    pub(crate) fn scratch_per_cell(&self) -> (usize, usize) {
-        let lanes = 4 * usize::from(self.one_factor) + 4 * self.site_cap + 8 * self.factor_cap;
-        (self.site_cap, lanes)
+    /// Bytes of sweep state the core holds: the scratch and the row
+    /// pattern.
+    pub(crate) fn sweep_bytes(&self) -> u64 {
+        self.scratch.bytes() + self.pattern.bytes() as u64
     }
 
-    /// Shards of the LUT hierarchy: the tiles per window, and the bands
-    /// the template pass splits a window into.
+    /// Shards of the LUT hierarchy: the bands the template pass splits a
+    /// window into.
     pub(crate) fn n_shards(&self) -> usize {
         self.rings.len()
     }
 
     /// Layers with dynamic weight sites.
     pub(crate) fn lut_layers(&self) -> usize {
-        self.sites.iter().filter(|s| !s.sites.is_empty()).count()
+        self.layers.iter().filter(|l| !l.sites.is_empty()).count()
     }
 
     /// `true` when some template reads an external input map.
     pub(crate) fn uses_inputs(&self) -> bool {
-        self.plan
-            .iter()
-            .any(|p| p.convs.iter().any(|c| c.kind == TemplateKind::Input))
+        (self.layers.iter()).any(|l| l.taps.iter().any(|t| t.input))
     }
 
     /// Integrator passes per step.
@@ -533,8 +536,8 @@ impl Core {
     /// dynamic layers into the window's RHS.
     fn sweep(&mut self, win: &mut WindowMut<'_>) {
         let cells = (win.rows.1 - win.rows.0) * self.model.cols();
-        for i in 0..self.plan.len() {
-            if self.plan[i].kind != LayerKind::Algebraic {
+        for i in 0..self.layers.len() {
+            if self.layers[i].leak() {
                 continue;
             }
             let start = Instant::now();
@@ -557,10 +560,12 @@ impl Core {
     /// dynamic layers, over the window, begun at `start`:
     ///
     /// 1. the **weight pass** (layers with dynamic weight sites only):
-    ///    each shard evaluates its tile's sites in the serial per-shard
-    ///    cell order, fanned out over the worker threads (`lut_lookup`,
-    ///    one span per shard); then each shard's weights are scattered
-    ///    into the row-major site lanes (`halo_sync`, one span per shard);
+    ///    each shard walks its rows of the window through the row pattern
+    ///    in ascending order, one batched LUT call per row, so it sees the
+    ///    serial per-shard cell order; shards fan out over the worker
+    ///    threads (`lut_lookup`, one span per shard). Then each shard's
+    ///    weights are scattered into the row-major site lanes through the
+    ///    same pattern (`halo_sync`, one span per shard);
     /// 2. the **template pass**: the window's rows split into one band
     ///    per shard, fanned out over the worker threads, each row
     ///    MAC'd straight from its source rows into the RHS row
@@ -570,14 +575,14 @@ impl Core {
     ///    layer's fresh values.
     ///
     /// Span counts are per shard or band, never per thread. The sweep's
-    /// set-up (weights re-read, bounds, band split) is timed into the
-    /// first span of the phase it precedes.
+    /// set-up (the band split) is timed into the first span of the phase
+    /// it precedes.
     fn sweep_layers(&mut self, win: &mut WindowMut<'_>, algebraic: Option<usize>, start: Instant) {
         let Core {
             model,
-            plan,
-            sites,
+            layers: forms,
             dyn_layers,
+            pattern,
             hierarchy,
             engine,
             scratch,
@@ -587,21 +592,16 @@ impl Core {
             ..
         } = self;
         let epoch = tracer.as_ref().map(TraceHandle::epoch);
+        let forms = &forms[..];
         let layers = algebraic
             .as_ref()
             .map_or(&dyn_layers[..], std::slice::from_ref);
+        let sweep = || layers.iter().map(|&i| &forms[i]);
         let dynamic = algebraic.is_none();
-        let mut n_sites = 0;
-        let sweep: Vec<SweepLayer<'_>> = layers
-            .iter()
-            .map(|&i| {
-                let sl = resolve_layer(&plan[i], &sites[i], i, dynamic, n_sites);
-                n_sites += sl.sites.sites.len();
-                sl
-            })
-            .collect();
+        let n_sites: usize = sweep().map(|sl| sl.sites.len()).sum();
         let (rows, cols) = (model.rows(), model.cols());
-        let window_cells = (win.rows.1 - win.rows.0) * cols;
+        let chunk = win.rows.0..win.rows.1;
+        let window_cells = chunk.len() * cols;
         let Scratch {
             shards: shard_bufs,
             site_rows,
@@ -609,34 +609,43 @@ impl Core {
         } = scratch;
         let mut phase_start = start;
         if n_sites > 0 {
-            let ctx = EvalCtx {
+            let (tables, shards) = hierarchy.split();
+            let src = WeightSrc {
+                tables,
+                states: &*win.states,
+                row_map: win.row_map,
+                cols,
                 lib: model.library(),
                 eval: *eval,
             };
-            let (tables, shards) = hierarchy.split();
-            let states = &*win.states;
             let mut work: Vec<_> = shards
                 .iter_mut()
-                .zip(win.tiles)
                 .zip(shard_bufs.iter_mut())
                 .zip(rings.iter_mut())
                 .collect();
             engine.for_each_chunk_mut(&mut work, |first, part| {
                 let mut t0 = epoch.map(|_| if first == 0 { start } else { Instant::now() });
-                for (j, (((shard, tile), buf), ring)) in part.iter_mut().enumerate() {
-                    weight_pass(shard, tables, tile, &sweep, states, &ctx, buf);
+                for (j, ((shard, buf), ring)) in part.iter_mut().enumerate() {
+                    let rows = pattern.shard_rows(first + j, chunk.clone());
+                    weight_pass(shard, &src, rows, sweep(), buf);
                     t0 = push_span(ring, Phase::LutLookup, first + j, t0, epoch);
                 }
             });
-            // One indexed write per site per cell: tile order to row-major.
-            let off = win.base * cols;
+            // One indexed write per site per cell: walk order to row-major.
             let mut t0 = epoch.map(|_| Instant::now());
-            for (s, (((_, tile), buf), ring)) in work.iter_mut().enumerate() {
-                let lanes = buf.site_w.chunks_exact(tile.len().max(1));
-                for (lane, dst) in lanes.zip(site_rows.chunks_exact_mut(window_cells).take(n_sites))
-                {
-                    for (&flat, &w) in tile.flats().iter().zip(lane) {
-                        dst[flat as usize - off] = Q16_16::from_bits(w);
+            for (s, ((_, buf), ring)) in work.iter_mut().enumerate() {
+                let mut weights = &buf.site_w[..];
+                for sl in sweep().filter(|sl| !sl.sites.is_empty()) {
+                    for (r, run, _) in pattern.shard_rows(s, chunk.clone()) {
+                        let at = (r - chunk.start) * cols;
+                        for lane in sl.site_base..sl.site_base + sl.sites.len() {
+                            let row = &mut site_rows[lane * window_cells + at..][..cols];
+                            let (ws, rest) = weights.split_at(run.len());
+                            for (&c, &w) in run.iter().zip(ws) {
+                                row[c as usize] = Q16_16::from_bits(w);
+                            }
+                            weights = rest;
+                        }
                     }
                 }
                 t0 = push_span(ring, Phase::HaloSync, s, t0, epoch);
@@ -647,7 +656,7 @@ impl Core {
         // The template pass writes each layer's chunk rows of the RHS,
         // split into one contiguous band per shard.
         let n_bands = rings.len();
-        let band_row = |b: usize| win.rows.0 + (win.rows.1 - win.rows.0) * b / n_bands;
+        let band_row = |b: usize| chunk.start + chunk.len() * b / n_bands;
         let stride = win.rhs.cells_per_layer();
         let mut dests: Vec<Option<&mut [Q16_16]>> = win
             .rhs
@@ -678,7 +687,7 @@ impl Core {
             states: &*win.states,
             inputs: win.inputs,
             row_map: win.row_map,
-            chunk_row0: win.rows.0,
+            chunk_row0: chunk.start,
             shape: (rows, cols),
             site_rows: &site_rows[..n_sites * window_cells],
             window_cells,
@@ -694,7 +703,7 @@ impl Core {
             for (j, (band, dest, buf, ring)) in part.iter_mut().enumerate() {
                 for r in band.0..band.1 {
                     let at = (r - band.0) * cols;
-                    for (sl, dest) in sweep.iter().zip(dest.iter_mut()) {
+                    for (sl, dest) in sweep().zip(dest.iter_mut()) {
                         let out = &mut dest[at..at + cols];
                         if sl.unsaturated {
                             layer_row::<Unsaturated>(&src, sl, r, out, buf);
@@ -716,7 +725,7 @@ impl Core {
             let states = win.states.layer_mut(i);
             let mut t0 = epoch.map(|_| Instant::now());
             for (b, (band, staged, _, ring)) in items.iter_mut().enumerate() {
-                let lo = (win.base + band.0 - win.rows.0) * cols;
+                let lo = (win.base + band.0 - chunk.start) * cols;
                 states[lo..lo + staged[0].len()].copy_from_slice(staged[0]);
                 t0 = push_span(ring, Phase::HaloSync, b, t0, epoch);
             }
@@ -728,7 +737,7 @@ impl Core {
     /// so each holds every sweep's spans, and ring 0 the update's and a
     /// store's fills.
     pub(crate) fn set_tracer(&mut self, tracer: Option<TraceHandle>) {
-        let sweeps = self.plan.len() - self.dyn_layers.len() + 1;
+        let sweeps = self.layers.len() - self.dyn_layers.len() + 1;
         let ring = || match tracer {
             Some(_) => SpanRing::new(SPANS_PER_SWEEP * sweeps + 2),
             None => SpanRing::disabled(),
@@ -872,8 +881,8 @@ fn corrector<const TRACK: bool>(
 /// grid's rows in ascending order as windows, and a window is fill →
 /// sweeps → update → spill over the engine's state store. In-core
 /// execution ([`CennSim`], the [`Resident`] store) is the one-window case:
-/// the window spans the grid, its tiles and lanes are built when the
-/// first step begins, and fill and spill do nothing. Streamed
+/// the window spans the grid, its lanes are built when the first step
+/// begins, and fill and spill do nothing. Streamed
 /// out-of-core execution ([`StreamSim`](crate::StreamSim)) spools state
 /// chunks between windows. An engine that has not started yet holds its
 /// [`Fields`] instead of a store: its program, LUTs and settings are
@@ -883,7 +892,8 @@ fn corrector<const TRACK: bool>(
 /// grid set ([`SoaGrid`]), each layer a contiguous span. A sweep has two
 /// passes. The *weight pass* evaluates every dynamic weight site through
 /// the batched LUT row path ([`cenn_lut::LutShard::lookup_row`]) per LUT
-/// shard, over the shard's tile ([`TilePlan::window`]): its cells in
+/// shard, one call per row of the shard's rows of the window, read from
+/// the engine's [`RowPattern`] ([`TilePlan::row_pattern`]): its cells in
 /// row-major order, so each shard's cache sees the serial access
 /// sequence and every counter is exact; the weights then land in
 /// row-major site lanes. The *template pass* is row-direct: for each
@@ -1040,13 +1050,10 @@ impl<S> Engine<S> {
     /// Per layer, whether its weights bound every partial sum of its
     /// accumulator below the i64 rails, so its sweeps add without
     /// saturating (see [`fixedpt::lanes`]) and still give the saturating
-    /// adds' bits. Read from the current weights, as every sweep reads
-    /// them: a template fault can turn a layer's off.
+    /// adds' bits. Bounded from the current weights: a template fault can
+    /// turn a layer's off.
     pub fn unsaturated_layers(&self) -> Vec<bool> {
-        let core = &self.core;
-        (core.plan.iter().zip(&core.sites).enumerate())
-            .map(|(i, (p, s))| resolve_layer(p, s, i, p.kind == LayerKind::Dynamic, 0).unsaturated)
-            .collect()
+        self.core.layers.iter().map(|l| l.unsaturated).collect()
     }
 
     /// Cumulative LUT statistics (the trace the cycle model consumes).
@@ -1132,8 +1139,8 @@ impl<S: Store> Engine<S> {
     }
 
     /// Largest resident working set so far, bytes: the state slabs
-    /// in-core; window buffers, tiles, sweep scratch and I/O staging when
-    /// spooled. Geometry-derived, so identical at every thread count.
+    /// in-core; window buffers, sweep scratch, the row pattern and I/O
+    /// staging when spooled. Geometry-derived, so identical at every thread count.
     pub fn peak_resident_bytes(&self) -> u64 {
         self.store.peak_resident_bytes()
     }
@@ -1307,12 +1314,10 @@ pub struct Resident {
     window: Option<GridWindow>,
 }
 
-/// The in-core window: the whole grid's tiles (none without dynamic
-/// weight sites) and identity row map, plus the three slabs only
+/// The in-core window: the identity row map, plus the three slabs only
 /// stepping needs.
 #[derive(Debug, Clone)]
 struct GridWindow {
-    tiles: Vec<Tile>,
     row_map: Vec<u32>,
     /// RHS of the Euler step and of Heun's predictor pass (algebraic
     /// sweeps stage their output in their layer's span).
@@ -1340,14 +1345,8 @@ impl Store for Resident {
         let (rows, cols) = self.plan.shape();
         let blank = SoaGrid::new(self.states.n_layers(), rows, cols, Q16_16::ZERO);
         let (aux, aux2, saved) = (blank.clone(), blank.clone(), blank);
-        let tiles = if core.has_sites() {
-            self.plan.window(0, rows, |r| r)
-        } else {
-            Vec::new()
-        };
-        core.size_scratch(&tiles, rows * cols);
+        core.size_scratch(0..rows);
         self.window = Some(GridWindow {
-            tiles,
             row_map: (0..rows as u32).collect(),
             aux,
             aux2,
@@ -1369,7 +1368,6 @@ impl Store for Resident {
             rows: (0, self.plan.shape().0),
             base: 0,
             row_map: &w.row_map,
-            tiles: &w.tiles,
             states: &mut self.states,
             inputs: &self.inputs,
             rhs,
@@ -1463,7 +1461,7 @@ impl Engine<Resident> {
         Self { core, store }
     }
 
-    /// The tile decomposition the sweeps run over.
+    /// The grid's decomposition over the PE array and its LUT shards.
     pub fn tile_plan(&self) -> &TilePlan {
         &self.store.plan
     }
@@ -1611,10 +1609,10 @@ impl Engine<Resident> {
     }
 
     /// Flips one bit of a compiled template word — a retention upset in
-    /// the off-chip program image. Words are addressed flat per layer:
-    /// the non-zero taps of each compiled template in order, then the
-    /// offset terms; `Const` words flip their value,
-    /// `Dyn` words flip their scale.
+    /// the off-chip program image — and re-bounds the layer. Words are
+    /// addressed flat per layer: the non-zero taps of each compiled
+    /// template in order, then the offset terms; `Const` words flip their
+    /// value, `Dyn` words flip their scale.
     ///
     /// # Errors
     ///
@@ -1626,7 +1624,7 @@ impl Engine<Resident> {
         tap: usize,
         bit: u32,
     ) -> Result<(), ModelError> {
-        if layer >= self.core.plan.len() {
+        if layer >= self.core.layers.len() {
             return Err(FaultError::Layer(layer).into());
         }
         if bit >= 32 {
@@ -1636,19 +1634,17 @@ impl Engine<Resident> {
         if tap >= n_taps {
             return Err(FaultError::Tap { layer, n_taps, tap }.into());
         }
-        let plan = &mut self.core.plan[layer];
-        let word = plan
-            .convs
-            .iter_mut()
-            .flat_map(|conv| conv.taps.iter_mut().map(|(_, _, w)| w))
-            .chain(plan.offsets.iter_mut())
+        let sl = &mut self.core.layers[layer];
+        let word = (sl.taps.iter_mut().map(|t| &mut t.weight))
+            .chain(sl.offsets.iter_mut())
             .nth(tap)
             .expect("tap index validated against template_fault_sites");
-        let flip = |v: &mut Q16_16| *v = Q16_16::from_bits(v.to_bits() ^ (1 << bit));
-        match word {
-            WeightExpr::Const(v) => flip(v),
-            WeightExpr::Dyn { scale, .. } => flip(scale),
-        }
+        let v = match word {
+            LaneWeight::Const(v) => v,
+            LaneWeight::Dyn(site) => &mut sl.sites[*site].scale,
+        };
+        *v = Q16_16::from_bits(v.to_bits() ^ (1 << bit));
+        sl.rebound();
         Ok(())
     }
 
@@ -1656,11 +1652,7 @@ impl Engine<Resident> {
     /// [`inject_template_fault`](Self::inject_template_fault)); zero for
     /// an out-of-range layer.
     pub fn template_fault_sites(&self, layer: usize) -> usize {
-        self.core
-            .plan
-            .get(layer)
-            .map(|p| p.convs.iter().map(|c| c.taps.len()).sum::<usize>() + p.offsets.len())
-            .unwrap_or(0)
+        (self.core.layers.get(layer)).map_or(0, |l| l.taps.len() + l.offsets.len())
     }
 
     /// Verifies every off-chip LUT entry against its stored checksum and
@@ -1738,13 +1730,6 @@ fn quantize_into(dest: &mut [Q16_16], grid: &Grid<f64>) {
     }
 }
 
-/// Immutable context for weight evaluation (borrows the model's function
-/// library — hot sweeps never clone it).
-struct EvalCtx<'a> {
-    lib: &'a FuncLibrary,
-    eval: FuncEval,
-}
-
 /// Spans a ring takes per sweep: `lut_lookup` and the weight scatter's
 /// `halo_sync` as a shard, `template_apply` and an algebraic sweep's
 /// write-back `halo_sync` as a band.
@@ -1774,122 +1759,83 @@ fn push_span(
     Some(end)
 }
 
-/// Compiles the model's templates into per-layer tap lists with zero
-/// entries stripped.
-fn compile(model: &CennModel) -> Vec<LayerPlan> {
+/// Compiles every layer of the model into its sweep form: the non-zero
+/// entries of its state, output and input templates in that order, then
+/// its offsets, with each dynamic weight's factors and their LUT row
+/// contexts hoisted.
+fn compile(model: &CennModel) -> Vec<SweepLayer> {
+    let cfg = model.lut_config();
+    let mut dyn_sites = 0;
     model
         .layer_ids()
         .map(|dest| {
-            let mut convs = Vec::new();
-            for kind in [
+            let kind = model.layer(dest).kind();
+            let mut sites = Vec::new();
+            let mut weight = |w: &WeightExpr| match w {
+                WeightExpr::Const(v) => LaneWeight::Const(*v),
+                WeightExpr::Dyn { scale, factors } => {
+                    let factors = (factors.iter())
+                        .map(|f| LaneFactor {
+                            layer: f.layer.index(),
+                            func: f.func,
+                            ctx: RowCtx::from_spec(f.func, cfg.spec_for(f.func)),
+                        })
+                        .collect();
+                    sites.push(SiteGeom {
+                        scale: *scale,
+                        factors,
+                    });
+                    LaneWeight::Dyn(sites.len() - 1)
+                }
+            };
+            let mut taps = Vec::new();
+            for template in [
                 TemplateKind::State,
                 TemplateKind::Output,
                 TemplateKind::Input,
             ] {
-                for (src, t) in model.templates(kind, dest) {
-                    let taps: Vec<_> = t
-                        .iter()
-                        .filter(|(_, _, w)| !w.is_zero())
-                        .map(|(dr, dc, w)| (dr, dc, w.clone()))
-                        .collect();
-                    if !taps.is_empty() {
-                        convs.push(CompiledConv {
-                            kind,
+                for (src, t) in model.templates(template, dest) {
+                    let boundary = model.layer(src).boundary();
+                    let output = template == TemplateKind::Output;
+                    let edge = Q16_16::from_f64(boundary.constant());
+                    for (dr, dc, w) in t.iter().filter(|(_, _, w)| !w.is_zero()) {
+                        taps.push(SweepTap {
                             src: src.index(),
-                            boundary: model.layer(src).boundary(),
-                            taps,
+                            input: template == TemplateKind::Input,
+                            output,
+                            boundary,
+                            dr,
+                            dc,
+                            const_val: if output { edge.cenn_output() } else { edge },
+                            weight: weight(w),
                         });
                     }
                 }
             }
-            LayerPlan {
-                kind: model.layer(dest).kind(),
-                convs,
-                offsets: model.offsets(dest).cloned().collect(),
-            }
+            let offsets = model.offsets(dest).map(&mut weight).collect();
+            let ctxs = (sites.iter())
+                .flat_map(|s: &SiteGeom| s.factors.iter().map(|f| f.ctx))
+                .collect();
+            let site_base = if kind == LayerKind::Dynamic {
+                dyn_sites += sites.len();
+                dyn_sites - sites.len()
+            } else {
+                0
+            };
+            let mut layer = SweepLayer {
+                layer: dest.index(),
+                kind,
+                taps,
+                offsets,
+                sites,
+                ctxs,
+                site_base,
+                unsaturated: false,
+            };
+            layer.rebound();
+            layer
         })
         .collect()
-}
-
-/// The dynamic weight sites of one compiled layer plan, with their LUT
-/// row contexts hoisted.
-fn layer_sites(plan: &LayerPlan, cfg: &LutConfig) -> LayerSites {
-    let sites: Vec<SiteGeom> = plan
-        .convs
-        .iter()
-        .flat_map(|conv| conv.taps.iter().map(|(_, _, w)| w))
-        .chain(&plan.offsets)
-        .filter_map(|w| match w {
-            WeightExpr::Dyn { factors, .. } => Some(site_geom(factors, cfg)),
-            WeightExpr::Const(_) => None,
-        })
-        .collect();
-    let ctxs = sites
-        .iter()
-        .flat_map(|s| s.factors.iter().map(|f| f.ctx))
-        .collect();
-    LayerSites { sites, ctxs }
-}
-
-fn site_geom(factors: &[Factor], cfg: &LutConfig) -> SiteGeom {
-    SiteGeom {
-        factors: factors
-            .iter()
-            .map(|f| LaneFactor {
-                layer: f.layer.index(),
-                func: f.func,
-                ctx: RowCtx::from_spec(f.func, cfg.spec_for(f.func)),
-            })
-            .collect(),
-    }
-}
-
-/// Re-reads a layer's weights from the plan for one sweep (template
-/// faults mutate the plan, so weights cannot be baked in) and picks its
-/// kernels. Its sites are numbered from `site_base` among the sweep's.
-fn resolve_layer<'a>(
-    plan: &LayerPlan,
-    sites: &'a LayerSites,
-    layer: usize,
-    leak: bool,
-    site_base: usize,
-) -> SweepLayer<'a> {
-    let mut site_scales = Vec::with_capacity(sites.sites.len());
-    let mut resolve = |w: &WeightExpr| match w {
-        WeightExpr::Const(v) => LaneWeight::Const(*v),
-        WeightExpr::Dyn { scale, .. } => {
-            site_scales.push(*scale);
-            LaneWeight::Dyn(site_base + site_scales.len() - 1)
-        }
-    };
-    let mut taps = Vec::new();
-    for conv in &plan.convs {
-        let output = conv.kind == TemplateKind::Output;
-        let edge = Q16_16::from_f64(conv.boundary.constant());
-        for &(dr, dc, ref w) in &conv.taps {
-            taps.push(SweepTap {
-                src: conv.src,
-                input: conv.kind == TemplateKind::Input,
-                output,
-                boundary: conv.boundary,
-                dr,
-                dc,
-                const_val: if output { edge.cenn_output() } else { edge },
-                weight: resolve(w),
-            });
-        }
-    }
-    let offsets: Vec<LaneWeight> = plan.offsets.iter().map(&mut resolve).collect();
-    let unsaturated = exact_without_saturation(leak, &taps, &offsets);
-    SweepLayer {
-        layer,
-        leak,
-        sites,
-        taps,
-        offsets,
-        site_scales,
-        unsaturated,
-    }
 }
 
 /// Whether a layer's accumulator provably never reaches the i64 rails,
@@ -1910,93 +1856,108 @@ fn exact_without_saturation(leak: bool, taps: &[SweepTap], offsets: &[LaneWeight
     leak + taps + offsets < 1 << 63
 }
 
-/// The weight pass: evaluates every dynamic weight site of every swept
-/// layer for all of the tile's cells, leaving raw weight bits in
-/// `buf.site_w` (`[site][cell]` over the sweep's sites, in tile order).
+/// What the weight pass reads, shared by every shard.
+struct WeightSrc<'a> {
+    tables: &'a [OffChipLut],
+    states: &'a SoaGrid<Q16_16>,
+    /// Global row → row of `states`.
+    row_map: &'a [u32],
+    cols: usize,
+    lib: &'a FuncLibrary,
+    eval: FuncEval,
+}
+
+impl WeightSrc<'_> {
+    /// Global row `r` of layer `layer` of the states.
+    fn row(&self, layer: usize, r: usize) -> &[Q16_16] {
+        &self.states.layer_slice(layer)[self.row_map[r] as usize * self.cols..][..self.cols]
+    }
+}
+
+/// The weight pass of one shard: evaluates every dynamic weight site of
+/// every swept layer for the shard's cells of the window, leaving raw
+/// weight bits in `buf.site_w`, layer by layer, row by row, and in each
+/// row site by site (`[layer][row][site][cell]`). `rows` are the shard's
+/// rows of the window from the row pattern, ascending, each with its
+/// columns and PE ids.
 ///
-/// Single-factor layers take the batched [`LutShard::lookup_row`] path;
-/// multi-site/multi-factor layers walk cells in the scalar order so the
-/// per-PE cache sequence — and therefore every counter — matches the
-/// scalar sweep bit for bit.
-fn weight_pass(
+/// Each layer walks the rows in turn, one batched LUT call per row:
+/// single-factor layers take [`LutShard::lookup_row`], multi-site or
+/// multi-factor layers [`LutShard::lookup_cells`], whose walk is the
+/// scalar nesting (cells outer, flattened factors inner). The shard thus
+/// looks up its cells layer by layer in serial row-major order, and
+/// every per-PE counter matches the scalar sweep bit for bit.
+fn weight_pass<'p>(
     shard: &mut LutShard,
-    tables: &[OffChipLut],
-    tile: &Tile,
-    sweep: &[SweepLayer<'_>],
-    states: &SoaGrid<Q16_16>,
-    ctx: &EvalCtx<'_>,
+    src: &WeightSrc<'_>,
+    rows: impl Iterator<Item = (usize, &'p [u32], &'p [u32])> + Clone,
+    sweep: impl Iterator<Item = &'p SweepLayer>,
     buf: &mut ShardBuf,
 ) {
-    let cells = tile.len();
     let ShardBuf { xs, site_w, fx, fv } = buf;
-    let mut base = 0usize;
+    let mut at = 0usize;
     for sl in sweep {
-        let sites = &sl.sites.sites;
+        let sites = &sl.sites;
         if sites.is_empty() {
             continue;
         }
-        if sl.sites.one_factor() && ctx.eval == FuncEval::Lut {
-            let f = &sites[0].factors[0];
-            let src = states.layer_slice(f.layer);
-            let xs = &mut xs[..cells];
-            for (x, &flat) in xs.iter_mut().zip(tile.flats()) {
-                *x = src[flat as usize].to_bits();
-            }
-            let dst = &mut site_w[base..base + cells];
-            shard.lookup_row(tables, &f.ctx, tile.pes(), xs, dst);
-            let scale = sl.site_scales[0];
-            for w in dst.iter_mut() {
-                *w = (scale * Q16_16::from_bits(*w)).to_bits();
-            }
-        } else if ctx.eval == FuncEval::Lut {
-            // General case: all of the layer's factors batched per cell
-            // through the interleaved walk, then the per-site products.
-            // The lookup order (cells outer, flattened factors inner) is
-            // exactly the scalar nesting, so counters stay bit-identical.
-            let ctxs = &sl.sites.ctxs;
-            let k = ctxs.len();
-            let xs = &mut fx[..cells * k];
-            let mut pos = 0usize;
-            for site in sites {
-                for f in &site.factors {
-                    let src = states.layer_slice(f.layer);
-                    for (j, &flat) in tile.flats().iter().enumerate() {
-                        xs[j * k + pos] = src[flat as usize].to_bits();
-                    }
-                    pos += 1;
+        for (r, run, pes) in rows.clone() {
+            let n = run.len();
+            let dst = &mut site_w[at..at + sites.len() * n];
+            at += dst.len();
+            if sl.one_factor() && src.eval == FuncEval::Lut {
+                let f = &sites[0].factors[0];
+                let row = src.row(f.layer, r);
+                let xs = &mut xs[..n];
+                for (x, &c) in xs.iter_mut().zip(run) {
+                    *x = row[c as usize].to_bits();
                 }
-            }
-            let vals = &mut fv[..cells * k];
-            shard.lookup_cells(tables, ctxs, tile.pes(), xs, vals);
-            let mut pos = 0usize;
-            for (si, site) in sites.iter().enumerate() {
-                let nf = site.factors.len();
-                let scale = sl.site_scales[si];
-                let dst = &mut site_w[base + si * cells..base + (si + 1) * cells];
-                for (j, w) in dst.iter_mut().enumerate() {
-                    let mut acc = scale;
-                    for v in &vals[j * k + pos..j * k + pos + nf] {
-                        acc *= Q16_16::from_bits(*v);
-                    }
-                    *w = acc.to_bits();
+                shard.lookup_row(src.tables, &f.ctx, pes, xs, dst);
+                let scale = sites[0].scale;
+                for w in dst.iter_mut() {
+                    *w = (scale * Q16_16::from_bits(*w)).to_bits();
                 }
-                pos += nf;
-            }
-        } else {
-            // Exact (f64 library) evaluation stays scalar: it is the
-            // accuracy-validation path, not the hot path.
-            for (j, &flat) in tile.flats().iter().enumerate() {
-                for (si, site) in sites.iter().enumerate() {
-                    let mut w = sl.site_scales[si];
-                    for f in &site.factors {
-                        let x = states.layer_slice(f.layer)[flat as usize];
-                        w *= Q16_16::from_f64(ctx.lib.get(f.func).value(x.to_f64()));
+            } else if src.eval == FuncEval::Lut {
+                // All of the layer's factors batched per cell through the
+                // interleaved walk, then the per-site products.
+                let k = sl.ctxs.len();
+                let xs = &mut fx[..n * k];
+                let factors = sites.iter().flat_map(|site| &site.factors);
+                for (pos, f) in factors.enumerate() {
+                    let row = src.row(f.layer, r);
+                    for (j, &c) in run.iter().enumerate() {
+                        xs[j * k + pos] = row[c as usize].to_bits();
                     }
-                    site_w[base + si * cells + j] = w.to_bits();
+                }
+                let vals = &mut fv[..n * k];
+                shard.lookup_cells(src.tables, &sl.ctxs, pes, xs, vals);
+                let mut pos = 0usize;
+                for (site, dst) in sites.iter().zip(dst.chunks_exact_mut(n)) {
+                    let nf = site.factors.len();
+                    for (j, w) in dst.iter_mut().enumerate() {
+                        let mut acc = site.scale;
+                        for v in &vals[j * k + pos..j * k + pos + nf] {
+                            acc *= Q16_16::from_bits(*v);
+                        }
+                        *w = acc.to_bits();
+                    }
+                    pos += nf;
+                }
+            } else {
+                // Exact (f64 library) evaluation stays scalar: it is the
+                // accuracy-validation path, not the hot path.
+                for (site, dst) in sites.iter().zip(dst.chunks_exact_mut(n)) {
+                    for (w, &c) in dst.iter_mut().zip(run) {
+                        let mut v = site.scale;
+                        for f in &site.factors {
+                            let x = src.row(f.layer, r)[c as usize];
+                            v *= Q16_16::from_f64(src.lib.get(f.func).value(x.to_f64()));
+                        }
+                        *w = v.to_bits();
+                    }
                 }
             }
         }
-        base += sites.len() * cells;
     }
 }
 
@@ -2057,14 +2018,14 @@ impl RowWeight<'_> {
 /// the few edge columns one by one through [`Boundary::resolve`].
 fn layer_row<A: Accumulate>(
     src: &RowSrc<'_>,
-    sl: &SweepLayer<'_>,
+    sl: &SweepLayer,
     r: usize,
     out: &mut [Q16_16],
     buf: &mut BandBuf,
 ) {
     let (rows, cols) = src.shape;
     let (accs, ops) = (&mut buf.accs[..cols], &mut buf.ops[..cols]);
-    if sl.leak {
+    if sl.leak() {
         lanes::leak_lanes(accs, src.row(false, sl.layer, r));
     } else {
         accs.fill(0);
@@ -2072,7 +2033,9 @@ fn layer_row<A: Accumulate>(
     let at = (r - src.chunk_row0) * cols;
     let weight = |w: LaneWeight| match w {
         LaneWeight::Const(w) => RowWeight::Const(w),
-        LaneWeight::Dyn(s) => RowWeight::Lanes(&src.site_rows[s * src.window_cells + at..][..cols]),
+        LaneWeight::Dyn(s) => {
+            RowWeight::Lanes(&src.site_rows[(sl.site_base + s) * src.window_cells + at..][..cols])
+        }
     };
     for tap in &sl.taps {
         let w = weight(tap.weight);

@@ -13,33 +13,24 @@
 //! text **journal** records every completed window so a partially swept
 //! step is restartable via [`StreamSim::recover`].
 //!
-//! # Window rows and tiles
+//! # Window rows
 //!
-//! The template pass reads rows, not cells: a window's row map takes a
-//! global row to its resident row, and each tap of each output row
-//! multiply-accumulates its boundary-resolved source row as one
-//! contiguous slice, so a window needs no per-cell geometry for it.
-//!
-//! Only the weight pass of a model with dynamic weight sites walks
-//! cells. Its tiles come from [`TilePlan::window`], whose cells and PE
-//! ids stay global while flats address the resident rows, and they are
-//! built once per window geometry. A window is *interior* when its
-//! resident rows are exactly `[r0 − halo, r1 + halo)` inside the grid;
-//! two interior windows with the same height and the same
-//! `r0 mod pe_rows` have identical flats, PE ids and shard split. The
-//! store keeps the last window's tiles, and the next window reuses them,
-//! moving only their cells, when both are interior with the same key.
-//! Edge windows and key changes rebuild ([`StreamSim::tile_builds`]
-//! counts builds): a 1024-row grid in 88-row chunks builds 3 times per
-//! pass, not 12.
+//! A window needs no per-cell geometry. Its row map takes a global row to
+//! its resident row; the template pass multiply-accumulates each tap's
+//! boundary-resolved source row as one contiguous slice, and the weight
+//! pass of a model with dynamic weight sites walks each shard's rows
+//! through the engine's row pattern (built once from the PE geometry:
+//! a cell's PE depends only on its position), gathering the row's cells
+//! from the resident row.
 //!
 //! # Memory budget
 //!
 //! A budget sets the chunk height: the largest whose window — resident
-//! state and input rows, RHS and Heun chunk buffers, I/O staging, tiles,
-//! weight-pass lanes, row-major site weights and band rows — fits it,
-//! rounded down to a multiple of the PE array's rows when at least that
-//! many fit. The solver charges exactly what
+//! state and input rows, RHS and Heun chunk buffers, I/O staging, the
+//! weight pass's per-shard weights, row pattern and row-sized gather
+//! lanes, row-major site weights and band rows — fits it, rounded down
+//! to a multiple of the PE array's rows when at least that many fit.
+//! The solver charges exactly what
 //! [`peak_resident_bytes`](Engine::peak_resident_bytes) counts, so a run
 //! whose chunk height is such a multiple never holds more than its
 //! budget.
@@ -88,11 +79,10 @@ use fixedpt::Q16_16;
 
 use crate::boundary::Boundary;
 use crate::error::ModelError;
-use crate::exec::{Tile, TilePlan};
 use crate::grid::{Grid, SoaGrid};
 use crate::layer::{LayerId, LayerKind};
 use crate::model::{CennModel, Integrator};
-use crate::sim::{CennSim, Core, Engine, Fields, FuncEval, Scratch, StepReport, Store, WindowMut};
+use crate::sim::{CennSim, Core, Engine, Fields, FuncEval, StepReport, Store, WindowMut};
 use crate::snapshot::{self, SimSnapshot, HEADER_LEN};
 
 /// Journal header tag and version.
@@ -105,7 +95,7 @@ pub struct StreamConfig {
     /// Directory holding the chunk spool and journal (created if absent).
     pub spool_dir: PathBuf,
     /// Byte budget for the resident working set. The engine solves for the
-    /// largest chunk height whose window (chunk + halo rows, tiles, sweep
+    /// largest chunk height whose window (chunk + halo rows, sweep
     /// scratch, I/O staging) fits the budget, a multiple of the PE
     /// array's rows when at least that many fit; a budget smaller than a
     /// single-row window degrades to one-row chunks (best effort).
@@ -392,9 +382,8 @@ fn grid_record(model: &CennModel, chunk_rows: usize) -> String {
     )
 }
 
-/// The spooled state store: chunk spool, journal, halo-row residency,
-/// and the window's per-shard tiles, built once per window geometry. See
-/// the module docs for the execution model.
+/// The spooled state store: chunk spool, journal and halo-row
+/// residency. See the module docs for the execution model.
 ///
 /// Scope: every layer must be [`LayerKind::Dynamic`] — algebraic layers
 /// form declaration-order chains that need whole-grid barriers between
@@ -404,8 +393,6 @@ fn grid_record(model: &CennModel, chunk_rows: usize) -> String {
 /// applies it to the window's chunk rows before spilling them.
 #[derive(Debug)]
 pub struct Spooled {
-    /// The decomposition geometry the windows' tiles are cut with.
-    plan: TilePlan,
     /// Distinct source-layer boundaries (for halo row resolution).
     boundaries: Vec<Boundary>,
     /// Template halo radius in rows.
@@ -434,17 +421,10 @@ pub struct Spooled {
     rows: (usize, usize),
     /// Sorted global rows resident for the window (chunk + halo).
     win_rows: Vec<usize>,
-    /// Tiles of the window (none without dynamic weight sites), kept for
-    /// the next window of the same geometry.
-    win_tiles: Vec<Tile>,
-    /// `(r0 mod pe_rows, height)` of the interior window the tiles were
-    /// built for; `None` after an edge window.
-    tiles_key: Option<(usize, usize)>,
     // --- counters --------------------------------------------------------
     peak_resident: u64,
     spill_bytes: u64,
     fill_bytes: u64,
-    tile_builds: u64,
     /// LUT-bearing layer count — decides `lut_counters` fidelity (module
     /// docs: >1 and windowed interleaving preserves only access totals).
     lut_layers: usize,
@@ -456,7 +436,6 @@ pub struct Spooled {
 struct StreamMetrics {
     hub: MetricsHub,
     windows: CounterId,
-    tile_builds: CounterId,
     spill: GaugeId,
     fill: GaugeId,
     peak: GaugeId,
@@ -665,8 +644,6 @@ impl Engine<Spooled> {
         }
         let m = &core.model;
         let (rows, cols, n) = (m.rows(), m.cols(), m.n_layers());
-        let lut_cfg = m.lut_config();
-        let plan = TilePlan::new(rows, cols, lut_cfg.pe_rows, lut_cfg.pe_cols);
         let uses_inputs = core.uses_inputs();
         let lut_layers = core.lut_layers();
         if lut_layers > 1 {
@@ -701,7 +678,6 @@ impl Engine<Spooled> {
         });
         let journal = Journal::open(&spool.dir.join("journal.txt"), header.as_deref())?;
         let store = Spooled {
-            plan,
             boundaries,
             halo,
             uses_inputs,
@@ -717,12 +693,9 @@ impl Engine<Spooled> {
             wstage: Vec::new(),
             rows: (0, 0),
             win_rows: Vec::new(),
-            win_tiles: Vec::new(),
-            tiles_key: None,
             peak_resident: 0,
             spill_bytes: 0,
             fill_bytes: 0,
-            tile_builds: 0,
             lut_layers,
             metrics: None,
         };
@@ -751,26 +724,14 @@ impl Engine<Spooled> {
         self.store.fill_bytes
     }
 
-    /// Window tile builds so far (none without dynamic weight sites). An
-    /// interior window (its resident rows are its chunk plus the halo
-    /// rows either side, all inside the grid) reuses the previous
-    /// window's tiles when both have the same height and first-row PE
-    /// phase; every other window builds its own. Geometry-derived, so
-    /// identical at every thread count.
-    pub fn tile_builds(&self) -> u64 {
-        self.store.tile_builds
-    }
-
-    /// Routes streaming instruments into `hub`: counters
-    /// `stream.windows_swept_total` and `stream.tile_builds_total`, gauges
-    /// `stream.spill_bytes`, `stream.fill_bytes` and
-    /// `stream.peak_resident_bytes`. Updated once per swept window and on
-    /// [`record_summary`](Self::record_summary) — never inside kernel
-    /// loops.
+    /// Routes streaming instruments into `hub`: the counter
+    /// `stream.windows_swept_total`, gauges `stream.spill_bytes`,
+    /// `stream.fill_bytes` and `stream.peak_resident_bytes`. Updated once
+    /// per swept window and on [`record_summary`](Self::record_summary) —
+    /// never inside kernel loops.
     pub fn set_metrics(&mut self, hub: MetricsHub) {
         self.store.metrics = Some(StreamMetrics {
             windows: hub.counter("stream.windows_swept_total"),
-            tile_builds: hub.counter("stream.tile_builds_total"),
             spill: hub.gauge("stream.spill_bytes"),
             fill: hub.gauge("stream.fill_bytes"),
             peak: hub.gauge("stream.peak_resident_bytes"),
@@ -901,9 +862,10 @@ impl Spooled {
     /// Resident rows for the window `[r0, r1)`: the chunk rows plus every
     /// row any layer's boundary resolves a within-halo neighbour to
     /// (clamped rows for zero-flux, wrapped rows for periodic) — a
-    /// superset of all rows the window's gather tables reference.
+    /// superset of all rows the window's sweeps read.
     fn halo_rows(&self, r0: usize, r1: usize) -> Vec<usize> {
-        let (rows, cols) = self.plan.shape();
+        let rows = self.row_map.len();
+        let cols = self.resident.cols();
         let mut mark = vec![false; rows];
         for r in r0..r1 {
             mark[r] = true;
@@ -921,15 +883,11 @@ impl Spooled {
     }
 
     /// Pushes the cumulative I/O gauges (and `swept` freshly completed
-    /// windows and `built` tile builds) into the attached hub; no-op
-    /// without one.
-    fn publish_metrics(&self, swept: u64, built: u64) {
+    /// windows) into the attached hub; no-op without one.
+    fn publish_metrics(&self, swept: u64) {
         let Some(m) = &self.metrics else { return };
         if swept > 0 {
             m.hub.inc(m.windows, swept);
-        }
-        if built > 0 {
-            m.hub.inc(m.tile_builds, built);
         }
         m.hub.gauge_set(m.spill, self.spill_bytes as i64);
         m.hub.gauge_set(m.fill, self.fill_bytes as i64);
@@ -978,46 +936,11 @@ impl Spooled {
         Ok(())
     }
 
-    /// Points the window's tiles at chunk rows `[r0, r1)` and returns
-    /// whether that took a build; a model without dynamic weight sites
-    /// has no tiles. Two interior windows — resident rows exactly
-    /// `[r0 − halo, r1 + halo)`, all inside the grid — with the same
-    /// height and the same `r0 mod pe_rows` have identical flats, PE ids
-    /// and shard split: the next one only moves the tiles' cells. Every
-    /// other window builds its tiles (global cells and PEs, flats on the
-    /// resident rows).
-    fn place_tiles(&mut self, core: &Core, r0: usize, r1: usize) -> bool {
-        if !core.has_sites() {
-            return false;
-        }
-        let rows = self.row_map.len();
-        let interior = r0 >= self.halo && r1 + self.halo <= rows;
-        let key = interior.then_some((r0 % self.plan.pe_shape().0, r1 - r0));
-        if key.is_some() && key == self.tiles_key {
-            let by = r0 as i64 - self.rows.0 as i64;
-            for tile in &mut self.win_tiles {
-                tile.shift_rows(by);
-            }
-            return false;
-        }
-        // Drop the old build first, so two never coexist.
-        self.win_tiles.clear();
-        let row_map = &self.row_map;
-        self.win_tiles = self.plan.window(r0, r1, |r| {
-            debug_assert_ne!(row_map[r], u32::MAX, "row {r} not resident");
-            row_map[r] as usize
-        });
-        self.tiles_key = key;
-        self.tile_builds += 1;
-        true
-    }
-
     /// Records the resident working set of the window in memory: window
-    /// buffers, tiles, sweep scratch and I/O staging (geometry-derived,
-    /// deterministic). [`WindowCost::bytes`] is the same sum as a
-    /// function of the chunk height.
-    fn note_peak(&mut self, scratch: &Scratch) {
-        let tiles: usize = self.win_tiles.iter().map(|t| 16 * t.len()).sum();
+    /// buffers, the sweep scratch and row pattern, and I/O staging
+    /// (geometry-derived, deterministic). [`WindowCost::bytes`] is the
+    /// same sum as a function of the chunk height.
+    fn note_peak(&mut self, core: &Core) {
         let mut slabs = [&self.resident, &self.resident_in, &self.out_buf]
             .iter()
             .map(|g| g.slab().len())
@@ -1026,7 +949,7 @@ impl Spooled {
             slabs += a.slab().len() + b.slab().len();
         }
         let staging = self.stage.capacity() + self.wstage.capacity();
-        let bytes = (4 * slabs + staging + tiles) as u64 + scratch.bytes();
+        let bytes = (4 * slabs + staging) as u64 + core.sweep_bytes();
         self.peak_resident = self.peak_resident.max(bytes);
     }
 }
@@ -1039,8 +962,7 @@ impl Store for Spooled {
     }
 
     /// Halo fill from the spool (the current-parity state, or Heun's
-    /// predictor on the corrector pass), then the window's tiles (see
-    /// [`place_tiles`](Spooled::place_tiles)) and scratch.
+    /// predictor on the corrector pass), then the window's scratch.
     fn fill(&mut self, core: &mut Core, pass: usize, w: usize) -> Result<(), StreamError> {
         let src = if pass == 0 {
             parity_stream(core.steps)
@@ -1058,11 +980,10 @@ impl Store for Spooled {
             self.fill_rows("in", true)?;
         }
         core.span_since(Phase::HaloSync, t_fill);
-        let built = self.place_tiles(core, r0, r1);
-        core.size_scratch(&self.win_tiles, (r1 - r0) * self.plan.shape().1);
+        core.size_scratch(r0..r1);
         self.rows = (r0, r1);
-        self.note_peak(&core.scratch);
-        self.publish_metrics(1, u64::from(built));
+        self.note_peak(core);
+        self.publish_metrics(1);
         Ok(())
     }
 
@@ -1071,7 +992,6 @@ impl Store for Spooled {
             rows: self.rows,
             base: self.row_map[self.rows.0] as usize,
             row_map: &self.row_map,
-            tiles: &self.win_tiles,
             states: &mut self.resident,
             inputs: &self.resident_in,
             rhs: &mut self.out_buf,
@@ -1188,7 +1108,7 @@ impl Store for Spooled {
     }
 
     fn summarize(&self) {
-        self.publish_metrics(0, 0);
+        self.publish_metrics(0);
     }
 }
 
@@ -1214,10 +1134,9 @@ struct WindowCost {
     pe_rows: usize,
     inputs: bool,
     heun: bool,
-    /// Per cell: the row-major site weights, and the bytes of the weight
-    /// pass's per-shard lanes; tiles exist when there are sites.
-    sites: usize,
-    lane_bytes: usize,
+    /// The weight pass's bytes per window cell, and fixed (see
+    /// [`Core::weight_pass_bytes`]).
+    weights: (usize, usize),
     /// Template-pass bands, one row of scratch each.
     bands: usize,
 }
@@ -1225,7 +1144,6 @@ struct WindowCost {
 impl WindowCost {
     fn of(core: &Core) -> Self {
         let m = &core.model;
-        let (sites, lane_bytes) = core.scratch_per_cell();
         Self {
             rows: m.rows(),
             cols: m.cols(),
@@ -1234,36 +1152,30 @@ impl WindowCost {
             pe_rows: m.lut_config().pe_rows,
             inputs: core.uses_inputs(),
             heun: m.integrator() == Integrator::Heun,
-            sites,
-            lane_bytes,
+            weights: core.weight_pass_bytes(),
             bands: core.n_shards(),
         }
     }
 
     /// Resident bytes of windows of `g` chunk rows: the resident state
     /// (and input) rows, the RHS and Heun chunk buffers, read and write
-    /// staging of one chunk, the tiles (16 B a cell) with the weight
-    /// pass's per-shard lanes, the row-major site weights, and one
-    /// accumulator and operand row per band. Tiles and weight lanes sum
-    /// over shards to one window only when every window's rows split
-    /// over the PE rows alike: `g` a multiple of `pe_rows`, or one window.
+    /// staging of one chunk, the weight pass's per-shard weights, row
+    /// pattern and gather lanes with the row-major site weights, and one
+    /// accumulator and operand row per band. The per-shard weights sum
+    /// to one window only when every window's rows split over the PE
+    /// rows alike: `g` a multiple of `pe_rows`, or one window.
     fn bytes(&self, g: usize) -> u64 {
         let row = 4 * self.layers * self.cols;
         let resident = self.rows.min(g + 2 * self.halo);
         let input_rows = if self.inputs { resident } else { 1 };
         let chunk_bufs = if self.heun { 3 } else { 1 };
         let staging = 2 * (HEADER_LEN + self.layers * (4 + 4 * g * self.cols));
-        let cells = g * self.cols;
-        let tiles = if self.sites > 0 {
-            cells * (16 + self.lane_bytes)
-        } else {
-            0
-        };
+        let (per_cell, fixed) = self.weights;
         let bands = self.bands * self.cols * (8 + 4);
         ((resident + input_rows + chunk_bufs * g) * row
             + staging
-            + tiles
-            + 4 * self.sites * cells
+            + per_cell * g * self.cols
+            + fixed
             + bands) as u64
     }
 
@@ -1451,26 +1363,6 @@ mod tests {
             .read_cells("x1", 0, (2, 12), 0..2, 0..4, &mut stage)
             .is_err());
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reused_tiles_name_the_current_windows_cells() {
-        let sim = fisher_sim(64, 9);
-        let mut streamed =
-            StreamSim::from_sim(&sim, StreamConfig::new(tmp_dir("tiles")).with_chunk_rows(8))
-                .unwrap();
-        for _ in 0..streamed.n_windows() {
-            streamed.step_windows(1).unwrap();
-            let st = &streamed.store;
-            let fresh = st.plan.window(st.rows.0, st.rows.1, |_| 0);
-            for (kept, fresh) in st.win_tiles.iter().zip(&fresh) {
-                assert_eq!(kept.cells(), fresh.cells());
-                assert_eq!(kept.pes(), fresh.pes());
-            }
-        }
-        // The two edge windows and the first interior one.
-        assert_eq!(streamed.tile_builds(), 3);
-        let _ = fs::remove_dir_all(streamed.spool_dir());
     }
 
     /// Four coupled dynamic layers (the Hodgkin–Huxley layer count).

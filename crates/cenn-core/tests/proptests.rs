@@ -1,9 +1,10 @@
 //! Property-based tests for the CeNN model and functional simulator.
 
 use cenn_core::{
-    mapping, Boundary, CennModel, CennModelBuilder, CennSim, Grid, Integrator, LayerId,
+    mapping, Boundary, CennModel, CennModelBuilder, CennSim, Grid, Integrator, LayerId, LutConfig,
     StreamConfig, StreamSim, Template, TemplateKind, TilePlan, WeightExpr,
 };
+use cenn_lut::LutHierarchy;
 use fixedpt::{MacAcc, Q16_16};
 use proptest::prelude::*;
 
@@ -108,20 +109,28 @@ proptest! {
         rows in 1usize..40, cols in 1usize..40,
         pe_rows in 1usize..12, pe_cols in 1usize..12,
     ) {
-        // The tile decomposition is a partition: every cell lands in
-        // exactly one tile, and always in the tile of its own PE's shard.
+        // The row pattern is a partition: walking every shard's rows
+        // visits every cell exactly once, always in the shard of its own
+        // PE, and the pattern holds `pe_rows × cols` entries.
         let plan = TilePlan::new(rows, cols, pe_rows, pe_cols);
-        let tiles = plan.window(0, rows, |r| r);
+        let pattern = plan.row_pattern();
+        prop_assert_eq!(pattern.n_shards(), plan.n_shards());
         let mut seen = vec![0u32; rows * cols];
-        for tile in &tiles {
-            for &(r, c) in tile.cells() {
-                let pe = plan.pe_of(r as usize, c as usize);
-                prop_assert_eq!(pe / cenn_lut::PES_PER_L2, tile.shard());
-                seen[r as usize * cols + c as usize] += 1;
+        let mut longest = 0;
+        for s in 0..pattern.n_shards() {
+            for (r, run, pes) in pattern.shard_rows(s, 0..rows) {
+                prop_assert_eq!(run.len(), pes.len());
+                longest = longest.max(run.len());
+                for (&c, &pe) in run.iter().zip(pes) {
+                    prop_assert_eq!(pe as usize, plan.pe_of(r, c as usize));
+                    prop_assert_eq!(pe as usize / cenn_lut::PES_PER_L2, s);
+                    seen[r * cols + c as usize] += 1;
+                }
             }
         }
         prop_assert!(seen.iter().all(|&n| n == 1), "partition broken");
-        prop_assert_eq!(tiles.iter().map(|t| t.len()).sum::<usize>(), rows * cols);
+        prop_assert!(pattern.longest_run() >= longest);
+        prop_assert!(pattern.bytes() >= 8 * pe_rows * cols, "4 B column and PE id per entry");
     }
 
     #[test]
@@ -511,6 +520,93 @@ proptest! {
                 prop_assert_eq!(&streamed.snapshot().unwrap().states, &want, "streamed {}", what);
                 let _ = std::fs::remove_dir_all(&dir);
             }
+        }
+    }
+}
+
+/// A single-LUT-layer model on a `pe_rows × pe_cols` PE array with small
+/// LUT caches (2-block L1s, 8-entry L2s), so hits, refills and DRAM
+/// bursts all occur.
+fn one_lut_layer_model(rows: usize, cols: usize, pe: (usize, usize)) -> (CennModel, LayerId) {
+    let mut b = CennModelBuilder::new(rows, cols);
+    let u = b.dynamic_layer("u", Boundary::ZeroFlux);
+    let f = b.register_func(cenn_lut::funcs::tanh());
+    b.state_template(u, u, mapping::heat_template(0.05, 1.0));
+    b.offset_expr(u, WeightExpr::dynamic(0.5, f, u));
+    b.lut_config(LutConfig {
+        l1_blocks: 2,
+        l2_capacity: 8,
+        pe_rows: pe.0,
+        pe_cols: pe.1,
+        ..LutConfig::default()
+    });
+    (b.build(0.1).unwrap(), u)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn lut_counters_replay_the_serial_walk_for_any_pe_shape(
+        rows in 1usize..24, cols in 1usize..24,
+        pe_rows in 1usize..12, pe_cols in 1usize..12,
+        values in prop::collection::vec(-100.0f64..100.0, 23 * 23),
+        chunk in 1usize..24,
+        case in 0u64..u64::MAX,
+    ) {
+        // When `pe_cols` is not a multiple of 4 a shard spans two PE rows;
+        // whatever the PE shape, every counter must equal a scalar replay
+        // that looks up cell by cell in row-major order, on each step's
+        // pre-step states (unit spacing: about 200 sample indices).
+        let (model, u) = one_lut_layer_model(rows, cols, (pe_rows, pe_cols));
+        let init = Grid::from_fn(rows, cols, |r, c| values[r * 23 + c]);
+        let fresh = || {
+            let mut sim = CennSim::new(model.clone()).unwrap();
+            sim.set_state_f64(u, &init).unwrap();
+            sim
+        };
+        let func = cenn_lut::FuncId(0);
+        let mut replay = LutHierarchy::build(
+            model.library(),
+            model.lut_config().default_spec,
+            2,
+            8,
+            pe_rows * pe_cols,
+        )
+        .unwrap();
+        let plan = TilePlan::new(rows, cols, pe_rows, pe_cols);
+        let mut serial = fresh();
+        for _ in 0..3 {
+            let states = serial.state(u);
+            for r in 0..rows {
+                for c in 0..cols {
+                    replay.lookup(plan.pe_of(r, c), func, states.get(r, c));
+                }
+            }
+            serial.step();
+        }
+        let n_pes = pe_rows * pe_cols;
+        for threads in 1..=3 {
+            let mut sim = fresh();
+            sim.set_threads(threads);
+            sim.run(3);
+            prop_assert_eq!(sim.lut_stats(), replay.stats(), "{} threads", threads);
+            for pe in 0..n_pes {
+                prop_assert_eq!(sim.pe_lut_stats(pe), replay.pe_stats(pe), "PE {}", pe);
+            }
+        }
+        let dir = std::env::temp_dir().join(format!(
+            "cenn_prop_pe_shape_{}_{case}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut streamed =
+            StreamSim::from_sim(&fresh(), StreamConfig::new(&dir).with_chunk_rows(chunk)).unwrap();
+        streamed.run(3).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(streamed.lut_stats(), replay.stats(), "{}-row chunks", chunk);
+        for pe in 0..n_pes {
+            prop_assert_eq!(streamed.pe_lut_stats(pe), replay.pe_stats(pe), "PE {}", pe);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the streamed out-of-core engine: bit-identity with
 //! the in-core simulator across window sizes and thread counts (including
-//! windows that reuse another window's tiles), canonical per-step
+//! many windows of one height per pass), canonical per-step
 //! observability equality, and mid-sweep kill/restart recovery from
 //! spilled chunks, torn ones included.
 
@@ -214,8 +214,8 @@ proptest! {
         values in prop::collection::vec(0.02f64..0.9, 80 * 20),
         case in 0u64..u64::MAX,
     ) {
-        // Grids tall enough for several interior windows per pass. At 24
-        // rows only the 80-row grid has two interior windows in a row.
+        // Grids tall enough for several windows per pass, in heights
+        // that are and are not a multiple of the 8 PE rows.
         for (heun, rows, cols) in [(false, 64, 20), (true, 80, 13)] {
             let init = Grid::from_fn(rows, cols, |r, c| values[r * cols + c]);
             for chunk in [8usize, 16, 24, 12] {
@@ -247,19 +247,9 @@ proptest! {
                     }
                     prop_assert_eq!(&streamed.snapshot().unwrap().states, &in_core.snapshot().states);
                     prop_assert_eq!(streamed.lut_stats(), in_core.lut_stats());
-                    // The first and last windows touch a grid edge and
-                    // always build; one build then serves every interior
-                    // window, except at 12 rows, where the first row's PE
-                    // phase (r0 mod 8 PE rows) alternates 4, 0, 4, ...
                     let windows = streamed.n_windows() as u64;
-                    let per_pass = if chunk == 12 { windows } else { 3 };
                     let passes = if heun { 2 } else { 1 };
-                    prop_assert_eq!(streamed.tile_builds(), per_pass * passes * steps);
                     let counters = hub.snapshot();
-                    prop_assert_eq!(
-                        counters.counter("stream.tile_builds_total"),
-                        Some(streamed.tile_builds())
-                    );
                     prop_assert_eq!(
                         counters.counter("stream.windows_swept_total"),
                         Some(windows * passes * steps)

@@ -214,7 +214,7 @@ impl FixedRunner {
         &self.setup
     }
 
-    /// Sets the worker-thread count of the simulator's tile sweeps.
+    /// Sets the worker-thread count of the simulator's shard sweeps.
     /// Results are bit-identical for any count.
     pub fn set_threads(&mut self, threads: usize) {
         setting!(self, s => s.set_threads(threads));

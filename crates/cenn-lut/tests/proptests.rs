@@ -207,13 +207,18 @@ proptest! {
         l2_log2 in 3u32..7,
         pool in prop::collection::vec(-64i32..64, 1..9),
         lanes in (lane(), lane()),
+        cut in any::<usize>(),
+        cold in any::<bool>(),
     ) {
         // States cluster on a small pool of eighth-steps so lanes revisit
         // indices (L1 hits and memo replays); the jitter moves some off
         // their sample point, and every spec clamps part of the pool.
         // The shard under test is the second of an 8-PE hierarchy, so
         // its PEs are 4..8. Lanes past four functions take the walk
-        // without the memo.
+        // without the memo. Each lane is looked up in two calls, cut at
+        // a random cell, the second with the functions in reverse order,
+        // and the second lane runs warm or after an invalidation: a
+        // sweep that makes one call per row must keep every counter.
         let (lib, specs) = library(k);
         let funcs: Vec<FuncId> = lib.iter().map(|(id, _)| id).collect();
         let ctxs: Vec<RowCtx> = funcs
@@ -221,10 +226,12 @@ proptest! {
             .zip(&specs)
             .map(|(&f, &spec)| RowCtx::from_spec(f, spec))
             .collect();
+        let (funcs_rev, ctxs_rev): (Vec<FuncId>, Vec<RowCtx>) =
+            funcs.iter().rev().zip(ctxs.iter().rev()).unzip();
         let build = || LutHierarchy::build_with_specs(&lib, &specs, l1, 1 << l2_log2, 8).unwrap();
         let (mut scalar, mut cells, mut row) = (build(), build(), build());
         for (i, lane) in [&lanes.0, &lanes.1].into_iter().enumerate() {
-            if i == 1 {
+            if i == 1 && cold {
                 for h in [&mut scalar, &mut cells, &mut row] {
                     h.invalidate();
                 }
@@ -235,15 +242,30 @@ proptest! {
                 .flat_map(|(_, states)| &states[..k])
                 .map(|(at, jitter)| (pool[at.index(pool.len())] << 13) + [0, 1, 0x0555][*jitter])
                 .collect();
-            let want = scalar_lane(&mut scalar, &funcs, &pes, &xs);
+            let c = cut % (pes.len() + 1);
+            let xs: Vec<i32> = (xs.chunks_exact(k).enumerate())
+                .flat_map(|(j, cell)| {
+                    let mut cell = cell.to_vec();
+                    if j >= c {
+                        cell.reverse();
+                    }
+                    cell
+                })
+                .collect();
+            let mut want = scalar_lane(&mut scalar, &funcs, &pes[..c], &xs[..c * k]);
+            want.extend(scalar_lane(&mut scalar, &funcs_rev, &pes[c..], &xs[c * k..]));
 
             let mut got = vec![0i32; xs.len()];
             let (tables, shards) = cells.split();
-            shards[1].lookup_cells(tables, &ctxs, &pes, &xs, &mut got);
+            let (head, tail) = got.split_at_mut(c * k);
+            shards[1].lookup_cells(tables, &ctxs, &pes[..c], &xs[..c * k], head);
+            shards[1].lookup_cells(tables, &ctxs_rev, &pes[c..], &xs[c * k..], tail);
             prop_assert_eq!(&got, &want, "lookup_cells values, lane {}", i);
             if k == 1 {
                 let (tables, shards) = row.split();
-                shards[1].lookup_row(tables, &ctxs[0], &pes, &xs, &mut got);
+                let (head, tail) = got.split_at_mut(c);
+                shards[1].lookup_row(tables, &ctxs[0], &pes[..c], &xs[..c], head);
+                shards[1].lookup_row(tables, &ctxs[0], &pes[c..], &xs[c..], tail);
                 prop_assert_eq!(&got, &want, "lookup_row values, lane {}", i);
             }
 

@@ -82,7 +82,7 @@ impl SolverSession {
         self.cycle = CycleModel::new(mem, self.cycle.pe_config().clone());
     }
 
-    /// Sets the worker-thread count of the functional simulator's tile
+    /// Sets the worker-thread count of the functional simulator's shard
     /// sweeps. Results (states and LUT statistics) are bit-identical for
     /// any count — see the determinism contract in `DESIGN.md`.
     pub fn set_threads(&mut self, threads: usize) {

@@ -1,4 +1,4 @@
-//! Multi-tenant session management over the tile-sharded engine.
+//! Multi-tenant session management over the shard-parallel engine.
 //!
 //! A [`SessionManager`] multiplexes many independent solver sessions onto
 //! a fixed pool of worker threads. Scheduling is deterministic fair

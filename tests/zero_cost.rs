@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use cenn::equations::{DynamicalSystem, Fisher, FixedRunner};
+use cenn::equations::{DynamicalSystem, Fisher, FixedRunner, GrayScott, HodgkinHuxley};
 use cenn::obs::{Phase, Span, SpanRing, TraceHandle};
 
 thread_local! {
@@ -119,6 +119,27 @@ fn cleared_tracer_restores_untraced_allocation_profile() {
         per_step_untraced, per_step_cleared,
         "clearing the tracer must restore the zero-cost span path"
     );
+}
+
+#[test]
+fn multi_layer_systems_allocate_no_more_per_step_than_fisher() {
+    // Each layer is compiled into its sweep form once, when the engine is
+    // built, so a step's allocations do not grow with the layer count.
+    let per_step = |system: &dyn DynamicalSystem| {
+        let mut runner = FixedRunner::new(system.build(12, 12).expect("setup")).expect("runner");
+        runner.run(4);
+        steady_state_allocs(&mut runner)
+    };
+    let fisher = per_step(&Fisher::default());
+    for (name, allocs) in [
+        ("hodgkin-huxley", per_step(&HodgkinHuxley::default())),
+        ("gray-scott", per_step(&GrayScott::default())),
+    ] {
+        assert!(
+            allocs <= fisher,
+            "{name} allocates {allocs} times per step, fisher {fisher}"
+        );
+    }
 }
 
 #[test]
