@@ -32,6 +32,7 @@
 //! the serial sweep would, so per-PE and per-shard counters are
 //! bit-identical too; aggregate stats are order-independent `u64` sums.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use cenn_lut::{LutStats, PES_PER_L2};
@@ -342,8 +343,9 @@ pub struct StepStats {
     /// `(label, nanos)` for each sweep in execution order. Algebraic
     /// layers sweep one at a time (they form declaration-order chains) and
     /// are labelled `algebraic:<layer>`; dynamic layers sweep fused per
-    /// shard as `dynamic`, and state updates as `update`.
-    pub sweeps: Vec<(String, u64)>,
+    /// shard as `dynamic`, and state updates as `update` (static labels,
+    /// so a step allocates none).
+    pub sweeps: Vec<(Cow<'static, str>, u64)>,
     /// Wall-clock nanos for the whole step.
     pub total_nanos: u64,
     /// Cell evaluations performed (cells × layer sweeps).
@@ -390,7 +392,7 @@ impl StepStats {
                 .sweeps
                 .iter()
                 .map(|(label, nanos)| cenn_obs::SweepTiming {
-                    label: label.clone(),
+                    label: label.to_string(),
                     nanos: *nanos,
                 })
                 .collect(),

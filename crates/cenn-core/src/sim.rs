@@ -12,19 +12,29 @@
 //!   their PE ids, per PE row), one batched LUT call per row, so it sees
 //!   the serial per-shard cell order and every cache counter is exact;
 //!   then each site's scaled weights are written row-major;
-//! * the **template pass** is row-direct: for each output row, each tap
-//!   multiply-accumulates its source row, shifted by the tap's column
-//!   offset, as one contiguous slice, the boundary resolved once per row
-//!   and edge column through [`Boundary::resolve`], and one rounding
-//!   writes the RHS row. Worker threads take one row band per shard.
+//! * the **template pass** is row-direct and output-stationary: each
+//!   output row keeps its accumulators in place while its terms stream
+//!   past. A layer's terms are the leak (−1.0 on its own row), each tap's
+//!   source row shifted by the tap's column offset with its constant
+//!   weight or site lane, and its offsets. They run as the layer's
+//!   planned column passes of up to eight terms each
+//!   ([`fixedpt::lanes::mac_terms`]), each term's source row resolved
+//!   once per row through [`Boundary::resolve`], the last pass rounding
+//!   straight into the RHS row: a 5-point stencil is one pass. The few
+//!   edge columns take the same terms one by one through each pass's
+//!   column map, and a row that reads past a constant boundary goes term
+//!   by term. Worker threads take one row band per shard.
 //!
 //! Each layer is compiled once, when the engine is built, into the form
-//! its sweeps apply (taps, offsets, sites and the bound on its
-//! accumulator; a template fault flips a word there and re-bounds the
-//! layer). Below 2⁶³ the pass takes the unsaturated [`fixedpt::lanes`]
-//! kernels, which give the saturating kernels' bits there. Algebraic layers stage
-//! their rows in their RHS span and copy them into the states after the
-//! barrier, so no row reads its own layer's fresh values.
+//! its sweeps apply (its term skeleton, sites, the bound on its
+//! accumulator and the pass plan; a template fault flips a word there and
+//! re-bounds and re-plans the layer). Below 2⁶³ the pass takes the
+//! unsaturated [`fixedpt::lanes`] kernels and the plan regroups terms
+//! freely, since every partial sum is then exact in any order; a
+//! saturating layer's plan keeps `MacAcc` order, with saturating adds.
+//! Algebraic layers stage their rows in their RHS span and copy them into
+//! the states after the barrier, so no row reads its own layer's fresh
+//! values.
 
 use std::convert::Infallible;
 use std::ops::Range;
@@ -32,7 +42,7 @@ use std::time::Instant;
 
 use cenn_lut::{FuncId, FuncLibrary, LutHierarchy, LutShard, LutStats, OffChipLut, RowCtx};
 use cenn_obs::{Event, Phase, RecorderHandle, RunSummary, Span, SpanRing, TraceHandle};
-use fixedpt::lanes::{self, Accumulate, Saturating, Unsaturated};
+use fixedpt::lanes::{self, Accumulate, Saturating, Start, Unsaturated, GROUP};
 use fixedpt::{MacAcc, Q16_16};
 
 use crate::boundary::Boundary;
@@ -97,9 +107,9 @@ enum LaneWeight {
     Dyn(usize),
 }
 
-/// One template tap as a sweep applies it: where its operands come from,
-/// how its boundary resolves, and its weight.
-#[derive(Debug, Clone, Copy)]
+/// A template tap's operand as a sweep reads it: its source row, resolved
+/// through the source's boundary, shifted by the tap's column offset.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SweepTap {
     /// Source layer index (into states or inputs, per `input`).
     src: usize,
@@ -112,21 +122,46 @@ struct SweepTap {
     dc: i32,
     /// The boundary constant (clamped for output taps) past the edge.
     const_val: Q16_16,
+}
+
+/// What a term multiplies its weight by.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    /// A tap's source row, column-shifted.
+    Tap(SweepTap),
+    /// The constant 1.0: an offset.
+    One,
+}
+
+/// One term of a layer's right-hand side: an operand times a weight.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    operand: Operand,
     weight: LaneWeight,
 }
 
 /// One layer compiled into the form its sweeps apply, once, when the
-/// engine is built: its non-zero taps (state, then output, then input
-/// templates) and offsets, its dynamic weight sites, and the kernel the
-/// bound on its accumulator allows. A template fault flips a word here
-/// and re-bounds the layer.
+/// engine is built: its term skeleton, its dynamic weight sites, and the
+/// kernel the bound on its accumulator allows. A template fault flips a
+/// word here and re-bounds the layer.
 #[derive(Debug, Clone)]
 struct SweepLayer {
-    /// Destination layer index.
-    layer: usize,
     kind: LayerKind,
-    taps: Vec<SweepTap>,
-    offsets: Vec<LaneWeight>,
+    /// The terms in `MacAcc` order: the leak (dynamic layers only: −1.0
+    /// on the layer's own row), the non-zero taps of the state, output
+    /// and input templates, then the offsets (1.0 times their weight).
+    terms: Vec<Term>,
+    /// The rows `[top, bottom)` whose every tap reads a row on the grid
+    /// (all rows unless a tap reaches past a constant boundary): they run
+    /// the plan, and the others term by term.
+    regular: (usize, usize),
+    /// The columns `[lo, hi)` whose every tap read stays on the grid: the
+    /// plan's passes cover them (empty when the taps' reach spans a row),
+    /// and the edge columns outside take its terms one by one.
+    interior: (usize, usize),
+    /// A regular row as column passes, planned from the terms and the
+    /// bound (see [`plan`]).
+    plan: Vec<Pass>,
     /// The dynamic weight sites in flat order (taps first, then offsets —
     /// the order [`CennSim::inject_template_fault`] uses).
     sites: Vec<SiteGeom>,
@@ -138,7 +173,7 @@ struct SweepLayer {
     site_base: usize,
     /// No partial sum of the layer's accumulator can reach the i64 rails
     /// (see [`exact_without_saturation`]), so the unsaturated kernels
-    /// give the saturating kernels' bits.
+    /// give the saturating kernels' bits, in any term order.
     unsaturated: bool,
 }
 
@@ -154,10 +189,48 @@ impl SweepLayer {
         self.sites.len() == 1 && self.ctxs.len() == 1
     }
 
-    /// Re-derives [`unsaturated`](Self::unsaturated) from the weights.
-    fn rebound(&mut self) {
-        self.unsaturated = exact_without_saturation(self.leak(), &self.taps, &self.offsets);
+    /// Re-derives [`unsaturated`](Self::unsaturated) from the weights,
+    /// and the plan from both.
+    fn rebound(&mut self, cols: usize) {
+        self.unsaturated = exact_without_saturation(&self.terms);
+        self.plan = plan(&self.terms, self.unsaturated, self.edges(cols), cols);
     }
+
+    /// The edge columns of a `cols`-wide row, left then right.
+    fn edges(&self, cols: usize) -> impl Iterator<Item = usize> + Clone {
+        let (lo, hi) = self.interior;
+        (0..lo).chain(hi..cols)
+    }
+}
+
+/// Where a planned term's operand lane comes from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PlanOp {
+    /// A tap's source row, shifted by its column offset (an output tap's
+    /// clamped copy in the band's stage row).
+    Tap(SweepTap),
+    /// A dynamic weight site's lane: an offset, times 1.0.
+    Site(usize),
+}
+
+/// One column pass over a regular row: a wide constant, then up to
+/// [`GROUP`] terms whose weights are all constants or all site lanes.
+#[derive(Debug, Clone, Default)]
+struct Pass {
+    ops: Vec<PlanOp>,
+    /// Each term's constant weight, widened (a constant-weight pass).
+    words: Vec<i64>,
+    /// Each term's weight site (a lane-weight pass).
+    sites: Vec<usize>,
+    /// Added to every column before the terms.
+    k: i64,
+    /// An output tap of the pass: the source row the stage must hold.
+    stage: Option<SweepTap>,
+    /// Per term, per edge column, the column of its lane the read
+    /// resolves to (`u32::MAX` past a constant boundary): `[term][edge]`.
+    /// Rows and columns resolve independently, so this holds for every
+    /// row.
+    edge_src: Vec<u32>,
 }
 
 /// Persistent per-shard scratch for the weight pass, sized so the hot
@@ -188,7 +261,8 @@ fn grow_exact<T: Copy + Default>(v: &mut Vec<T>, n: usize) {
 }
 
 /// Per-band row scratch of the template pass: one row of accumulators
-/// and one row of staged operands (output-clamped or boundary-constant).
+/// (the running sums between a row's passes, and its edge columns) and
+/// one row of staged operands (an output tap's clamped source row).
 #[derive(Debug, Clone, Default)]
 struct BandBuf {
     accs: Vec<i64>,
@@ -500,7 +574,8 @@ impl Core {
 
     /// `true` when some template reads an external input map.
     pub(crate) fn uses_inputs(&self) -> bool {
-        (self.layers.iter()).any(|l| l.taps.iter().any(|t| t.input))
+        let input = |t: &Term| matches!(t.operand, Operand::Tap(tap) if tap.input);
+        (self.layers.iter()).any(|l| l.terms.iter().any(input))
     }
 
     /// Integrator passes per step.
@@ -543,9 +618,10 @@ impl Core {
             let start = Instant::now();
             self.sweep_layers(win, Some(i), start);
             self.pending.cells += cells as u64;
-            self.pending
-                .sweeps
-                .push((format!("algebraic:{i}"), start.elapsed().as_nanos() as u64));
+            self.pending.sweeps.push((
+                format!("algebraic:{i}").into(),
+                start.elapsed().as_nanos() as u64,
+            ));
         }
         if self.dyn_layers.is_empty() {
             return;
@@ -654,31 +730,30 @@ impl Core {
         }
 
         // The template pass writes each layer's chunk rows of the RHS,
-        // split into one contiguous band per shard.
+        // split into one contiguous band per shard. One list holds first
+        // each swept layer's chunk rows (layers ascend, so in sweep order),
+        // then, band-major, band `b`'s rows of every swept layer, cut off
+        // their fronts; the emptied fronts are dropped at the end.
         let n_bands = rings.len();
         let band_row = |b: usize| chunk.start + chunk.len() * b / n_bands;
+        let n_layers = layers.len();
         let stride = win.rhs.cells_per_layer();
-        let mut dests: Vec<Option<&mut [Q16_16]>> = win
-            .rhs
-            .slab_mut()
-            .chunks_exact_mut(stride)
-            .map(Some)
-            .collect();
-        let mut rest: Vec<&mut [Q16_16]> = layers
-            .iter()
-            .map(|&i| &mut dests[i].take().expect("each layer swept once")[..window_cells])
-            .collect();
-        // Band-major: band `b`'s rows of every swept layer, in sweep order.
-        let mut band_rows: Vec<&mut [Q16_16]> = Vec::with_capacity(n_bands * layers.len());
+        let mut band_rows: Vec<&mut [Q16_16]> = Vec::with_capacity((n_bands + 1) * n_layers);
+        band_rows.extend(
+            (win.rhs.slab_mut().chunks_exact_mut(stride).enumerate())
+                .filter(|(i, _)| layers.contains(i))
+                .map(|(_, span)| &mut span[..window_cells]),
+        );
         for b in 0..n_bands {
             let n = (band_row(b + 1) - band_row(b)) * cols;
-            for slot in &mut rest {
-                let (head, tail) = std::mem::take(slot).split_at_mut(n);
-                *slot = tail;
+            for j in 0..n_layers {
+                let (head, tail) = std::mem::take(&mut band_rows[j]).split_at_mut(n);
+                band_rows[j] = tail;
                 band_rows.push(head);
             }
         }
-        let mut items: Vec<_> = (band_rows.chunks_mut(layers.len()))
+        band_rows.drain(..n_layers);
+        let mut items: Vec<_> = (band_rows.chunks_mut(n_layers))
             .zip(bands.iter_mut().zip(rings.iter_mut()))
             .enumerate()
             .map(|(b, (dest, (buf, ring)))| ((band_row(b), band_row(b + 1)), dest, buf, ring))
@@ -896,15 +971,16 @@ fn corrector<const TRACK: bool>(
 /// the engine's [`RowPattern`] ([`TilePlan::row_pattern`]): its cells in
 /// row-major order, so each shard's cache sees the serial access
 /// sequence and every counter is exact; the weights then land in
-/// row-major site lanes. The *template pass* is row-direct: for each
-/// output row, each tap multiply-accumulates its source row, shifted by
-/// the tap's column offset, as one contiguous slice ([`fixedpt::lanes`]),
-/// the boundary resolved once per row and edge column, and the result
-/// lands in the RHS row. A layer whose weights bound its accumulator
-/// below the i64 rails takes the unsaturated kernels, which give the
-/// saturating kernels' bits there. Per cell both passes replay the
-/// scalar `MacAcc` sequence, so results — states *and* per-PE LUT
-/// statistics — are bit-identical for any thread count (the
+/// row-major site lanes. The *template pass* is row-direct: each output
+/// row applies its layer's terms (leak, shifted source rows with their
+/// constant weights or site lanes, offsets) as planned passes of up to
+/// eight terms over the interior columns ([`fixedpt::lanes`]), the last
+/// pass rounding into the RHS row, and its few edge columns term by term
+/// through the boundary. A layer whose weights bound its accumulator
+/// below the i64 rails takes the unsaturated kernels and regroups its
+/// terms freely, which gives the saturating kernels' bits there; any
+/// other keeps the scalar `MacAcc` order. So results — states *and*
+/// per-PE LUT statistics — are bit-identical for any thread count (the
 /// determinism contract in [`crate::exec`]).
 ///
 /// The [`ExecEngine`] fans the weight pass out by shard and the template
@@ -1635,16 +1711,14 @@ impl Engine<Resident> {
             return Err(FaultError::Tap { layer, n_taps, tap }.into());
         }
         let sl = &mut self.core.layers[layer];
-        let word = (sl.taps.iter_mut().map(|t| &mut t.weight))
-            .chain(sl.offsets.iter_mut())
-            .nth(tap)
-            .expect("tap index validated against template_fault_sites");
-        let v = match word {
+        // The leak is not a template word.
+        let at = usize::from(sl.leak()) + tap;
+        let v = match &mut sl.terms[at].weight {
             LaneWeight::Const(v) => v,
             LaneWeight::Dyn(site) => &mut sl.sites[*site].scale,
         };
         *v = Q16_16::from_bits(v.to_bits() ^ (1 << bit));
-        sl.rebound();
+        sl.rebound(self.core.model.cols());
         Ok(())
     }
 
@@ -1652,7 +1726,7 @@ impl Engine<Resident> {
     /// [`inject_template_fault`](Self::inject_template_fault)); zero for
     /// an out-of-range layer.
     pub fn template_fault_sites(&self, layer: usize) -> usize {
-        (self.core.layers.get(layer)).map_or(0, |l| l.taps.len() + l.offsets.len())
+        (self.core.layers.get(layer)).map_or(0, |l| l.terms.len() - usize::from(l.leak()))
     }
 
     /// Verifies every off-chip LUT entry against its stored checksum and
@@ -1759,10 +1833,10 @@ fn push_span(
     Some(end)
 }
 
-/// Compiles every layer of the model into its sweep form: the non-zero
-/// entries of its state, output and input templates in that order, then
-/// its offsets, with each dynamic weight's factors and their LUT row
-/// contexts hoisted.
+/// Compiles every layer of the model into its sweep form: its terms in
+/// `MacAcc` order (the leak, the non-zero entries of its state, output and
+/// input templates in that order, then its offsets), with each dynamic
+/// weight's factors and their LUT row contexts hoisted.
 fn compile(model: &CennModel) -> Vec<SweepLayer> {
     let cfg = model.lut_config();
     let mut dyn_sites = 0;
@@ -1788,7 +1862,22 @@ fn compile(model: &CennModel) -> Vec<SweepLayer> {
                     LaneWeight::Dyn(sites.len() - 1)
                 }
             };
-            let mut taps = Vec::new();
+            let mut terms = Vec::new();
+            if kind == LayerKind::Dynamic {
+                let boundary = model.layer(dest).boundary();
+                terms.push(Term {
+                    operand: Operand::Tap(SweepTap {
+                        src: dest.index(),
+                        input: false,
+                        output: false,
+                        boundary,
+                        dr: 0,
+                        dc: 0,
+                        const_val: Q16_16::from_f64(boundary.constant()),
+                    }),
+                    weight: LaneWeight::Const(Q16_16::NEG_ONE),
+                });
+            }
             for template in [
                 TemplateKind::State,
                 TemplateKind::Output,
@@ -1799,20 +1888,27 @@ fn compile(model: &CennModel) -> Vec<SweepLayer> {
                     let output = template == TemplateKind::Output;
                     let edge = Q16_16::from_f64(boundary.constant());
                     for (dr, dc, w) in t.iter().filter(|(_, _, w)| !w.is_zero()) {
-                        taps.push(SweepTap {
-                            src: src.index(),
-                            input: template == TemplateKind::Input,
-                            output,
-                            boundary,
-                            dr,
-                            dc,
-                            const_val: if output { edge.cenn_output() } else { edge },
+                        terms.push(Term {
+                            operand: Operand::Tap(SweepTap {
+                                src: src.index(),
+                                input: template == TemplateKind::Input,
+                                output,
+                                boundary,
+                                dr,
+                                dc,
+                                const_val: if output { edge.cenn_output() } else { edge },
+                            }),
                             weight: weight(w),
                         });
                     }
                 }
             }
-            let offsets = model.offsets(dest).map(&mut weight).collect();
+            terms.extend(model.offsets(dest).map(|w| Term {
+                operand: Operand::One,
+                weight: weight(w),
+            }));
+            let regular = regular_rows(&terms, model.rows());
+            let interior = interior_columns(&terms, model.cols());
             let ctxs = (sites.iter())
                 .flat_map(|s: &SiteGeom| s.factors.iter().map(|f| f.ctx))
                 .collect();
@@ -1823,37 +1919,70 @@ fn compile(model: &CennModel) -> Vec<SweepLayer> {
                 0
             };
             let mut layer = SweepLayer {
-                layer: dest.index(),
                 kind,
-                taps,
-                offsets,
+                terms,
+                regular,
+                interior,
+                plan: Vec::new(),
                 sites,
                 ctxs,
                 site_base,
                 unsaturated: false,
             };
-            layer.rebound();
+            layer.rebound(model.cols());
             layer
         })
         .collect()
 }
 
-/// Whether a layer's accumulator provably never reaches the i64 rails,
-/// so the unsaturated kernels give the saturating kernels' bits. The
-/// magnitudes it can add are bounded from the weights alone: the leak
-/// `|x|·2¹⁶ ≤ 2⁴⁷`, each tap `|w|·2³¹` (a dynamic weight counts as
-/// 2³¹), each offset `|v|·2¹⁶`. Every partial sum is at most their sum,
-/// so a sum below 2⁶³ keeps every add exact.
-fn exact_without_saturation(leak: bool, taps: &[SweepTap], offsets: &[LaneWeight]) -> bool {
-    const WORD: u128 = 1 << 31;
-    let magnitude = |w: LaneWeight| match w {
-        LaneWeight::Const(v) => u128::from(v.to_bits().unsigned_abs()),
-        LaneWeight::Dyn(_) => WORD,
+/// The rows `[top, bottom)` of a `rows`-high grid where every tap's
+/// source row resolves onto the grid.
+fn regular_rows(terms: &[Term], rows: usize) -> (usize, usize) {
+    let past_edge = |r: usize| {
+        terms.iter().any(|t| match t.operand {
+            Operand::Tap(tap) => tap.boundary.resolve(rows, 1, r, 0, tap.dr, 0).is_none(),
+            Operand::One => false,
+        })
     };
-    let leak = if leak { WORD << 16 } else { 0 };
-    let taps: u128 = taps.iter().map(|t| magnitude(t.weight) * WORD).sum();
-    let offsets: u128 = offsets.iter().map(|&w| magnitude(w) << 16).sum();
-    leak + taps + offsets < 1 << 63
+    let top = (0..rows).take_while(|&r| past_edge(r)).count();
+    let bottom = rows - (top..rows).rev().take_while(|&r| past_edge(r)).count();
+    (top, bottom)
+}
+
+/// A layer's interior columns `[lo, hi)` of a `cols`-wide row: those
+/// whose every tap read stays on the grid.
+fn interior_columns(terms: &[Term], cols: usize) -> (usize, usize) {
+    let taps = || {
+        terms.iter().filter_map(|t| match t.operand {
+            Operand::Tap(tap) => Some(tap),
+            Operand::One => None,
+        })
+    };
+    let left = taps().map(|t| (-t.dc).max(0) as usize).max().unwrap_or(0);
+    let right = taps().map(|t| t.dc.max(0) as usize).max().unwrap_or(0);
+    let lo = left.min(cols);
+    (lo, cols.saturating_sub(right).max(lo))
+}
+
+/// Whether a layer's accumulator provably never reaches the i64 rails,
+/// so the unsaturated kernels give the saturating kernels' bits in any
+/// term order. The magnitudes its terms can add are bounded from the
+/// weights alone: a tap `|w|·2³¹` (the leak's `2¹⁶·2³¹`; a dynamic weight
+/// counts as 2³¹), an offset `|v|·2¹⁶`. Every partial sum of any subset
+/// is at most their sum, so a sum below 2⁶³ keeps every add exact.
+fn exact_without_saturation(terms: &[Term]) -> bool {
+    const WORD: u128 = 1 << 31;
+    let magnitude = |t: &Term| {
+        let w = match t.weight {
+            LaneWeight::Const(v) => u128::from(v.to_bits().unsigned_abs()),
+            LaneWeight::Dyn(_) => WORD,
+        };
+        w * match t.operand {
+            Operand::Tap(_) => WORD,
+            Operand::One => 1 << 16,
+        }
+    };
+    terms.iter().map(magnitude).sum::<u128>() < 1 << 63
 }
 
 /// What the weight pass reads, shared by every shard.
@@ -1976,46 +2105,187 @@ struct RowSrc<'a> {
     window_cells: usize,
 }
 
-impl RowSrc<'_> {
+impl<'a> RowSrc<'a> {
     /// Global row `r` of layer `layer` of the states, or with `input` of
     /// the inputs.
-    fn row(&self, input: bool, layer: usize, r: usize) -> &[Q16_16] {
+    fn row(&self, input: bool, layer: usize, r: usize) -> &'a [Q16_16] {
         let slab = if input { self.inputs } else { self.states };
         let cols = self.shape.1;
         &slab.layer_slice(layer)[self.row_map[r] as usize * cols..][..cols]
     }
-}
 
-/// A tap's weight over one row: a constant, or its site's lane.
-#[derive(Clone, Copy)]
-enum RowWeight<'a> {
-    Const(Q16_16),
-    Lanes(&'a [Q16_16]),
-}
-
-impl RowWeight<'_> {
-    fn at(self, c: usize) -> Q16_16 {
-        match self {
-            Self::Const(w) => w,
-            Self::Lanes(ws) => ws[c],
-        }
-    }
-
-    /// `accs[c] ⊕= w[lo + c]·ops[c]`.
-    fn mac<A: Accumulate>(self, accs: &mut [i64], lo: usize, ops: &[Q16_16]) {
-        match self {
-            Self::Const(w) => lanes::mac_lanes::<A, _>(accs, w, ops),
-            Self::Lanes(ws) => lanes::mac_lanes_dyn::<A, _>(accs, &ws[lo..lo + accs.len()], ops),
-        }
+    /// Site lane `lane` of the sweep over the window row starting at
+    /// window cell `at`.
+    fn site(&self, lane: usize, at: usize) -> &'a [Q16_16] {
+        &self.site_rows[lane * self.window_cells + at..][..self.shape.1]
     }
 }
 
-/// The template pass over output row `r` of one swept layer, in the
-/// scalar `MacAcc` order per cell: the leak (dynamic layers), every tap
-/// in flattened order, every offset, one rounding into `out`. A tap
-/// reads its source row, resolved through the boundary once per row: the
-/// columns whose shifted reads stay on the grid as one contiguous slice,
-/// the few edge columns one by one through [`Boundary::resolve`].
+/// Plans a layer's regular rows as column passes over the interior:
+/// terms in groups of up to [`GROUP`] per pass, constant-weight and
+/// lane-weight terms apart, and the terms of one pass reading at most one
+/// output tap's source row (the band stages one). An unsaturated layer
+/// regroups freely — every partial sum is exact in any order — so its
+/// constant offsets sum into the last pass's constant and its terms on
+/// one lane merge (the leak and a centre tap become one). A saturating
+/// layer keeps `MacAcc` order: a change of weight kind ends a pass, and a
+/// constant offset leads the pass after it. Each pass also maps its
+/// terms' reads at the `edges` of a `cols`-wide row.
+fn plan(
+    terms: &[Term],
+    unsaturated: bool,
+    edges: impl Iterator<Item = usize> + Clone,
+    cols: usize,
+) -> Vec<Pass> {
+    let mut p = Planner {
+        ordered: !unsaturated,
+        plan: Vec::new(),
+        words: Pass::default(),
+        lanes: Pass::default(),
+        k: 0,
+        stage: None,
+    };
+    for term in terms {
+        let tap = match (term.operand, term.weight) {
+            (Operand::One, LaneWeight::Const(v)) => {
+                p.constant(i64::from(v.to_bits()) << 16);
+                continue;
+            }
+            (Operand::One, LaneWeight::Dyn(s)) => {
+                p.word(PlanOp::Site(s), 1 << 16);
+                continue;
+            }
+            (Operand::Tap(tap), _) => tap,
+        };
+        let slot = tap.output.then_some((tap.src, tap.dr));
+        if slot.is_some() && p.stage.is_some() && p.stage != slot {
+            p.end();
+        }
+        match term.weight {
+            LaneWeight::Const(w) => p.word(PlanOp::Tap(tap), i64::from(w.to_bits())),
+            LaneWeight::Dyn(s) => p.lane(PlanOp::Tap(tap), s),
+        }
+        p.stage = p.stage.or(slot);
+    }
+    let mut plan = p.finish();
+    for pass in &mut plan {
+        pass.edge_src = (pass.ops.iter())
+            .flat_map(|op| {
+                edges.clone().map(move |c| match op {
+                    PlanOp::Tap(tap) => (tap.boundary.resolve(1, cols, 0, c, 0, tap.dc))
+                        .map_or(u32::MAX, |(_, nc)| nc as u32),
+                    PlanOp::Site(_) => c as u32,
+                })
+            })
+            .collect();
+    }
+    plan
+}
+
+/// The state of [`plan`]: the passes so far, and the two pending ones.
+struct Planner {
+    ordered: bool,
+    plan: Vec<Pass>,
+    words: Pass,
+    lanes: Pass,
+    /// Constants no pass holds yet: in order, the next pass's leading
+    /// term; otherwise their sum, which the last pass adds.
+    k: i64,
+    /// The output source row the pending terms read.
+    stage: Option<(usize, i32)>,
+}
+
+impl Planner {
+    /// Closes the pending lane-weight (or constant-weight) pass.
+    fn emit(&mut self, lanes: bool, last: bool) {
+        let pending = if lanes {
+            &mut self.lanes
+        } else {
+            &mut self.words
+        };
+        let mut pass = std::mem::take(pending);
+        if self.ordered || last {
+            pass.k = std::mem::take(&mut self.k);
+        }
+        pass.stage = pass.ops.iter().find_map(|op| match op {
+            PlanOp::Tap(tap) if tap.output => Some(*tap),
+            _ => None,
+        });
+        self.plan.push(pass);
+        if self.words.ops.is_empty() && self.lanes.ops.is_empty() {
+            self.stage = None;
+        }
+    }
+
+    /// Closes every pending pass — in order, also a pending constant.
+    fn end(&mut self) {
+        if !self.words.ops.is_empty() || (self.ordered && self.lanes.ops.is_empty() && self.k != 0)
+        {
+            self.emit(false, false);
+        }
+        if !self.lanes.ops.is_empty() {
+            self.emit(true, false);
+        }
+    }
+
+    fn constant(&mut self, v: i64) {
+        if self.ordered {
+            self.end();
+        }
+        self.k += v;
+    }
+
+    fn word(&mut self, op: PlanOp, w: i64) {
+        if self.ordered && !self.lanes.ops.is_empty() {
+            self.emit(true, false);
+        }
+        let same = self.words.ops.iter().position(|&o| o == op);
+        if let (false, Some(j)) = (self.ordered, same) {
+            self.words.words[j] += w;
+            // A leak and a centre tap of 1.0 cancel: the term adds nothing.
+            if self.words.words[j] == 0 {
+                self.words.ops.remove(j);
+                self.words.words.remove(j);
+            }
+            return;
+        }
+        if self.words.ops.len() == GROUP {
+            self.emit(false, false);
+        }
+        self.words.ops.push(op);
+        self.words.words.push(w);
+    }
+
+    fn lane(&mut self, op: PlanOp, site: usize) {
+        if self.ordered && !self.words.ops.is_empty() {
+            self.emit(false, false);
+        }
+        if self.lanes.ops.len() == GROUP {
+            self.emit(true, false);
+        }
+        self.lanes.ops.push(op);
+        self.lanes.sites.push(site);
+    }
+
+    /// The plan: the pending passes closed, the last one rounding.
+    fn finish(mut self) -> Vec<Pass> {
+        if !self.words.ops.is_empty() && !self.lanes.ops.is_empty() {
+            self.emit(false, false);
+        }
+        let lanes = !self.lanes.ops.is_empty();
+        self.emit(lanes, true);
+        self.plan
+    }
+}
+
+/// The template pass over output row `r` of one swept layer. A regular
+/// row runs the layer's [`plan`]: each pass resolves its terms' source
+/// rows through the boundary once, and one [`lanes::mac_terms`] call
+/// applies them over the interior columns, the last one rounding
+/// straight into `out`; the few edge columns take the same terms one by
+/// one through the pass's column map, and round once. An output tap reads
+/// its source row clamped into the band's stage row. A row some tap reads
+/// past a constant boundary goes [`term_by_term`].
 fn layer_row<A: Accumulate>(
     src: &RowSrc<'_>,
     sl: &SweepLayer,
@@ -2024,60 +2294,113 @@ fn layer_row<A: Accumulate>(
     buf: &mut BandBuf,
 ) {
     let (rows, cols) = src.shape;
-    let (accs, ops) = (&mut buf.accs[..cols], &mut buf.ops[..cols]);
-    if sl.leak() {
-        lanes::leak_lanes(accs, src.row(false, sl.layer, r));
-    } else {
-        accs.fill(0);
+    let (accs, stage) = (&mut buf.accs[..cols], &mut buf.ops[..cols]);
+    if !(sl.regular.0..sl.regular.1).contains(&r) {
+        term_by_term::<A>(src, sl, r, accs);
+        lanes::resolve_lanes(accs, out);
+        return;
     }
+    let (lo, hi) = sl.interior;
     let at = (r - src.chunk_row0) * cols;
-    let weight = |w: LaneWeight| match w {
-        LaneWeight::Const(w) => RowWeight::Const(w),
-        LaneWeight::Dyn(s) => {
-            RowWeight::Lanes(&src.site_rows[(sl.site_base + s) * src.window_cells + at..][..cols])
-        }
+    let site = |s: usize| src.site(sl.site_base + s, at);
+    let source = |tap: &SweepTap| {
+        let (sr, _) = (tap.boundary.resolve(rows, cols, r, 0, tap.dr, 0))
+            .expect("a regular row reads rows on the grid");
+        (tap.src, sr)
     };
-    for tap in &sl.taps {
-        let w = weight(tap.weight);
-        let Some((sr, _)) = tap.boundary.resolve(rows, cols, r, 0, tap.dr, 0) else {
-            // The whole source row lies past a constant boundary.
-            ops.fill(tap.const_val);
-            w.mac::<A>(accs, 0, ops);
-            continue;
-        };
-        let mut row = src.row(tap.input, tap.src, sr);
-        if tap.output {
-            for (o, v) in ops.iter_mut().zip(row) {
-                *o = v.cenn_output();
-            }
-            row = ops;
-        }
-        let (n, dc) = (cols as i64, i64::from(tap.dc));
-        let lo = (-dc).clamp(0, n) as usize;
-        let hi = (n - dc).clamp(lo as i64, n) as usize;
-        if lo < hi {
-            let shifted = &row[(lo as i64 + dc) as usize..(hi as i64 + dc) as usize];
-            w.mac::<A>(&mut accs[lo..hi], lo, shifted);
-        }
-        for c in (0..lo).chain(hi..cols) {
-            let op = match tap.boundary.resolve(rows, cols, r, c, tap.dr, tap.dc) {
-                Some((nr, nc)) => {
-                    debug_assert_eq!(nr, sr, "row and column resolve independently");
-                    row[nc]
+    let mut staged = None;
+    for (i, pass) in sl.plan.iter().enumerate() {
+        if let Some(tap) = &pass.stage {
+            let row = source(tap);
+            if staged != Some(row) {
+                for (s, v) in stage.iter_mut().zip(src.row(false, row.0, row.1)) {
+                    *s = v.cenn_output();
                 }
-                None => tap.const_val,
+                staged = Some(row);
+            }
+        }
+        // Each term's whole lane — a source row (staged if clamped) or a
+        // site lane — and its interior columns.
+        let n = pass.ops.len();
+        let mut rows: [&[Q16_16]; GROUP] = [&[]; GROUP];
+        let mut ops: [&[Q16_16]; GROUP] = [&[]; GROUP];
+        for (j, op) in pass.ops.iter().enumerate() {
+            let (row, dc) = match op {
+                PlanOp::Tap(tap) if tap.output => (&stage[..], tap.dc),
+                PlanOp::Tap(tap) => {
+                    let (l, sr) = source(tap);
+                    (src.row(tap.input, l, sr), tap.dc)
+                }
+                PlanOp::Site(s) => (site(*s), 0),
             };
-            let prod = i64::from(w.at(c).to_bits()) * i64::from(op.to_bits());
-            accs[c] = A::add(accs[c], prod);
+            rows[j] = row;
+            if lo < hi {
+                ops[j] = &row[lo.wrapping_add_signed(dc as isize)..][..hi - lo];
+            }
+        }
+        let start = if i == 0 { Start::Zero } else { Start::Accs };
+        if lo < hi {
+            let out = (i + 1 == sl.plan.len()).then(|| &mut out[lo..hi]);
+            let accs = &mut accs[lo..hi];
+            if pass.sites.is_empty() {
+                lanes::mac_terms::<A, i64, 16>(accs, start, pass.k, &ops[..n], &pass.words, out);
+            } else {
+                let mut ws: [&[Q16_16]; GROUP] = [&[]; GROUP];
+                for (w, &s) in ws.iter_mut().zip(&pass.sites) {
+                    *w = &site(s)[lo..hi];
+                }
+                lanes::mac_terms::<A, &[Q16_16], 16>(accs, start, pass.k, &ops[..n], &ws[..n], out);
+            }
+        }
+        // The same terms at the edge columns, in the same order.
+        let n_edges = cols - (hi - lo);
+        for (e, c) in sl.edges(cols).enumerate() {
+            let mut sum = A::add(if i == 0 { 0 } else { accs[c] }, pass.k);
+            for (j, op) in pass.ops.iter().enumerate() {
+                let past_edge = match op {
+                    PlanOp::Tap(tap) => tap.const_val,
+                    PlanOp::Site(_) => Q16_16::ZERO,
+                };
+                let x = rows[j].get(pass.edge_src[j * n_edges + e] as usize);
+                let w = match pass.sites.get(j) {
+                    Some(&s) => i64::from(site(s)[c].to_bits()),
+                    None => pass.words[j],
+                };
+                sum = A::add(sum, w * i64::from(x.unwrap_or(&past_edge).to_bits()));
+            }
+            accs[c] = sum;
         }
     }
-    for &o in &sl.offsets {
-        match weight(o) {
-            RowWeight::Const(v) => lanes::add_lanes::<A, _>(accs, v),
-            RowWeight::Lanes(vs) => lanes::add_lanes_dyn::<A, _>(accs, vs),
+    lanes::resolve_lanes(&accs[..lo], &mut out[..lo]);
+    lanes::resolve_lanes(&accs[hi..], &mut out[hi..]);
+}
+
+/// Output row `r` as the scalar `MacAcc` sequence, column by column: term
+/// after term in order, each read resolved through the boundary, the sums
+/// left in `accs` — the rows some tap reads past a constant boundary.
+fn term_by_term<A: Accumulate>(src: &RowSrc<'_>, sl: &SweepLayer, r: usize, accs: &mut [i64]) {
+    let (rows, cols) = src.shape;
+    let at = (r - src.chunk_row0) * cols;
+    accs.fill(0);
+    for term in &sl.terms {
+        let weight = |c: usize| match term.weight {
+            LaneWeight::Const(w) => i64::from(w.to_bits()),
+            LaneWeight::Dyn(s) => i64::from(src.site(sl.site_base + s, at)[c].to_bits()),
+        };
+        for (c, acc) in accs.iter_mut().enumerate() {
+            let x = match term.operand {
+                Operand::One => Q16_16::ONE,
+                Operand::Tap(tap) => match tap.boundary.resolve(rows, cols, r, c, tap.dr, tap.dc) {
+                    Some((nr, nc)) if tap.output => {
+                        src.row(tap.input, tap.src, nr)[nc].cenn_output()
+                    }
+                    Some((nr, nc)) => src.row(tap.input, tap.src, nr)[nc],
+                    None => tap.const_val,
+                },
+            };
+            *acc = A::add(*acc, weight(c) * i64::from(x.to_bits()));
         }
     }
-    lanes::resolve_lanes(accs, out);
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! Property-based tests for the CeNN model and functional simulator.
 
 use cenn_core::{
-    mapping, Boundary, CennModel, CennModelBuilder, CennSim, Grid, Integrator, LayerId, LutConfig,
-    StreamConfig, StreamSim, Template, TemplateKind, TilePlan, WeightExpr,
+    mapping, Boundary, CennModel, CennModelBuilder, CennSim, Factor, Grid, Integrator, LayerId,
+    LutConfig, StreamConfig, StreamSim, Template, TemplateKind, TilePlan, WeightExpr,
 };
-use cenn_lut::LutHierarchy;
+use cenn_lut::{FuncId, LutHierarchy, SampleIdx, Tum};
 use fixedpt::{MacAcc, Q16_16};
 use proptest::prelude::*;
 
@@ -290,6 +290,10 @@ enum Magnitude {
     /// Words within 2^20 of the rail of one sign for the weights and one
     /// for the states, so products share a sign and sums saturate.
     Rails(bool, bool),
+    /// Words within 2^12 of either rail, signs drawn per word: sums
+    /// saturate and come back, and `MAX − 2p` style results land on the
+    /// grid's range, so where a term falls in the `MacAcc` order shows.
+    Seesaw,
 }
 
 impl Magnitude {
@@ -305,24 +309,36 @@ impl Magnitude {
                     i32::MAX - off
                 })
             }
+            Self::Seesaw => {
+                let off = (d.next() >> 52) as i32;
+                Q16_16::from_bits(if d.below(2) == 0 {
+                    i32::MIN + off
+                } else {
+                    i32::MAX - off
+                })
+            }
         }
     }
 }
 
-/// A random constant-weight model: 1–3 dynamic layers of random
-/// boundary kinds, each with random 3×3 state, output and input
-/// templates and constant offsets, on a 1×1 to 20×20 grid. One
-/// magnitude draw per model sets how wide its weights and states are:
-/// a few bits (every accumulator bound far below 2⁶³), full 32-bit words,
-/// or words at the rails whose sums saturate.
+/// A random model: 1–3 dynamic layers of random boundary kinds, each
+/// with random 3×3 state, output and input templates and offsets, on a
+/// 1×1 to 20×20 grid. A model draws how many of its taps and offsets are
+/// dynamic weights (none, some or most): a scale times one to three
+/// factors, each a registered LUT function of a random layer's state.
+/// One magnitude draw per model sets how wide its weights and states
+/// are: a few bits (every constant-weight accumulator bound far below
+/// 2⁶³), full 32-bit words, or words at the rails whose sums saturate
+/// (and, with mixed signs, come back into range).
 fn random_model(d: &mut Draw, heun: bool) -> (CennModel, Vec<Vec<Q16_16>>, Vec<Vec<Q16_16>>) {
     let (rows, cols) = (1 + d.below(20), 1 + d.below(20));
     let n = 1 + d.below(3);
-    let magnitude = match d.below(5) {
+    let magnitude = match d.below(6) {
         0 => Magnitude::Bits(6, 12),
         1 => Magnitude::Bits(14, 20),
         2 => Magnitude::Bits(22, 31),
         3 => Magnitude::Bits(31, 31),
+        4 => Magnitude::Seesaw,
         _ => Magnitude::Rails(d.below(2) == 0, d.below(2) == 0),
     };
     let mut b = CennModelBuilder::new(rows, cols);
@@ -337,6 +353,31 @@ fn random_model(d: &mut Draw, heun: bool) -> (CennModel, Vec<Vec<Q16_16>>, Vec<V
             b.dynamic_layer(&format!("l{i}"), boundary)
         })
         .collect();
+    let funcs: Vec<FuncId> = [
+        cenn_lut::funcs::identity(),
+        cenn_lut::funcs::square(),
+        cenn_lut::funcs::tanh(),
+        cenn_lut::funcs::sin(),
+    ]
+    .into_iter()
+    .take(1 + d.below(4))
+    .map(|f| b.register_func(f))
+    .collect();
+    // `dyn_share` weights in four are dynamic.
+    let dyn_share = d.pick(&[0, 1, 3]);
+    let weight = |d: &mut Draw| {
+        let scale = magnitude.word(d, true);
+        if d.below(4) >= dyn_share {
+            return WeightExpr::Const(scale);
+        }
+        let factors = (0..1 + d.below(3))
+            .map(|_| Factor {
+                func: d.pick(&funcs),
+                layer: d.pick(&layers),
+            })
+            .collect();
+        WeightExpr::Dyn { scale, factors }
+    };
     for &dest in &layers {
         for kind in 0..3 {
             if d.below(3) == 0 {
@@ -347,7 +388,7 @@ fn random_model(d: &mut Draw, heun: bool) -> (CennModel, Vec<Vec<Q16_16>>, Vec<V
             for dr in -1..=1 {
                 for dc in -1..=1 {
                     if d.below(2) == 0 {
-                        t.set(dr, dc, WeightExpr::Const(magnitude.word(d, true)));
+                        t.set(dr, dc, weight(d));
                     }
                 }
             }
@@ -358,7 +399,7 @@ fn random_model(d: &mut Draw, heun: bool) -> (CennModel, Vec<Vec<Q16_16>>, Vec<V
             };
         }
         for _ in 0..d.below(3) {
-            b.offset_expr(dest, WeightExpr::Const(magnitude.word(d, true)));
+            b.offset_expr(dest, weight(d));
         }
     }
     b.integrator(if heun {
@@ -377,13 +418,28 @@ fn random_model(d: &mut Draw, heun: bool) -> (CennModel, Vec<Vec<Q16_16>>, Vec<V
 /// computes it: one `MacAcc` per cell — the leak, then every tap of every
 /// state, output and input template in declaration order, each operand
 /// resolved through its source's boundary, then the offsets — rounded
-/// once.
+/// once. A dynamic weight is its scale times each factor's `l(x)` in
+/// order, at the cell's own state: the off-chip entry at the clamped
+/// sample index through the TUM (cache state changes no value).
 fn reference_rhs(
     m: &CennModel,
     states: &[Vec<Q16_16>],
     inputs: &[Vec<Q16_16>],
 ) -> Vec<Vec<Q16_16>> {
     let (rows, cols) = (m.rows(), m.cols());
+    let cfg = m.lut_config();
+    let specs: Vec<_> = m.library().iter().map(|(f, _)| cfg.spec_for(f)).collect();
+    let luts = LutHierarchy::build_with_specs(m.library(), &specs, 1, 1, 1).unwrap();
+    let weight = |w: &WeightExpr, cell: usize| match w {
+        WeightExpr::Const(v) => *v,
+        WeightExpr::Dyn { scale, factors } => factors.iter().fold(*scale, |acc, f| {
+            let table = luts.table(f.func);
+            let x = states[f.layer.index()][cell];
+            let spacing = table.spec().log2_inv_spacing;
+            let entry = table.read(table.clamp_idx(SampleIdx::of(x, spacing)));
+            acc * Tum::eval(entry, x, spacing).value
+        }),
+    };
     m.layer_ids()
         .map(|dest| {
             (0..rows * cols)
@@ -403,9 +459,6 @@ fn reference_rhs(
                                 _ => &states[src.index()],
                             };
                             for (dr, dc, w) in t.iter() {
-                                let WeightExpr::Const(w) = w else {
-                                    unreachable!("constant weights only")
-                                };
                                 let v = match boundary.resolve(rows, cols, r, c, dr, dc) {
                                     Some((nr, nc)) => grid[nr * cols + nc],
                                     None => Q16_16::from_f64(boundary.constant()),
@@ -414,15 +467,12 @@ fn reference_rhs(
                                     TemplateKind::Output => v.cenn_output(),
                                     _ => v,
                                 };
-                                acc.mac(*w, v);
+                                acc.mac(weight(w, cell), v);
                             }
                         }
                     }
                     for w in m.offsets(dest) {
-                        let WeightExpr::Const(v) = w else {
-                            unreachable!("constant offsets only")
-                        };
-                        acc.add(*v);
+                        acc.add(weight(w, cell));
                     }
                     acc.resolve()
                 })
@@ -481,11 +531,12 @@ proptest! {
 
     #[test]
     fn row_direct_sweep_matches_a_scalar_mac_acc_reference(case in any::<u64>()) {
-        // Both kernels (unsaturated where the weights bound every
-        // accumulator below 2^63, saturating elsewhere), every boundary
-        // kind, grids on and off the 8x8 PE array: two steps in-core at 1
-        // and 3 threads, and streamed at a random chunk height, equal the
-        // scalar reference bit for bit.
+        // Both accumulate modes (unsaturated where the weights bound every
+        // accumulator below 2^63, saturating elsewhere), constant and
+        // dynamic weights (lane-weight groups, site lanes as operands),
+        // every boundary kind, grids on and off the 8x8 PE array: two
+        // steps in-core at 1 and 3 threads, and streamed at a random chunk
+        // height, equal the scalar reference bit for bit.
         let mut d = Draw(case | 1);
         for heun in [false, true] {
             let (model, states, inputs) = random_model(&mut d, heun);

@@ -82,7 +82,7 @@ fn grid_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Grid<f64>> {
 /// residual, and per-shard LUT deltas. Wall-clock fields excluded.
 fn step_fingerprint(s: &cenn_core::StepStats) -> (Vec<String>, u64, u64, Vec<cenn_lut::LutStats>) {
     (
-        s.sweeps.iter().map(|(l, _)| l.clone()).collect(),
+        s.sweeps.iter().map(|(l, _)| l.to_string()).collect(),
         s.cells,
         (s.residual * 65536.0).round() as u64,
         s.shard_lut.clone(),

@@ -13,6 +13,10 @@
 //! without consuming it, and assertion failures panic with the formatted
 //! message. Shrinking is not implemented — a failing case reports the
 //! case number instead of a minimized input.
+//!
+//! The `PROPTEST_CASES` environment variable, when set to a number,
+//! overrides every block's case count (`PROPTEST_CASES=256 cargo test`
+//! runs a deeper sweep); unset, each block runs its configured count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,6 +106,34 @@ impl ProptestConfig {
     /// A configuration running `cases` accepted cases.
     pub fn with_cases(cases: u32) -> Self {
         Self { cases }
+    }
+
+    /// This configuration with the case count `PROPTEST_CASES` sets, if
+    /// it is set; a value that is not a number is reported on stderr and
+    /// ignored.
+    pub fn with_env_overrides(self) -> Self {
+        let value = std::env::var_os(CASES_VAR);
+        Self {
+            cases: cases_override(value.as_deref(), self.cases),
+        }
+    }
+}
+
+/// The environment variable that overrides the configured case count.
+pub const CASES_VAR: &str = "PROPTEST_CASES";
+
+/// The case count given `PROPTEST_CASES`'s `value` and the configured
+/// count.
+fn cases_override(value: Option<&std::ffi::OsStr>, configured: u32) -> u32 {
+    let Some(value) = value else {
+        return configured;
+    };
+    match value.to_str().and_then(|v| v.trim().parse().ok()) {
+        Some(cases) => cases,
+        None => {
+            eprintln!("proptest: ignoring {CASES_VAR}={value:?}: not a case count");
+            configured
+        }
     }
 }
 
@@ -351,7 +383,7 @@ macro_rules! proptest {
         $(
             $(#[$meta])*
             fn $name() {
-                let config: $crate::ProptestConfig = $cfg;
+                let config = $crate::ProptestConfig::with_env_overrides($cfg);
                 let mut rng = $crate::TestRng::new($crate::fnv1a(concat!(
                     module_path!(), "::", stringify!($name)
                 )));
@@ -492,6 +524,15 @@ mod tests {
         fn index_resolves_in_range(pos in any::<prop::sample::Index>()) {
             prop_assert!(pos.index(7) < 7);
         }
+    }
+
+    #[test]
+    fn the_cases_variable_overrides_the_configured_count_only_when_set() {
+        use std::ffi::OsStr;
+        assert_eq!(crate::cases_override(None, 24), 24);
+        assert_eq!(crate::cases_override(Some(OsStr::new("256")), 24), 256);
+        assert_eq!(crate::cases_override(Some(OsStr::new(" 7 ")), 24), 7);
+        assert_eq!(crate::cases_override(Some(OsStr::new("many")), 24), 24);
     }
 
     #[test]

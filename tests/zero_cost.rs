@@ -143,6 +143,19 @@ fn multi_layer_systems_allocate_no_more_per_step_than_fisher() {
 }
 
 #[test]
+fn a_steady_state_step_allocates_at_most_five_times() {
+    // Fisher 12^2 (one fused dynamic sweep with a LUT site, Euler): the
+    // weight pass's shard list, the template pass's band rows and band
+    // items, the step's sweep list and its per-shard LUT deltas. Sweep
+    // labels are static, and the sweep scratch is grown once.
+    let setup = Fisher::default().build(12, 12).expect("setup");
+    let mut runner = FixedRunner::new(setup).expect("runner");
+    runner.run(4);
+    let allocs = steady_state_allocs(&mut runner);
+    assert!(allocs <= 5, "fisher 12^2 allocates {allocs} times per step");
+}
+
+#[test]
 fn lookup_row_is_alloc_free_and_counter_identical_to_scalar() {
     use cenn::fx::Q16_16;
     use cenn::lut::{funcs, FuncLibrary, LutHierarchy, LutSpec, RowCtx};
