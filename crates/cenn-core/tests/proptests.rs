@@ -420,7 +420,9 @@ fn random_model(d: &mut Draw, heun: bool) -> (CennModel, Vec<Vec<Q16_16>>, Vec<V
 /// resolved through its source's boundary, then the offsets — rounded
 /// once. A dynamic weight is its scale times each factor's `l(x)` in
 /// order, at the cell's own state: the off-chip entry at the clamped
-/// sample index through the TUM (cache state changes no value).
+/// sample index through the TUM (cache state changes no value), with
+/// saturating adds throughout, so the engine's plain adds on tables
+/// whose bound proves them exact are checked against it.
 fn reference_rhs(
     m: &CennModel,
     states: &[Vec<Q16_16>],
@@ -437,7 +439,7 @@ fn reference_rhs(
             let x = states[f.layer.index()][cell];
             let spacing = table.spec().log2_inv_spacing;
             let entry = table.read(table.clamp_idx(SampleIdx::of(x, spacing)));
-            acc * Tum::eval(entry, x, spacing).value
+            acc * Tum::eval(entry, x, spacing, false).value
         }),
     };
     m.layer_ids()

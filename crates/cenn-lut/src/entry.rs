@@ -76,6 +76,15 @@ impl LutEntry {
         }
     }
 
+    /// `true` if `|a₃| + |a₂| + |a₁| + |l(p)| ≤ i32::MAX`: each Horner
+    /// product lies between 0 and its accumulator ([`crate::Tum`]), so no
+    /// partial sum of the evaluation can then leave `i32`, and the TUM's
+    /// three adds are exact without saturation.
+    pub fn adds_exact(&self) -> bool {
+        let mag = |v: Q16_16| u64::from(v.to_bits().unsigned_abs());
+        mag(self.l_p) + mag(self.a1) + mag(self.a2) + mag(self.a3) <= i32::MAX as u64
+    }
+
     /// Integrity checksum over the four stored words.
     ///
     /// Each word is rotated into a distinct bit phase before XOR-folding,

@@ -87,6 +87,9 @@ pub struct OffChipLut {
     /// model a host-computed integrity sidecar that a retention upset in
     /// the data words cannot keep consistent.
     sums: Vec<u32>,
+    /// Every entry's [`LutEntry::adds_exact`] holds, so the TUM evaluates
+    /// this table with plain adds. Re-derived by every entry write.
+    exact_adds: bool,
 }
 
 impl OffChipLut {
@@ -98,6 +101,7 @@ impl OffChipLut {
     /// Returns an error if the spec fails [`LutSpec::validate`].
     pub fn generate(func: &NonlinearFn, spec: LutSpec) -> Result<Self, LutBuildError> {
         spec.validate()?;
+        let mut exact_adds = true;
         let entries: Vec<LutEntry> = (spec.min_idx..=spec.max_idx)
             .map(|i| {
                 let p = SampleIdx(i).point(spec.log2_inv_spacing);
@@ -105,7 +109,9 @@ impl OffChipLut {
                 // Coefficients are stored against the *scaled* offset so the
                 // TUM can use the raw fractional bits directly: for spacing
                 // 2^-s the polynomial argument is delta in [0, 2^-s).
-                LutEntry::quantize(t[0], t[1], t[2], t[3])
+                let e = LutEntry::quantize(t[0], t[1], t[2], t[3]);
+                exact_adds &= e.adds_exact();
+                e
             })
             .collect();
         let sums = entries.iter().map(LutEntry::checksum).collect();
@@ -113,6 +119,7 @@ impl OffChipLut {
             spec,
             entries,
             sums,
+            exact_adds,
         })
     }
 
@@ -136,15 +143,41 @@ impl OffChipLut {
         self.entries.len() * crate::entry::LUT_ENTRY_BYTES
     }
 
+    /// `true` if every entry's [`LutEntry::adds_exact`] holds, so the
+    /// TUM may evaluate this table with plain adds.
+    pub fn exact_adds(&self) -> bool {
+        self.exact_adds
+    }
+
     /// Reads the entry for a sample index, clamping to the table range.
     pub fn read(&self, idx: SampleIdx) -> LutEntry {
-        let clamped = idx.0.clamp(self.spec.min_idx, self.spec.max_idx);
-        self.entries[(clamped - self.spec.min_idx) as usize]
+        self.at(self.clamp_idx(idx))
+    }
+
+    /// The entry at an index already clamped into the table range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` lies outside the range.
+    #[inline]
+    pub(crate) fn at(&self, idx: SampleIdx) -> LutEntry {
+        self.entries[(idx.0 - self.spec.min_idx) as usize]
     }
 
     /// Clamps a sample index into the table's valid range.
+    #[inline]
     pub fn clamp_idx(&self, idx: SampleIdx) -> SampleIdx {
-        SampleIdx(idx.0.clamp(self.spec.min_idx, self.spec.max_idx))
+        SampleIdx(idx.0.max(self.spec.min_idx).min(self.spec.max_idx))
+    }
+
+    /// The position in `entries` of the clamped `idx`.
+    fn slot(&self, idx: SampleIdx) -> usize {
+        (self.clamp_idx(idx).0 - self.spec.min_idx) as usize
+    }
+
+    /// Re-derives [`exact_adds`](Self::exact_adds) after an entry write.
+    fn prove_adds(&mut self) {
+        self.exact_adds = self.entries.iter().all(LutEntry::adds_exact);
     }
 
     /// Flips one bit of one stored word — the soft-error injection hook
@@ -164,8 +197,8 @@ impl OffChipLut {
         if bit >= 32 {
             return Err(LutFaultError::Bit(bit));
         }
-        let clamped = idx.0.clamp(self.spec.min_idx, self.spec.max_idx);
-        let e = &mut self.entries[(clamped - self.spec.min_idx) as usize];
+        let slot = self.slot(idx);
+        let e = &mut self.entries[slot];
         let target = match word {
             0 => &mut e.l_p,
             1 => &mut e.a1,
@@ -173,14 +206,14 @@ impl OffChipLut {
             _ => &mut e.a3,
         };
         *target = Q16_16::from_bits(target.to_bits() ^ (1 << bit));
+        self.prove_adds();
         Ok(())
     }
 
     /// `true` if the entry at `idx` (clamped) still matches its stored
     /// checksum.
     pub fn verify(&self, idx: SampleIdx) -> bool {
-        let clamped = idx.0.clamp(self.spec.min_idx, self.spec.max_idx);
-        let i = (clamped - self.spec.min_idx) as usize;
+        let i = self.slot(idx);
         self.entries[i].checksum() == self.sums[i]
     }
 
@@ -215,6 +248,9 @@ impl OffChipLut {
             *e = LutEntry::quantize(t[0], t[1], t[2], t[3]);
             *sum = e.checksum();
             report.repaired += 1;
+        }
+        if report.repaired > 0 {
+            self.prove_adds();
         }
         report
     }
@@ -585,6 +621,18 @@ mod tests {
         for i in -4..=4 {
             assert_eq!(t.read(SampleIdx(i)), clean.read(SampleIdx(i)), "idx {i}");
         }
+    }
+
+    #[test]
+    fn generate_proves_the_tum_adds_per_table() {
+        // exp's entries sum to about 2.67·e^p in magnitude: below 2^15 up
+        // to p = 9, past it at p = 10.
+        let exp = funcs::exp();
+        let t = OffChipLut::generate(&exp, LutSpec::unit_spacing(0, 9)).unwrap();
+        assert!(t.exact_adds());
+        let t = OffChipLut::generate(&exp, LutSpec::unit_spacing(0, 10)).unwrap();
+        assert!(!t.exact_adds());
+        assert!(t.read(SampleIdx(9)).adds_exact());
     }
 
     #[test]

@@ -19,6 +19,12 @@ use fixedpt::Q16_16;
 /// The TUM keeps no state. Its op counts follow from
 /// [`crate::LutStats`]: `exact_hits` evaluations forward `l(p)`, and the
 /// other `accesses − exact_hits` take three MACs each.
+///
+/// Each product is `Q16_16`'s rounded multiply without its clamp: since
+/// `0 ≤ δ < 2¹⁶`, `(acc·δ + 2¹⁵) >> 16` always lies between 0 and `acc`.
+/// The adds saturate unless the caller passes `exact_adds`, which it may
+/// only do for an entry whose [`LutEntry::adds_exact`] holds; the adds
+/// are then plain `i32` adds with the saturating form's bits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Tum;
 
@@ -33,9 +39,11 @@ pub struct TumEval {
 
 impl Tum {
     /// Evaluates the entry at state `x` with sample spacing
-    /// `2^-log2_inv_spacing`.
+    /// `2^-log2_inv_spacing`, with plain adds if `exact_adds` (only for an
+    /// entry whose [`LutEntry::adds_exact`] holds) and saturating ones
+    /// otherwise.
     #[inline]
-    pub fn eval(entry: LutEntry, x: Q16_16, log2_inv_spacing: u32) -> TumEval {
+    pub fn eval(entry: LutEntry, x: Q16_16, log2_inv_spacing: u32, exact_adds: bool) -> TumEval {
         let delta = Self::delta(x, log2_inv_spacing);
         if delta.is_zero() {
             return TumEval {
@@ -44,14 +52,31 @@ impl Tum {
             };
         }
         // Horner evaluation: 3 MACs, mirroring the TUM ALU.
-        let mut acc = entry.a3;
-        acc = acc * delta + entry.a2;
-        acc = acc * delta + entry.a1;
-        let value = acc * delta + entry.l_p;
+        let d = delta.to_bits();
+        let [l_p, a1, a2, a3] = [entry.l_p, entry.a1, entry.a2, entry.a3].map(Q16_16::to_bits);
+        let value = if exact_adds {
+            let acc = Self::product(a3, d) + a2;
+            let acc = Self::product(acc, d) + a1;
+            Self::product(acc, d) + l_p
+        } else {
+            let acc = Self::product(a3, d).saturating_add(a2);
+            let acc = Self::product(acc, d).saturating_add(a1);
+            Self::product(acc, d).saturating_add(l_p)
+        };
         TumEval {
-            value,
+            value: Q16_16::from_bits(value),
             exact: false,
         }
+    }
+
+    /// The rounded product `acc·δ` of raw Q16.16 words, for
+    /// `0 ≤ δ < 2¹⁶`: it lies between 0 and `acc`, so it is `Q16_16`'s
+    /// saturating multiply with a clamp that never fires.
+    #[inline]
+    pub fn product(acc: i32, delta: i32) -> i32 {
+        debug_assert!((0..1 << Q16_16::FRAC_BITS).contains(&delta));
+        let half = 1i64 << (Q16_16::FRAC_BITS - 1);
+        ((i64::from(acc) * i64::from(delta) + half) >> Q16_16::FRAC_BITS) as i32
     }
 
     /// The sub-sample offset `δ = x − p` for the given spacing, extracted
@@ -124,7 +149,7 @@ mod tests {
     #[test]
     fn exact_path_taken_on_sample_points() {
         let entry = LutEntry::quantize(2.5, 1.0, 0.5, 0.1);
-        let r = Tum::eval(entry, Q16_16::from_f64(3.0), 0);
+        let r = Tum::eval(entry, Q16_16::from_f64(3.0), 0, entry.adds_exact());
         assert!(r.exact);
         assert_eq!(r.value.to_f64(), 2.5);
     }
@@ -133,9 +158,37 @@ mod tests {
     fn taylor_path_uses_three_macs() {
         let entry = LutEntry::quantize(1.0, 2.0, 0.0, 0.0);
         // l(x) ~ 1 + 2*(x - 3) at x = 3.5 -> 2.0
-        let r = Tum::eval(entry, Q16_16::from_f64(3.5), 0);
+        let r = Tum::eval(entry, Q16_16::from_f64(3.5), 0, entry.adds_exact());
         assert!(!r.exact);
         assert!((r.value.to_f64() - 2.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn plain_adds_hold_up_to_the_bound_at_the_widest_offset() {
+        // Words whose magnitudes sum to exactly i32::MAX, all of one sign,
+        // at the largest unit-spacing offset: every partial sum stays in
+        // range (a debug build would panic otherwise), and one more ULP
+        // takes the entry past the bound.
+        let x = Q16_16::from_bits(0xffff);
+        for sign in [1, -1] {
+            let w = |v: i32| Q16_16::from_bits(sign * v);
+            let (big, rest) = (1 << 29, (1 << 29) - 1);
+            let e = LutEntry {
+                l_p: w(rest),
+                a1: w(big),
+                a2: w(big),
+                a3: w(big),
+            };
+            assert!(e.adds_exact());
+            let plain = Tum::eval(e, x, 0, true);
+            assert_eq!(plain, Tum::eval(e, x, 0, false));
+            assert_eq!(plain.value.to_bits().signum(), sign);
+            let past = LutEntry {
+                l_p: w(rest + 1),
+                ..e
+            };
+            assert!(!past.adds_exact());
+        }
     }
 
     #[test]
@@ -156,7 +209,9 @@ mod tests {
             let p = x.floor();
             let t = f.taylor(p);
             let entry = LutEntry::quantize(t[0], t[1], t[2], t[3]);
-            let got = Tum::eval(entry, Q16_16::from_f64(x), 0).value.to_f64();
+            let got = Tum::eval(entry, Q16_16::from_f64(x), 0, entry.adds_exact())
+                .value
+                .to_f64();
             let want = f.value(x);
             // Worst case for unit spacing is the cubic truncation term near
             // delta -> 1 (~0.06 for tanh); finer spacing shrinks it as 2^-4s.

@@ -172,14 +172,15 @@ impl MetricsHub {
             .hists
             .iter()
             .map(|(name, h)| {
+                let [p50_nanos, p90_nanos, p99_nanos] = h.reported_quantiles();
                 (
                     name.clone(),
                     HistogramSnapshot {
                         count: h.count(),
                         sum_nanos: h.sum_nanos(),
-                        p50_nanos: h.quantile(0.50),
-                        p90_nanos: h.quantile(0.90),
-                        p99_nanos: h.quantile(0.99),
+                        p50_nanos,
+                        p90_nanos,
+                        p99_nanos,
                         max_nanos: h.max_nanos(),
                     },
                 )

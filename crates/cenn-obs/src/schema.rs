@@ -734,15 +734,9 @@ fn validate_span_summary(line: &Line<'_>) -> Result<(), SchemaError> {
             "quantiles must be monotone: p50={p50} p90={p90} p99={p99}"
         )));
     }
-    // Quantiles are bucket *upper bounds*, so they may exceed the exact
-    // max — but never the bound of the bucket the max falls in.
-    let max_bound = crate::trace::LatencyHistogram::bucket_bound(
-        crate::trace::LatencyHistogram::bucket_of(max),
-    );
-    if p99 > max_bound {
-        return Err(line.constraint(format!(
-            "p99={p99} exceeds the max bucket bound {max_bound} (max={max})"
-        )));
+    // Reported quantiles are bucket upper bounds capped at the exact max.
+    if p99 > max {
+        return Err(line.constraint(format!("p99={p99} exceeds max={max}")));
     }
     let count = line.count("count")?;
     let buckets = line
@@ -797,8 +791,8 @@ mod tests {
             count: 4,
             total_nanos: 1000,
             p50_nanos: 255,
-            p90_nanos: 511,
-            p99_nanos: 511,
+            p90_nanos: 400,
+            p99_nanos: 400,
             max_nanos: 400,
             buckets: vec![0, 0, 0, 0, 0, 0, 0, 1, 2, 1],
         })
@@ -974,13 +968,13 @@ mod tests {
         let line = sample_span_summary().to_jsonl();
         validate_jsonl_line(&line).unwrap();
         // Non-monotone quantiles.
-        let bad = line.replacen("\"p90_nanos\":511", "\"p90_nanos\":100", 1);
+        let bad = line.replacen("\"p90_nanos\":400", "\"p90_nanos\":100", 1);
         assert!(matches!(
             validate_jsonl_line(&bad),
             Err(SchemaError::Constraint { .. })
         ));
-        // p99 past the max's bucket bound.
-        let bad = line.replacen("\"p99_nanos\":511", "\"p99_nanos\":9000", 1);
+        // p99 past the max, though inside the max's bucket.
+        let bad = line.replacen("\"p99_nanos\":400", "\"p99_nanos\":511", 1);
         assert!(matches!(
             validate_jsonl_line(&bad),
             Err(SchemaError::Constraint { .. })

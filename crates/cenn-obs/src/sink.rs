@@ -380,8 +380,8 @@ mod tests {
                 count: 4,
                 total_nanos: 1000,
                 p50_nanos: 255,
-                p90_nanos: 511,
-                p99_nanos: 511,
+                p90_nanos: 400,
+                p99_nanos: 400,
                 max_nanos: 400,
                 buckets: vec![0, 0, 0, 0, 0, 0, 0, 1, 2, 1],
             }),
@@ -438,7 +438,7 @@ mod tests {
             r#""detail":"func=0, idx=8","count":1,"value":1.5}"#,
             "\n",
             r#"{"event":"span_summary","schema":1,"phase":"template_apply","count":4,"#,
-            r#""total_nanos":1000,"p50_nanos":255,"p90_nanos":511,"p99_nanos":511,"#,
+            r#""total_nanos":1000,"p50_nanos":255,"p90_nanos":400,"p99_nanos":400,"#,
             r#""max_nanos":400,"buckets":[0,0,0,0,0,0,0,1,2,1]}"#,
             "\n",
             r#"{"event":"session","schema":1,"session":3,"step":20,"kind":"stepped","#,
@@ -460,7 +460,7 @@ mod tests {
             "run_summary,1,,1,,2,640,12345,0.0625,10,4,3,1,1,8,,,,,,,,,,,0,10,100,0.25,0.5,0.125,\
              4096,,,,,,,,,,,",
             "guard,1,10,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,scrub_repair,\"func=0, idx=8\",1,1.5,,,,,,,",
-            "span_summary,1,,,,,,1000,,,,,,,,,,,,,,,,,,,,,,,,,,,4,,template_apply,255,511,511,400,,",
+            "span_summary,1,,,,,,1000,,,,,,,,,,,,,,,,,,,,,,,,,,,4,,template_apply,255,400,400,400,,",
             "session,1,20,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,stepped,\"say \"\"hi\"\"\",10,,,,,,,3,fisher",
             "metric,1,,,serve.queue_depth,,,,,,,,,,,,,,,,,,,,,,,,,,,,gauge,,0,-3,,0,,0,,,",
             "",

@@ -215,9 +215,11 @@ impl SpanRing {
 ///
 /// Histograms are mergeable: [`merge`](Self::merge) adds counts
 /// bucket-wise, so per-shard histograms combine into per-run ones without
-/// losing anything the buckets can express. Quantiles report the *upper
-/// bound* of the bucket the quantile falls in (a guaranteed upper bound
-/// on the true value); [`max_nanos`](Self::max_nanos) is exact.
+/// losing anything the buckets can express. [`quantile`](Self::quantile)
+/// reports the *upper bound* of the bucket the quantile falls in (a
+/// guaranteed upper bound on the true value), and
+/// [`reported_quantiles`](Self::reported_quantiles) caps those bounds at
+/// the exact [`max_nanos`](Self::max_nanos).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     counts: [u64; HISTOGRAM_BUCKETS],
@@ -328,6 +330,14 @@ impl LatencyHistogram {
             }
         }
         Self::bucket_bound(HISTOGRAM_BUCKETS - 1)
+    }
+
+    /// The p50, p90 and p99 that summaries report: each quantile's bucket
+    /// bound capped at the exact max. They are still upper bounds on the
+    /// true quantiles, monotone, and never above the largest duration
+    /// recorded.
+    pub fn reported_quantiles(&self) -> [u64; 3] {
+        [0.50, 0.90, 0.99].map(|q| self.quantile(q).min(self.max_nanos))
     }
 }
 
@@ -478,13 +488,14 @@ impl TraceCollector {
             .filter(|&&p| self.phase_count(p) > 0)
             .map(|&p| {
                 let h = self.phase_histogram(p);
+                let [p50_nanos, p90_nanos, p99_nanos] = h.reported_quantiles();
                 SpanSummary {
                     phase: p.as_str().to_string(),
                     count: h.count(),
                     total_nanos: h.sum_nanos(),
-                    p50_nanos: h.quantile(0.50),
-                    p90_nanos: h.quantile(0.90),
-                    p99_nanos: h.quantile(0.99),
+                    p50_nanos,
+                    p90_nanos,
+                    p99_nanos,
                     max_nanos: h.max_nanos(),
                     buckets: h.trimmed_counts(),
                 }
@@ -848,6 +859,7 @@ mod tests {
         assert_eq!(s[0].total_nanos, 30);
         assert!(s[0].p50_nanos <= s[0].p90_nanos);
         assert!(s[0].p99_nanos >= s[0].p90_nanos);
+        assert_eq!(s[0].p99_nanos, 30, "capped at the max, not the bound 31");
         assert_eq!(s[0].buckets.iter().sum::<u64>(), s[0].count);
     }
 

@@ -10,7 +10,7 @@
 use cenn::equations::{
     DynamicalSystem, FixedRunner, HodgkinHuxley, ReactionDiffusion, SystemSetup,
 };
-use cenn::obs::{LatencyHistogram, RecorderHandle};
+use cenn::obs::{LatencyHistogram, MetricsHub, RecorderHandle};
 use proptest::prelude::*;
 
 fn assert_bit_identical(setup: SystemSetup, steps: u64) {
@@ -178,6 +178,37 @@ proptest! {
         let (qa, qb, qm) = (ha.quantile(q), hb.quantile(q), merged.quantile(q));
         prop_assert!(qm >= qa.min(qb), "q={q}: {qm} < min({qa}, {qb})");
         prop_assert!(qm <= qa.max(qb), "q={q}: {qm} > max({qa}, {qb})");
+    }
+
+    /// Reported quantiles never exceed the observed max: for arbitrary
+    /// durations, a metrics snapshot reports p50 ≤ p90 ≤ p99 ≤ max, and
+    /// each is still an upper bound on the true quantile.
+    #[test]
+    fn reported_quantiles_never_exceed_the_max(
+        durations in prop::collection::vec((any::<u64>(), 0u32..64), 1..64),
+    ) {
+        let mut sorted: Vec<u64> = durations.iter().map(|&(v, s)| v >> s).collect();
+        let hub = MetricsHub::new();
+        let id = hub.histogram("d");
+        let mut h = LatencyHistogram::new();
+        for &d in &sorted {
+            hub.observe(id, d);
+            h.record(d);
+        }
+        sorted.sort_unstable();
+        let snap = hub.snapshot();
+        let s = snap.hist("d").unwrap();
+        let reported = [s.p50_nanos, s.p90_nanos, s.p99_nanos];
+        prop_assert_eq!(reported, h.reported_quantiles());
+        prop_assert_eq!(s.max_nanos, sorted[sorted.len() - 1]);
+        prop_assert!(
+            s.p50_nanos <= s.p90_nanos && s.p90_nanos <= s.p99_nanos && s.p99_nanos <= s.max_nanos,
+            "{:?}", s
+        );
+        for (q, r) in [0.50, 0.90, 0.99].into_iter().zip(reported) {
+            let rank = (q * sorted.len() as f64).ceil() as usize;
+            prop_assert!(r >= sorted[rank - 1], "q={q}: {r} below the true {}", sorted[rank - 1]);
+        }
     }
 }
 
