@@ -1132,6 +1132,16 @@ impl<S> Engine<S> {
         self.core.layers.iter().map(|l| l.unsaturated).collect()
     }
 
+    /// Per LUT function, whether its off-chip table's entries prove the
+    /// TUM's adds exact ([`OffChipLut::exact_adds`]), so its evaluations
+    /// add without saturating. A LUT fault can turn a table's off; a
+    /// scrub that repairs it turns it back on.
+    pub fn lut_exact_adds(&self) -> Vec<bool> {
+        (self.core.model.library().iter())
+            .map(|(id, _)| self.core.hierarchy.table(id).exact_adds())
+            .collect()
+    }
+
     /// Cumulative LUT statistics (the trace the cycle model consumes).
     pub fn lut_stats(&self) -> LutStats {
         self.core.hierarchy.stats()

@@ -387,7 +387,10 @@ impl FixedRunner {
 mod tests {
     use super::*;
     use crate::system::DynamicalSystem;
-    use crate::{Fisher, Heat, HodgkinHuxley, Izhikevich, NavierStokes};
+    use crate::{
+        Burgers, Fisher, GrayScott, Heat, HodgkinHuxley, Izhikevich, NavierStokes,
+        ReactionDiffusion, Wave,
+    };
 
     #[test]
     fn heat_fisher_and_hh_layers_add_without_saturating() {
@@ -400,6 +403,29 @@ mod tests {
             let runner = FixedRunner::new(system.build(16, 16).unwrap()).unwrap();
             let layers = runner.sim().unsaturated_layers();
             assert!(layers.iter().all(|&u| u), "{}: {layers:?}", system.name());
+        }
+    }
+
+    #[test]
+    fn every_registry_lut_takes_the_tum_plain_adds() {
+        let systems: [&dyn DynamicalSystem; 9] = [
+            &Burgers::default(),
+            &Fisher::default(),
+            &GrayScott::default(),
+            &Heat::default(),
+            &HodgkinHuxley::default(),
+            &Izhikevich::default(),
+            &NavierStokes::default(),
+            &ReactionDiffusion::default(),
+            &Wave::default(),
+        ];
+        for system in systems {
+            let runner = FixedRunner::new(system.build(16, 16).unwrap()).unwrap();
+            let tables = runner.sim().lut_exact_adds();
+            assert!(tables.iter().all(|&e| e), "{}: {tables:?}", system.name());
+            if ["fisher", "gray-scott", "hodgkin-huxley", "izhikevich"].contains(&system.name()) {
+                assert!(!tables.is_empty(), "{} has LUT tables", system.name());
+            }
         }
     }
 
