@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 
 use cenn::apps::oscillators::KuramotoLattice;
-use cenn::core::{Integrator, LayerKind};
+use cenn::core::{FuncEval, Integrator, LayerKind};
 use cenn::equations::{
     all_benchmarks, extended_benchmarks, system_by_name, DynamicalSystem, FixedRunner,
 };
@@ -135,6 +135,59 @@ fn kuramoto_wrapped_phases_match_their_golden_digest() {
             (KURAMOTO_WRAPPED, KURAMOTO_DIGEST),
             "kuramoto at {threads} threads: got {wrapped} wraps, digest {digest:016x}"
         );
+    }
+}
+
+/// The exact-evaluation path ([`FuncEval::Exact`]: every dynamic weight
+/// factor from the `f64` library, quantized) under forward Euler. Between
+/// them these systems cover single-factor sites (fisher), multi-factor
+/// sites and several sites per layer (gray-scott, hodgkin-huxley), and a
+/// saturating layer (navier-stokes' vorticity). The square and product
+/// tables of the first three reproduce the quantized exact values, so
+/// their digests equal the LUT path's; hodgkin-huxley's do not.
+const EXACT_DIGESTS: [(&str, u64); 4] = [
+    ("fisher", 0xe482_05bf_2f36_6e32),
+    ("gray-scott", 0x0871_22ff_94ff_26f4),
+    ("hodgkin-huxley", 0x21e5_8253_2067_05cb),
+    ("navier-stokes", 0x7051_09cb_2b19_8d98),
+];
+
+#[test]
+fn exact_evaluation_matches_its_golden_digests() {
+    for (name, want) in EXACT_DIGESTS {
+        let system = system_by_name(name).unwrap();
+        let exact_runner = |threads: usize| {
+            let mut setup = system.build(SIDE, SIDE).unwrap();
+            setup.model = setup.model.clone_with_integrator(Integrator::Euler);
+            let mut runner = FixedRunner::with_eval(setup, FuncEval::Exact).unwrap();
+            runner.set_threads(threads);
+            runner
+        };
+        for threads in [1, 4] {
+            let mut runner = exact_runner(threads);
+            runner.run(STEPS);
+            let got = state_digest(runner.sim());
+            assert_eq!(got, want, "{name} in-core at {threads} threads: {got:016x}");
+            let mut runner = exact_runner(threads);
+            let spool = std::env::temp_dir().join(format!(
+                "cenn_exact_{}_{name}_{threads}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&spool);
+            if runner.set_memory_budget(BUDGET, &spool).is_err() {
+                // Algebraic layers do not stream yet.
+                assert_eq!(name, "navier-stokes");
+                continue;
+            }
+            assert!(runner.stream().unwrap().n_windows() >= 2, "{name}");
+            runner.run(STEPS);
+            let got = snapshot_digest(&runner.snapshot().unwrap());
+            let _ = std::fs::remove_dir_all(&spool);
+            assert_eq!(
+                got, want,
+                "{name} streamed at {threads} threads: {got:016x}"
+            );
+        }
     }
 }
 
