@@ -13,9 +13,10 @@
 //!   PE row, the shard's columns and their PE ids, and a window's rows
 //!   are walked through it in ascending order. A shard's cache state is
 //!   touched only by its own PEs, so shards are the unit of parallelism
-//!   of the weight pass (the LUT lookups). The template pass works row by
-//!   row and splits a window into one row band per shard. Only models
-//!   with dynamic weight sites build a pattern.
+//!   of the tag replay (the LUT accesses). The template pass works row by
+//!   row and splits a window into one row band per shard, and a sweep
+//!   fans out shard `j`'s replay and band `j` as one work item. Only
+//!   models with dynamic weight sites build a pattern.
 //! * [`ExecEngine`] fans work items out over scoped worker threads
 //!   (`std::thread::scope`; no dependencies, no unsafe), one contiguous
 //!   share per worker. With one thread it degenerates to a plain loop.
@@ -140,7 +141,7 @@ struct Run {
 }
 
 /// Which columns of a row each LUT shard owns, with their PE ids, for
-/// every PE row: the weight pass walks a window's rows through it, each
+/// every PE row: the tag replay walks a window's rows through it, each
 /// shard only its own rows, in ascending order, so each shard sees the
 /// serial row-major cell sequence. Built once per engine from the PE
 /// geometry ([`TilePlan::row_pattern`]).
@@ -180,18 +181,6 @@ impl RowPattern {
             next: 0,
             rows,
         }
-    }
-
-    /// Shard `s`'s cells among `rows`.
-    pub(crate) fn shard_cells(&self, s: usize, rows: Range<usize>) -> usize {
-        self.shard_rows(s, rows)
-            .map(|(_, cols, _)| cols.len())
-            .sum()
-    }
-
-    /// The most cells one shard owns of one row.
-    pub fn longest_run(&self) -> usize {
-        self.runs.iter().map(|r| r.entries.len()).max().unwrap_or(0)
     }
 
     /// Bytes the pattern holds (for resident-footprint accounting).
@@ -470,7 +459,6 @@ mod tests {
         let cells = walk(&plan, 0..2);
         let used: Vec<usize> = (0..cells.len()).filter(|&s| !cells[s].is_empty()).collect();
         assert_eq!(used, vec![0, 2]);
-        assert_eq!(plan.row_pattern().longest_run(), 2);
     }
 
     #[test]
@@ -489,7 +477,6 @@ mod tests {
             while lo < 13 {
                 let hi = (lo + window_rows).min(13);
                 for (s, part) in walk(&plan, lo..hi).into_iter().enumerate() {
-                    assert_eq!(part.len(), pattern.shard_cells(s, lo..hi));
                     cells[s].extend(part);
                 }
                 lo = hi;

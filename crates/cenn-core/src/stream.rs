@@ -17,23 +17,20 @@
 //!
 //! A window needs no per-cell geometry. Its row map takes a global row to
 //! its resident row; the template pass multiply-accumulates each tap's
-//! boundary-resolved source row as one contiguous slice, and the weight
-//! pass of a model with dynamic weight sites walks each shard's rows
+//! boundary-resolved source row as one contiguous slice, and the tag
+//! replay of a model with dynamic weight sites walks each shard's rows
 //! through the engine's row pattern (built once from the PE geometry:
-//! a cell's PE depends only on its position), gathering the row's cells
-//! from the resident row.
+//! a cell's PE depends only on its position), reading the row's cells
+//! from the resident rows in place.
 //!
 //! # Memory budget
 //!
 //! A budget sets the chunk height: the largest whose window — resident
-//! state and input rows, RHS and Heun chunk buffers, I/O staging, the
-//! weight pass's per-shard weights, row pattern and row-sized gather
-//! lanes, row-major site weights and band rows — fits it, rounded down
-//! to a multiple of the PE array's rows when at least that many fit.
-//! The solver charges exactly what
+//! state and input rows, RHS and Heun chunk buffers, I/O staging, and the
+//! sweep's band rows and row pattern, whose size does not depend on the
+//! window — fits it. The solver charges exactly what
 //! [`peak_resident_bytes`](Engine::peak_resident_bytes) counts, so a run
-//! whose chunk height is such a multiple never holds more than its
-//! budget.
+//! whose budget buys one row never holds more than its budget.
 //!
 //! # Determinism
 //!
@@ -43,7 +40,7 @@
 //! window size**. LUT hit/miss counters are additionally bit-identical
 //! whenever a single layer carries dynamic weight sites (the per-shard
 //! lookup sequence is then the in-core sequence split at window
-//! boundaries, and the batched row path only memoizes provable L1 hits
+//! boundaries, and the batched replay only memoizes provable L1 hits
 //! per call); with several LUT-bearing layers the windowed interleaving
 //! differs, and only access *totals* are preserved.
 //!
@@ -96,8 +93,7 @@ pub struct StreamConfig {
     pub spool_dir: PathBuf,
     /// Byte budget for the resident working set. The engine solves for the
     /// largest chunk height whose window (chunk + halo rows, sweep
-    /// scratch, I/O staging) fits the budget, a multiple of the PE
-    /// array's rows when at least that many fit; a budget smaller than a
+    /// scratch, I/O staging) fits the budget; a budget smaller than a
     /// single-row window degrades to one-row chunks (best effort).
     pub memory_budget: Option<u64>,
     /// Explicit chunk height in rows (overrides `memory_budget`; clamped
@@ -631,9 +627,9 @@ impl Engine<Spooled> {
         Ok(s)
     }
 
-    /// Shared construction over `core`: model checks, window geometry,
-    /// resident buffers. `fresh` starts a new journal.
-    fn open(core: Core, cfg: StreamConfig, fresh: bool) -> Result<Self, StreamError> {
+    /// Shared construction over `core`: model checks, the band rows,
+    /// window geometry, resident buffers. `fresh` starts a new journal.
+    fn open(mut core: Core, cfg: StreamConfig, fresh: bool) -> Result<Self, StreamError> {
         for id in core.model.layer_ids() {
             if core.model.layer(id).kind() != LayerKind::Dynamic {
                 return Err(StreamError::Unsupported(format!(
@@ -661,6 +657,7 @@ impl Engine<Spooled> {
         }
         let halo = (m.kernel_size() - 1) / 2;
         let heun = m.integrator() == Integrator::Heun;
+        core.build_bands();
         let chunk_rows = match (cfg.chunk_rows, cfg.memory_budget) {
             (Some(g), _) => g.clamp(1, rows),
             (None, Some(b)) => WindowCost::of(&core).solve(b),
@@ -962,7 +959,7 @@ impl Store for Spooled {
     }
 
     /// Halo fill from the spool (the current-parity state, or Heun's
-    /// predictor on the corrector pass), then the window's scratch.
+    /// predictor on the corrector pass).
     fn fill(&mut self, core: &mut Core, pass: usize, w: usize) -> Result<(), StreamError> {
         let src = if pass == 0 {
             parity_stream(core.steps)
@@ -980,7 +977,6 @@ impl Store for Spooled {
             self.fill_rows("in", true)?;
         }
         core.span_since(Phase::HaloSync, t_fill);
-        core.size_scratch(r0..r1);
         self.rows = (r0, r1);
         self.note_peak(core);
         self.publish_metrics(1);
@@ -1131,17 +1127,16 @@ struct WindowCost {
     cols: usize,
     layers: usize,
     halo: usize,
-    pe_rows: usize,
     inputs: bool,
     heun: bool,
-    /// The weight pass's bytes per window cell, and fixed (see
-    /// [`Core::weight_pass_bytes`]).
-    weights: (usize, usize),
-    /// Template-pass bands, one row of scratch each.
-    bands: usize,
+    /// The sweep's band rows and row pattern, the same for every window
+    /// (see [`Core::sweep_bytes`]).
+    sweep: u64,
 }
 
 impl WindowCost {
+    /// The cost of windows of `core`'s model, once its band rows are
+    /// built.
     fn of(core: &Core) -> Self {
         let m = &core.model;
         Self {
@@ -1149,41 +1144,27 @@ impl WindowCost {
             cols: m.cols(),
             layers: m.n_layers(),
             halo: (m.kernel_size() - 1) / 2,
-            pe_rows: m.lut_config().pe_rows,
             inputs: core.uses_inputs(),
             heun: m.integrator() == Integrator::Heun,
-            weights: core.weight_pass_bytes(),
-            bands: core.n_shards(),
+            sweep: core.sweep_bytes(),
         }
     }
 
     /// Resident bytes of windows of `g` chunk rows: the resident state
     /// (and input) rows, the RHS and Heun chunk buffers, read and write
-    /// staging of one chunk, the weight pass's per-shard weights, row
-    /// pattern and gather lanes with the row-major site weights, and one
-    /// accumulator and operand row per band. The per-shard weights sum
-    /// to one window only when every window's rows split over the PE
-    /// rows alike: `g` a multiple of `pe_rows`, or one window.
+    /// staging of one chunk, and the sweep's band rows and row pattern.
     fn bytes(&self, g: usize) -> u64 {
         let row = 4 * self.layers * self.cols;
         let resident = self.rows.min(g + 2 * self.halo);
         let input_rows = if self.inputs { resident } else { 1 };
         let chunk_bufs = if self.heun { 3 } else { 1 };
         let staging = 2 * (HEADER_LEN + self.layers * (4 + 4 * g * self.cols));
-        let (per_cell, fixed) = self.weights;
-        let bands = self.bands * self.cols * (8 + 4);
-        ((resident + input_rows + chunk_bufs * g) * row
-            + staging
-            + per_cell * g * self.cols
-            + fixed
-            + bands) as u64
+        ((resident + input_rows + chunk_bufs * g) * row + staging) as u64 + self.sweep
     }
 
-    /// The chunk height for `budget`: the largest whose windows fit it,
-    /// rounded down to a multiple of `pe_rows` when at least that many
-    /// rows fit (so every window splits over the shards alike and the
-    /// grow-only scratch never exceeds one window's). A budget below one
-    /// row's windows degrades to one-row chunks (best effort).
+    /// The chunk height for `budget`: the largest whose windows fit it. A
+    /// budget below one row's windows degrades to one-row chunks (best
+    /// effort).
     fn solve(&self, budget: u64) -> usize {
         let (mut lo, mut hi) = (1, self.rows);
         while lo < hi {
@@ -1194,11 +1175,7 @@ impl WindowCost {
                 hi = mid - 1;
             }
         }
-        if lo < self.rows && lo >= self.pe_rows {
-            lo - lo % self.pe_rows
-        } else {
-            lo
-        }
+        lo
     }
 }
 
@@ -1300,7 +1277,9 @@ mod tests {
         let mut b = CennModelBuilder::new(64, 64);
         let u = b.dynamic_layer("u", Boundary::ZeroFlux);
         b.state_template(u, u, mapping::laplacian(0.1, 1.0).into_state_template());
-        let cost = WindowCost::of(&Core::new(b.build(0.1).unwrap(), FuncEval::Lut).unwrap());
+        let mut core = Core::new(b.build(0.1).unwrap(), FuncEval::Lut).unwrap();
+        core.build_bands();
+        let cost = WindowCost::of(&core);
         let g_small = cost.solve(1);
         let g_mid = cost.solve(64 * 1024);
         let g_big = cost.solve(u64::MAX);
@@ -1431,7 +1410,6 @@ mod tests {
                 let mut streamed = StreamSim::from_sim(&sim, cfg).unwrap();
                 streamed.run(1).unwrap();
                 let chunk = streamed.chunk_rows();
-                assert!(chunk.is_multiple_of(8) || chunk == rows, "{chunk} rows");
                 let charged = WindowCost::of(&streamed.core).bytes(chunk);
                 assert_eq!(streamed.peak_resident_bytes(), charged);
                 assert!(charged <= budget);

@@ -93,6 +93,12 @@ pub enum LutBuildError {
     SpacingTooFine(u32),
     /// Table exceeds the size cap.
     TooLarge(usize),
+    /// A Taylor word of the entry at this sample index lies outside the
+    /// Q16.16 range, so quantizing it would clamp it to a rail.
+    Unrepresentable {
+        /// The entry's sample index.
+        idx: i32,
+    },
 }
 
 impl fmt::Display for LutBuildError {
@@ -105,6 +111,10 @@ impl fmt::Display for LutBuildError {
                 write!(f, "LUT spacing 2^-{s} is finer than the Q16.16 fraction")
             }
             Self::TooLarge(n) => write!(f, "LUT with {n} entries exceeds the 2^24 cap"),
+            Self::Unrepresentable { idx } => write!(
+                f,
+                "LUT entry at sample index {idx} has a Taylor word outside the Q16.16 range"
+            ),
         }
     }
 }

@@ -7,6 +7,7 @@ use crate::entry::{LutEntry, SampleIdx};
 use crate::func::{FuncId, FuncLibrary, NonlinearFn};
 use crate::shard::LutShard;
 use crate::stats::LutStats;
+use crate::tum::Tum;
 use fixedpt::Q16_16;
 
 /// An invalid soft-error injection target.
@@ -98,22 +99,28 @@ impl OffChipLut {
     ///
     /// # Errors
     ///
-    /// Returns an error if the spec fails [`LutSpec::validate`].
+    /// Returns an error if the spec fails [`LutSpec::validate`], or
+    /// [`LutBuildError::Unrepresentable`] for the first sample whose value
+    /// or coefficients Q16.16 cannot hold (quantizing would clamp them).
     pub fn generate(func: &NonlinearFn, spec: LutSpec) -> Result<Self, LutBuildError> {
         spec.validate()?;
-        let mut exact_adds = true;
-        let entries: Vec<LutEntry> = (spec.min_idx..=spec.max_idx)
-            .map(|i| {
-                let p = SampleIdx(i).point(spec.log2_inv_spacing);
-                let t = func.taylor(p);
-                // Coefficients are stored against the *scaled* offset so the
-                // TUM can use the raw fractional bits directly: for spacing
-                // 2^-s the polynomial argument is delta in [0, 2^-s).
-                let e = LutEntry::quantize(t[0], t[1], t[2], t[3]);
-                exact_adds &= e.adds_exact();
-                e
-            })
-            .collect();
+        // Rounding a word to the nearest Q16.16 step must land inside i32.
+        let scale = f64::from(1u32 << Q16_16::FRAC_BITS);
+        let fits = |w: f64| {
+            (w * scale > f64::from(i32::MIN) - 0.5) && (w * scale < f64::from(i32::MAX) + 0.5)
+        };
+        let mut entries = Vec::with_capacity(spec.len());
+        for i in spec.min_idx..=spec.max_idx {
+            let t = func.taylor(SampleIdx(i).point(spec.log2_inv_spacing));
+            if !t.into_iter().all(fits) {
+                return Err(LutBuildError::Unrepresentable { idx: i });
+            }
+            // Coefficients are stored against the *scaled* offset so the
+            // TUM can use the raw fractional bits directly: for spacing
+            // 2^-s the polynomial argument is delta in [0, 2^-s).
+            entries.push(LutEntry::quantize(t[0], t[1], t[2], t[3]));
+        }
+        let exact_adds = entries.iter().all(LutEntry::adds_exact);
         let sums = entries.iter().map(LutEntry::checksum).collect();
         Ok(Self {
             spec,
@@ -152,6 +159,18 @@ impl OffChipLut {
     /// Reads the entry for a sample index, clamping to the table range.
     pub fn read(&self, idx: SampleIdx) -> LutEntry {
         self.at(self.clamp_idx(idx))
+    }
+
+    /// The TUM's value of the table at state `x`: the entry at the
+    /// clamped index, evaluated with plain adds where the table's proof
+    /// allows ([`Tum::eval`]). It consults no cache, since the caches hold
+    /// tags only: the value of a [`LutShard::lookup`] at `x`, whatever the
+    /// walk did.
+    #[inline]
+    pub fn value(&self, x: Q16_16) -> Q16_16 {
+        let spacing = self.spec.log2_inv_spacing;
+        let idx = self.clamp_idx(SampleIdx::of(x, spacing));
+        Tum::eval(self.at(idx), x, spacing, self.exact_adds).value
     }
 
     /// The entry at an index already clamped into the table range.
@@ -633,6 +652,23 @@ mod tests {
         let t = OffChipLut::generate(&exp, LutSpec::unit_spacing(0, 10)).unwrap();
         assert!(!t.exact_adds());
         assert!(t.read(SampleIdx(9)).adds_exact());
+    }
+
+    #[test]
+    fn generate_rejects_words_q16_16_cannot_hold() {
+        // e^10 ≈ 22026 fits; e^11 ≈ 59874 would clamp at the rail.
+        let exp = funcs::exp();
+        assert!(OffChipLut::generate(&exp, LutSpec::unit_spacing(-16, 10)).is_ok());
+        let err = OffChipLut::generate(&exp, LutSpec::unit_spacing(-16, 16)).unwrap_err();
+        assert_eq!(err, LutBuildError::Unrepresentable { idx: 11 });
+        assert!(err.to_string().contains("sample index 11"), "{err}");
+        // A word past the rail only by its rounding is refused too: half a
+        // step above i32::MAX rounds away from zero, out of range.
+        let edge = |v: f64| NonlinearFn::new("edge", move |_| v, |_| [0.0; 3]);
+        let top = f64::from(i32::MAX) / 65536.0;
+        assert!(OffChipLut::generate(&edge(top), LutSpec::unit_spacing(0, 0)).is_ok());
+        let past = OffChipLut::generate(&edge(top + 0.5 / 65536.0), LutSpec::unit_spacing(0, 0));
+        assert_eq!(past.unwrap_err(), LutBuildError::Unrepresentable { idx: 0 });
     }
 
     #[test]

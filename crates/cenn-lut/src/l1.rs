@@ -88,9 +88,9 @@ impl L1Lut {
     }
 
     /// Records a hit that was proven without probing (the shard's batched
-    /// walks memoize `(func, idx)` between fills, see
-    /// [`crate::LutShard::lookup_row`]); keeps the counters identical to
-    /// an actual probe.
+    /// replay memoizes `(func, idx)` between fills, see
+    /// [`crate::LutShard::replay`]); keeps the counters identical to an
+    /// actual probe.
     #[inline]
     pub(crate) fn count_hit(&mut self) {
         self.hits += 1;

@@ -167,9 +167,10 @@ proptest! {
     ) {
         // The hierarchy is a cache: contents never change values, only
         // latency. A cold and a warmed hierarchy agree on every value.
+        // (Every word of e^10 fits Q16.16; states past 10 clamp to it.)
         let mut lib = FuncLibrary::new();
         let f = lib.register(funcs::exp());
-        let spec = LutSpec::unit_spacing(-16, 16);
+        let spec = LutSpec::unit_spacing(-16, 10);
         let mut cold = LutHierarchy::build(&lib, spec, 4, 32, 1).unwrap();
         let mut warmed = LutHierarchy::build(&lib, spec, 4, 32, 1).unwrap();
         for w in warm {
@@ -279,12 +280,12 @@ proptest! {
         // (unit spacing) to the same rail: the entry is past the add
         // bound, so the table loses its proof until a scrub. Off its
         // sample point the Horner sum's last add then leaves i32, and
-        // every lookup, batched or scalar, must pin it at the rail as the
-        // saturating Horner does; the batched walks keep the scalar
-        // values and counters. The lane's first state sits just below the
-        // next sample point, where the sum is furthest out; the others sit
-        // on and around the faulted entry, off their sample points by a
-        // random offset.
+        // every value, from the value function or a scalar lookup, must
+        // pin it at the rail as the saturating Horner does; the replay
+        // keeps the scalar counters. The lane's first state sits just
+        // below the next sample point, where the sum is furthest out; the
+        // others sit on and around the faulted entry, off their sample
+        // points by a random offset. Every function reads the same state.
         let (lib, specs) = library(k);
         let funcs: Vec<FuncId> = lib.iter().map(|(id, _)| id).collect();
         let ctxs: Vec<RowCtx> = funcs
@@ -296,7 +297,7 @@ proptest! {
         let idx = SampleIdx(spec.min_idx + at.index(spec.len()) as i32);
         let rail = if high { i32::MAX } else { i32::MIN };
         let build = || LutHierarchy::build_with_specs(&lib, &specs, 4, 32, 8).unwrap();
-        let mut hs = [build(), build(), build(), build()];
+        let mut hs = [build(), build()];
         for h in &mut hs {
             prop_assert!(h.table(funcs[0]).exact_adds());
             for word in [3, 0] {
@@ -304,50 +305,45 @@ proptest! {
             }
             prop_assert!(!h.table(funcs[0]).exact_adds(), "the proof must be gone");
         }
-        let [scalar_cells, scalar_row, cells, row] = &mut hs;
+        let [scalar, replayed] = &mut hs;
 
         let lane = std::iter::once((0, 0, u16::MAX)).chain(lane);
-        let (pes, xs_row): (Vec<u32>, Vec<i32>) = lane
+        let (pes, xs): (Vec<u32>, Vec<i32>) = lane
             .map(|(pe, off, sub)| (4 + pe, ((idx.0 + off) << 16) | i32::from(sub)))
             .unzip();
-        let xs_cells: Vec<i32> = xs_row.iter().flat_map(|&x| vec![x; k]).collect();
-        let e = scalar_row.table(funcs[0]).read(idx);
+        let e = scalar.table(funcs[0]).read(idx);
         prop_assert!(
-            i32::try_from(wide_horner(e, xs_row[0] & 0xffff)).is_err(),
+            i32::try_from(wide_horner(e, xs[0] & 0xffff)).is_err(),
             "plain adds would leave i32 at {:?}",
             e
         );
 
-        let want = scalar_lane(scalar_cells, &funcs, &pes, &xs_cells);
-        let mut got_cells = vec![0i32; xs_cells.len()];
-        let (tables, shards) = cells.split();
-        shards[1].lookup_cells(tables, &ctxs, &pes, &xs_cells, &mut got_cells);
-        prop_assert_eq!(&got_cells, &want, "lookup_cells values");
-
-        let want = scalar_lane(scalar_row, &funcs[..1], &pes, &xs_row);
-        let mut got_row = vec![0i32; xs_row.len()];
-        let (tables, shards) = row.split();
-        shards[1].lookup_row(tables, &ctxs[0], &pes, &xs_row, &mut got_row);
-        prop_assert_eq!(&got_row, &want, "lookup_row values");
-        prop_assert_eq!(got_row[0], rail);
-        let table = scalar_row.table(funcs[0]);
-        let batched = got_row.iter().zip(got_cells.iter().step_by(k));
-        for (&x, (&v_row, &v_cells)) in xs_row.iter().zip(batched) {
+        let xs_cells: Vec<i32> = xs.iter().flat_map(|&x| vec![x; k]).collect();
+        let want = scalar_lane(scalar, &funcs, &pes, &xs_cells);
+        let states: Vec<Q16_16> = xs.iter().map(|&x| Q16_16::from_bits(x)).collect();
+        let cols: Vec<u32> = (0..xs.len() as u32).collect();
+        let (tables, shards) = replayed.split();
+        shards[1].replay(tables, &ctxs, &pes, &cols, |_| &states);
+        let got: Vec<i32> = xs
+            .iter()
+            .flat_map(|&x| funcs.iter().map(move |&f| (f, Q16_16::from_bits(x))))
+            .map(|(f, x)| replayed.table(f).value(x).to_bits())
+            .collect();
+        prop_assert_eq!(&got, &want, "values");
+        prop_assert_eq!(got[0], rail);
+        let table = scalar.table(funcs[0]);
+        for (&x, &v) in xs.iter().zip(got.iter().step_by(k)) {
             let x = Q16_16::from_bits(x);
             let e = table.read(table.clamp_idx(SampleIdx::of(x, 0)));
-            let sat = saturating_horner(e, x, 0).to_bits();
-            prop_assert_eq!(v_row, sat, "lookup_row at x = {:?}", x);
-            prop_assert_eq!(v_cells, sat, "lookup_cells at x = {:?}", x);
+            prop_assert_eq!(v, saturating_horner(e, x, 0).to_bits(), "at x = {:?}", x);
         }
 
-        for (h, scalar) in [(&*cells, &*scalar_cells), (&*row, &*scalar_row)] {
-            prop_assert_eq!(h.stats(), scalar.stats());
-            for pe in 4..8 {
-                prop_assert_eq!(h.pe_stats(pe), scalar.pe_stats(pe), "PE {}", pe);
-            }
+        prop_assert_eq!(replayed.stats(), scalar.stats());
+        for pe in 4..8 {
+            prop_assert_eq!(replayed.pe_stats(pe), scalar.pe_stats(pe), "PE {}", pe);
         }
-        prop_assert_eq!(scalar_row.scrub(&lib).repaired, 1);
-        prop_assert!(scalar_row.table(funcs[0]).exact_adds(), "the scrub restores the proof");
+        prop_assert_eq!(scalar.scrub(&lib).repaired, 1);
+        prop_assert!(scalar.table(funcs[0]).exact_adds(), "the scrub restores the proof");
     }
 
     #[test]
@@ -374,10 +370,11 @@ proptest! {
         // their sample point, and every spec clamps part of the pool.
         // The shard under test is the second of an 8-PE hierarchy, so
         // its PEs are 4..8. Lanes past four functions take the walk
-        // without the memo. Each lane is looked up in two calls, cut at
-        // a random cell, the second with the functions in reverse order,
+        // without the memo. Each lane is replayed in two calls, cut at a
+        // random cell, the second with the functions in reverse order,
         // and the second lane runs warm or after an invalidation: a
-        // sweep that makes one call per row must keep every counter.
+        // sweep that replays once per row must keep every counter, and
+        // the value function must give every scalar lookup's value.
         let (lib, specs) = library(k);
         let funcs: Vec<FuncId> = lib.iter().map(|(id, _)| id).collect();
         let ctxs: Vec<RowCtx> = funcs
@@ -388,10 +385,10 @@ proptest! {
         let (funcs_rev, ctxs_rev): (Vec<FuncId>, Vec<RowCtx>) =
             funcs.iter().rev().zip(ctxs.iter().rev()).unzip();
         let build = || LutHierarchy::build_with_specs(&lib, &specs, l1, 1 << l2_log2, 8).unwrap();
-        let (mut scalar, mut cells, mut row) = (build(), build(), build());
+        let (mut scalar, mut replayed) = (build(), build());
         for (i, lane) in [&lanes.0, &lanes.1].into_iter().enumerate() {
             if i == 1 && cold {
-                for h in [&mut scalar, &mut cells, &mut row] {
+                for h in [&mut scalar, &mut replayed] {
                     h.invalidate();
                 }
             }
@@ -414,26 +411,27 @@ proptest! {
             let mut want = scalar_lane(&mut scalar, &funcs, &pes[..c], &xs[..c * k]);
             want.extend(scalar_lane(&mut scalar, &funcs_rev, &pes[c..], &xs[c * k..]));
 
-            let mut got = vec![0i32; xs.len()];
-            let (tables, shards) = cells.split();
-            let (head, tail) = got.split_at_mut(c * k);
-            shards[1].lookup_cells(tables, &ctxs, &pes[..c], &xs[..c * k], head);
-            shards[1].lookup_cells(tables, &ctxs_rev, &pes[c..], &xs[c * k..], tail);
-            prop_assert_eq!(&got, &want, "lookup_cells values, lane {}", i);
-            if k == 1 {
-                let (tables, shards) = row.split();
-                let (head, tail) = got.split_at_mut(c);
-                shards[1].lookup_row(tables, &ctxs[0], &pes[..c], &xs[..c], head);
-                shards[1].lookup_row(tables, &ctxs[0], &pes[c..], &xs[c..], tail);
-                prop_assert_eq!(&got, &want, "lookup_row values, lane {}", i);
-            }
+            // Function `f`'s states as a row, one column per cell.
+            let rows: Vec<Vec<Q16_16>> = (0..k)
+                .map(|f| xs.chunks_exact(k).map(|cell| Q16_16::from_bits(cell[f])).collect())
+                .collect();
+            let cols: Vec<u32> = (0..pes.len() as u32).collect();
+            let (tables, shards) = replayed.split();
+            shards[1].replay(tables, &ctxs, &pes[..c], &cols[..c], |f| &rows[f]);
+            shards[1].replay(tables, &ctxs_rev, &pes[c..], &cols[c..], |f| &rows[f]);
+            let got: Vec<i32> = (xs.chunks_exact(k).enumerate())
+                .flat_map(|(j, cell)| {
+                    let order = if j < c { &funcs } else { &funcs_rev };
+                    cell.iter().zip(order)
+                })
+                .map(|(&x, &f)| replayed.table(f).value(Q16_16::from_bits(x)).to_bits())
+                .collect();
+            prop_assert_eq!(&got, &want, "values, lane {}", i);
 
-            let batched: &[&LutHierarchy] = if k == 1 { &[&cells, &row] } else { &[&cells] };
-            for h in batched {
-                prop_assert_eq!(h.stats(), scalar.stats(), "LutStats, lane {}", i);
-                for pe in 4..8 {
-                    prop_assert_eq!(h.pe_stats(pe), scalar.pe_stats(pe), "PE {}, lane {}", pe, i);
-                }
+            prop_assert_eq!(replayed.stats(), scalar.stats(), "LutStats, lane {}", i);
+            for pe in 4..8 {
+                let (got, want) = (replayed.pe_stats(pe), scalar.pe_stats(pe));
+                prop_assert_eq!(got, want, "PE {}, lane {}", pe, i);
             }
         }
     }

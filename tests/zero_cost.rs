@@ -143,20 +143,21 @@ fn multi_layer_systems_allocate_no_more_per_step_than_fisher() {
 }
 
 #[test]
-fn a_steady_state_step_allocates_at_most_five_times() {
+fn a_steady_state_step_allocates_at_most_four_times() {
     // Fisher 12^2 (one fused dynamic sweep with a LUT site, Euler): the
-    // weight pass's shard list, the template pass's band rows and band
-    // items, the step's sweep list and its per-shard LUT deltas. Sweep
-    // labels are static, and the sweep scratch is grown once.
+    // sweep's band rows and its work items (one per LUT shard: the
+    // shard's tag replay, then its row band), the step's sweep list and
+    // its per-shard LUT deltas. Sweep labels are static, and the band
+    // scratch is built once.
     let setup = Fisher::default().build(12, 12).expect("setup");
     let mut runner = FixedRunner::new(setup).expect("runner");
     runner.run(4);
     let allocs = steady_state_allocs(&mut runner);
-    assert!(allocs <= 5, "fisher 12^2 allocates {allocs} times per step");
+    assert!(allocs <= 4, "fisher 12^2 allocates {allocs} times per step");
 }
 
 #[test]
-fn lookup_row_is_alloc_free_and_counter_identical_to_scalar() {
+fn replay_is_alloc_free_and_counter_identical_to_scalar() {
     use cenn::fx::Q16_16;
     use cenn::lut::{funcs, FuncLibrary, LutHierarchy, LutSpec, RowCtx};
 
@@ -165,47 +166,45 @@ fn lookup_row_is_alloc_free_and_counter_identical_to_scalar() {
     let spec = LutSpec::unit_spacing(-8, 8);
     let ctx = RowCtx::from_spec(tanh, spec);
 
-    // A lane of states spread over several sample intervals, issued from
+    // A row of states spread over several sample intervals, issued from
     // all four PEs, exercising L1 hits, L2 hits and DRAM fills.
     let n = 64usize;
     let pes: Vec<u32> = (0..n as u32).map(|i| i % 4).collect();
-    let xs: Vec<i32> = (0..n)
-        .map(|i| Q16_16::from_f64((i as f64 - 32.0) / 9.0).to_bits())
+    let cols: Vec<u32> = (0..n as u32).collect();
+    let xs: Vec<Q16_16> = (0..n)
+        .map(|i| Q16_16::from_f64((i as f64 - 32.0) / 9.0))
         .collect();
 
-    // Scalar reference: the same lane walked one lookup at a time, twice.
+    // Scalar reference: the same row walked one lookup at a time, twice.
     let mut scalar = LutHierarchy::build(&lib, spec, 4, 32, 4).expect("hierarchy");
-    let mut scalar_out = vec![0i32; n];
     for _ in 0..2 {
-        for ((o, &pe), &x) in scalar_out.iter_mut().zip(&pes).zip(&xs) {
-            *o = scalar
-                .lookup(pe as usize, tanh, Q16_16::from_bits(x))
-                .0
-                .to_bits();
+        for (&pe, &x) in pes.iter().zip(&xs) {
+            scalar.lookup(pe as usize, tanh, x);
         }
     }
 
-    let mut batched = LutHierarchy::build(&lib, spec, 4, 32, 4).expect("hierarchy");
-    let mut row_out = vec![0i32; n];
-    let (tables, shards) = batched.split();
+    let mut replayed = LutHierarchy::build(&lib, spec, 4, 32, 4).expect("hierarchy");
+    let (tables, shards) = replayed.split();
     let shard = &mut shards[0];
-    // First sweep services cold misses (DRAM bursts may grow the L2)...
-    shard.lookup_row(tables, &ctx, &pes, &xs, &mut row_out);
-    // ...after which a warm sweep must not touch the heap at all.
+    // The first replay services cold misses (DRAM bursts may grow the
+    // L2)...
+    shard.replay(tables, &[ctx], &pes, &cols, |_| &xs);
+    // ...after which a warm replay must not touch the heap at all.
     let before = thread_allocs();
-    shard.lookup_row(tables, &ctx, &pes, &xs, &mut row_out);
+    shard.replay(tables, &[ctx], &pes, &cols, |_| &xs);
     assert_eq!(
         thread_allocs() - before,
         0,
-        "a warm lookup_row sweep must not allocate"
+        "a warm replay must not allocate"
     );
-
-    assert_eq!(row_out, scalar_out, "batched values match scalar lookups");
     assert_eq!(
         shard.stats(),
         scalar.shards()[0].stats(),
-        "batched sweeps must leave every LUT counter exactly as scalar ones"
+        "replays must leave every LUT counter exactly as scalar lookups"
     );
+    for pe in 0..4 {
+        assert_eq!(shard.pe_stats(pe), scalar.pe_stats(pe), "PE {pe}");
+    }
 }
 
 /// Driver-thread allocations for one steady-state step (minimum of a few
