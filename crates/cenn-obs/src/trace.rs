@@ -46,15 +46,16 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 /// the fixed-point, float, and guarded backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Time inside LUT hierarchy look-ups (L1 → L2 → DRAM walk + TUM).
+    /// The LUT hierarchy's tag walk (L1 → L2 → DRAM) that counts hits
+    /// and misses.
     LutLookup,
-    /// Template evaluation excluding LUT look-ups: tap gathering,
-    /// boundary resolution, and the MAC chain.
+    /// Template evaluation: the dynamic weights' values (the TUM's, in
+    /// fixed point), boundary resolution, and the MAC chain.
     TemplateApply,
     /// The state-update pass (Euler/Heun MAC integration).
     Integrate,
-    /// Scattering per-shard sweep buffers back into the layer grids (the
-    /// synchronization step between sweeps).
+    /// Copies between sweeps and windows: an algebraic layer's staged
+    /// rows into the states, and a streamed window's fill.
     HaloSync,
     /// LUT integrity scrubbing (`cenn-guard`).
     Scrub,
