@@ -659,4 +659,133 @@ proptest! {
             prop_assert_eq!(streamed.pe_lut_stats(pe), replay.pe_stats(pe), "PE {}", pe);
         }
     }
+
+    #[test]
+    fn multi_lut_layer_counters_replay_the_serial_walk_for_any_pe_shape(
+        rows in 1usize..24, cols in 1usize..24,
+        pe_rows in 1usize..12, pe_cols in 1usize..12,
+        values in prop::collection::vec(-6.0f64..6.0, 3 * 23 * 23),
+        chunk in 1usize..24,
+        case in 0u64..u64::MAX,
+    ) {
+        // Three LUT layers whose sites flatten to two, six (a function
+        // repeated back to back, as Hodgkin–Huxley's n⁴ = sq·sq) and one
+        // factor per cell: every PE's counters must equal a scalar replay
+        // of each step's pre-step states in the engine's order — layers
+        // in order, cells row-major, factors innermost.
+        let (model, layers) = multi_lut_layer_model(rows, cols, (pe_rows, pe_cols));
+        let fresh = || {
+            let mut sim = CennSim::new(model.clone()).unwrap();
+            for (i, &l) in layers.iter().enumerate() {
+                let at = |r: usize, c: usize| values[(i * 23 + r) * 23 + c];
+                sim.set_state_f64(l, &Grid::from_fn(rows, cols, at)).unwrap();
+            }
+            sim
+        };
+        let cfg = model.lut_config();
+        let specs: Vec<_> = model.library().iter().map(|(f, _)| cfg.spec_for(f)).collect();
+        let n_pes = pe_rows * pe_cols;
+        let mut replay =
+            LutHierarchy::build_with_specs(model.library(), &specs, 2, 8, n_pes).unwrap();
+        let plan = TilePlan::new(rows, cols, pe_rows, pe_cols);
+        let mut serial = fresh();
+        for _ in 0..3 {
+            let states: Vec<Grid<Q16_16>> = layers.iter().map(|&l| serial.state(l).to_grid()).collect();
+            for sites in multi_lut_layer_factors(&layers) {
+                for r in 0..rows {
+                    for c in 0..cols {
+                        for &(func, layer) in &sites {
+                            let x = states[layer.index()].get(r, c);
+                            replay.lookup(plan.pe_of(r, c), func, x);
+                        }
+                    }
+                }
+            }
+            serial.step();
+        }
+        for threads in 1..=3 {
+            let mut sim = fresh();
+            sim.set_threads(threads);
+            sim.run(3);
+            prop_assert_eq!(sim.lut_stats(), replay.stats(), "{} threads", threads);
+            for pe in 0..n_pes {
+                prop_assert_eq!(sim.pe_lut_stats(pe), replay.pe_stats(pe), "PE {}", pe);
+            }
+        }
+        // Streamed, several LUT layers interleave per window, so only the
+        // access totals (and the exact hits, a property of the states)
+        // match the in-core order.
+        let dir = std::env::temp_dir().join(format!(
+            "cenn_prop_multi_lut_{}_{case}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut streamed =
+            StreamSim::from_sim(&fresh(), StreamConfig::new(&dir).with_chunk_rows(chunk)).unwrap();
+        streamed.run(3).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let (got, want) = (streamed.lut_stats(), replay.stats());
+        prop_assert_eq!(got.accesses, want.accesses, "{}-row chunks", chunk);
+        prop_assert_eq!(got.exact_hits, want.exact_hits, "{}-row chunks", chunk);
+    }
+}
+
+/// Three dynamic layers `u`, `v`, `w` with one LUT site each (see
+/// [`multi_lut_layer_factors`]) on a `pe_rows × pe_cols` PE array with
+/// 2-block L1s and 8-entry L2s. The square and cube tables cover only
+/// [−4, 4) and [−2, 2), so states clamp onto their edges.
+fn multi_lut_layer_model(
+    rows: usize,
+    cols: usize,
+    pe: (usize, usize),
+) -> (CennModel, [LayerId; 3]) {
+    let mut b = CennModelBuilder::new(rows, cols);
+    let layers = [
+        b.dynamic_layer("u", Boundary::ZeroFlux),
+        b.dynamic_layer("v", Boundary::Periodic),
+        b.dynamic_layer("w", Boundary::ZeroFlux),
+    ];
+    let tanh = b.register_func(cenn_lut::funcs::tanh());
+    let sin = b.register_func(cenn_lut::funcs::sin());
+    let sq = b.register_func(cenn_lut::funcs::square());
+    let cube = b.register_func(cenn_lut::funcs::cube());
+    for (&l, sites) in layers.iter().zip(multi_lut_layer_factors(&layers)) {
+        b.state_template(l, l, mapping::heat_template(0.05, 1.0));
+        let factors = sites
+            .into_iter()
+            .map(|(func, layer)| Factor { func, layer });
+        b.offset_expr(l, WeightExpr::product(0.01, factors.collect()));
+    }
+    b.lut_config(LutConfig {
+        l1_blocks: 2,
+        l2_capacity: 8,
+        pe_rows: pe.0,
+        pe_cols: pe.1,
+        default_spec: cenn_lut::LutSpec::unit_spacing(-8, 8),
+        per_func_specs: vec![
+            (sq, cenn_lut::LutSpec::unit_spacing(-4, 4)),
+            (cube, cenn_lut::LutSpec::unit_spacing(-2, 2)),
+        ],
+    });
+    assert_eq!([tanh, sin, sq, cube].map(|f| f.0), [0, 1, 2, 3]);
+    (b.build(0.1).unwrap(), layers)
+}
+
+/// Each layer's site of [`multi_lut_layer_model`] as `(function, source
+/// layer)` factors in order: `u` two, `v` six with the square of `w`
+/// twice back to back, `w` one.
+fn multi_lut_layer_factors([u, v, w]: &[LayerId; 3]) -> [Vec<(FuncId, LayerId)>; 3] {
+    let (tanh, sin, sq, cube) = (FuncId(0), FuncId(1), FuncId(2), FuncId(3));
+    [
+        vec![(tanh, *v), (sin, *u)],
+        vec![
+            (tanh, *u),
+            (sq, *w),
+            (sq, *w),
+            (cube, *w),
+            (sin, *v),
+            (tanh, *w),
+        ],
+        vec![(tanh, *u)],
+    ]
 }

@@ -358,48 +358,64 @@ proptest! {
     #[test]
     fn batched_lookups_match_scalar_ones(
         k in 1usize..7,
+        dup in 0usize..8,
+        n_pes in 5usize..9,
         l1 in 1usize..9,
         l2_log2 in 3u32..7,
         pool in prop::collection::vec(-64i32..64, 1..9),
         lanes in (lane(), lane()),
+        stretch in 1usize..4,
         cut in any::<usize>(),
         cold in any::<bool>(),
     ) {
         // States cluster on a small pool of eighth-steps so lanes revisit
         // indices (L1 hits and memo replays); the jitter moves some off
         // their sample point, and every spec clamps part of the pool.
-        // The shard under test is the second of an 8-PE hierarchy, so
-        // its PEs are 4..8. Lanes past four functions take the walk
-        // without the memo. Each lane is replayed in two calls, cut at a
-        // random cell, the second with the functions in reverse order,
-        // and the second lane runs warm or after an invalidation: a
-        // sweep that replays once per row must keep every counter, and
-        // the value function must give every scalar lookup's value.
+        // The shard under test is the second of a 5–8-PE hierarchy, so it
+        // serves PEs 4.. with 1–4 L1s. With `dup < k` function `dup` is
+        // looked up twice back to back on the same state (as
+        // Hodgkin–Huxley's n⁴ = sq·sq), so lanes have 1–7 functions, and
+        // lanes past four functions take the walk without the memo. Each
+        // lane is stretched by repeating its cells, up to 600 cells of
+        // 7 functions: past one chunk of the replay's index buffer. Each
+        // lane is replayed in two calls, cut at a random cell, the second
+        // with the functions in reverse order, and the second lane runs
+        // warm or after an invalidation: a sweep that replays once per
+        // row must keep every counter, and the value function must give
+        // every scalar lookup's value.
         let (lib, specs) = library(k);
-        let funcs: Vec<FuncId> = lib.iter().map(|(id, _)| id).collect();
-        let ctxs: Vec<RowCtx> = funcs
-            .iter()
-            .zip(&specs)
-            .map(|(&f, &spec)| RowCtx::from_spec(f, spec))
+        let lib_funcs: Vec<FuncId> = lib.iter().map(|(id, _)| id).collect();
+        // The library function (and state) of each lookup of a cell.
+        let order: Vec<usize> = (0..k)
+            .flat_map(|f| std::iter::repeat_n(f, 1 + usize::from(f == dup)))
             .collect();
+        let funcs: Vec<FuncId> = order.iter().map(|&f| lib_funcs[f]).collect();
+        let ctxs: Vec<RowCtx> = order
+            .iter()
+            .map(|&f| RowCtx::from_spec(lib_funcs[f], specs[f]))
+            .collect();
+        let kk = order.len();
         let (funcs_rev, ctxs_rev): (Vec<FuncId>, Vec<RowCtx>) =
             funcs.iter().rev().zip(ctxs.iter().rev()).unzip();
-        let build = || LutHierarchy::build_with_specs(&lib, &specs, l1, 1 << l2_log2, 8).unwrap();
+        let build =
+            || LutHierarchy::build_with_specs(&lib, &specs, l1, 1 << l2_log2, n_pes).unwrap();
         let (mut scalar, mut replayed) = (build(), build());
+        let width = n_pes as u32 - 4;
         for (i, lane) in [&lanes.0, &lanes.1].into_iter().enumerate() {
             if i == 1 && cold {
                 for h in [&mut scalar, &mut replayed] {
                     h.invalidate();
                 }
             }
-            let pes: Vec<u32> = lane.iter().map(|(pe, _)| 4 + pe).collect();
+            let lane: Vec<&Cell> = (0..stretch).flat_map(|_| lane).collect();
+            let pes: Vec<u32> = lane.iter().map(|(pe, _)| 4 + pe % width).collect();
             let xs: Vec<i32> = lane
                 .iter()
-                .flat_map(|(_, states)| &states[..k])
-                .map(|(at, jitter)| (pool[at.index(pool.len())] << 13) + [0, 1, 0x0555][*jitter])
+                .flat_map(|(_, states)| order.iter().map(|&f| states[f]))
+                .map(|(at, jitter)| (pool[at.index(pool.len())] << 13) + [0, 1, 0x0555][jitter])
                 .collect();
             let c = cut % (pes.len() + 1);
-            let xs: Vec<i32> = (xs.chunks_exact(k).enumerate())
+            let xs: Vec<i32> = (xs.chunks_exact(kk).enumerate())
                 .flat_map(|(j, cell)| {
                     let mut cell = cell.to_vec();
                     if j >= c {
@@ -408,18 +424,18 @@ proptest! {
                     cell
                 })
                 .collect();
-            let mut want = scalar_lane(&mut scalar, &funcs, &pes[..c], &xs[..c * k]);
-            want.extend(scalar_lane(&mut scalar, &funcs_rev, &pes[c..], &xs[c * k..]));
+            let mut want = scalar_lane(&mut scalar, &funcs, &pes[..c], &xs[..c * kk]);
+            want.extend(scalar_lane(&mut scalar, &funcs_rev, &pes[c..], &xs[c * kk..]));
 
             // Function `f`'s states as a row, one column per cell.
-            let rows: Vec<Vec<Q16_16>> = (0..k)
-                .map(|f| xs.chunks_exact(k).map(|cell| Q16_16::from_bits(cell[f])).collect())
+            let rows: Vec<Vec<Q16_16>> = (0..kk)
+                .map(|f| xs.chunks_exact(kk).map(|cell| Q16_16::from_bits(cell[f])).collect())
                 .collect();
             let cols: Vec<u32> = (0..pes.len() as u32).collect();
             let (tables, shards) = replayed.split();
             shards[1].replay(tables, &ctxs, &pes[..c], &cols[..c], |f| &rows[f]);
             shards[1].replay(tables, &ctxs_rev, &pes[c..], &cols[c..], |f| &rows[f]);
-            let got: Vec<i32> = (xs.chunks_exact(k).enumerate())
+            let got: Vec<i32> = (xs.chunks_exact(kk).enumerate())
                 .flat_map(|(j, cell)| {
                     let order = if j < c { &funcs } else { &funcs_rev };
                     cell.iter().zip(order)
@@ -429,7 +445,7 @@ proptest! {
             prop_assert_eq!(&got, &want, "values, lane {}", i);
 
             prop_assert_eq!(replayed.stats(), scalar.stats(), "LutStats, lane {}", i);
-            for pe in 4..8 {
+            for pe in 4..n_pes {
                 let (got, want) = (replayed.pe_stats(pe), scalar.pe_stats(pe));
                 prop_assert_eq!(got, want, "PE {}, lane {}", pe, i);
             }

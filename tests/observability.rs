@@ -250,8 +250,12 @@ fn gray_scott_lut_counters_are_golden() {
 fn hodgkin_huxley_lut_counters_are_golden() {
     // Hodgkin–Huxley is the one system whose membrane layer multiplies
     // six LUT factors per site, past the batched walk's memo bound, so
-    // this pins the unmemoized walk as well as the memoized one.
+    // this pins the unmemoized walk as well as the memoized one. Every
+    // PE's L1 `(hits, misses)` is pinned too, so a walk that credits a
+    // hit to another PE of its shard fails: the rest state is uniform,
+    // and only PE 36's counts differ from the rest.
     let setup = HodgkinHuxley::default().build(16, 16).unwrap();
+    let pe_golden = |pe: usize| if pe == 36 { (440, 520) } else { (386, 574) };
     for threads in [1, 4] {
         let mut runner = FixedRunner::new(setup.clone()).unwrap();
         runner.set_threads(threads);
@@ -262,6 +266,13 @@ fn hodgkin_huxley_lut_counters_are_golden() {
             "LUT counters drifted at threads={threads}"
         );
         assert_pe_stats_sum_to_totals(&runner);
+        for pe in 0..64 {
+            assert_eq!(
+                runner.sim().pe_lut_stats(pe),
+                pe_golden(pe),
+                "PE {pe} drifted at threads={threads}"
+            );
+        }
     }
 }
 
