@@ -70,30 +70,34 @@ impl L1Lut {
     /// the statistics counters.
     #[inline]
     pub fn lookup(&mut self, func: FuncId, idx: SampleIdx) -> bool {
+        let hit = self.holds(func, idx);
+        self.tally(u64::from(hit), u64::from(!hit));
+        hit
+    }
+
+    /// Probes for `(func, idx)` without counting: `true` on a hit.
+    #[inline]
+    pub(crate) fn holds(&self, func: FuncId, idx: SampleIdx) -> bool {
         let tag = tag_of(func, idx);
         // The default 4-block L1 probes all tags at once — the software
         // analogue of the hardware's parallel XNOR match — with no
         // early-exit branch to mispredict on the matching position.
-        let hit = if let &[t0, t1, t2, t3] = self.tags.as_slice() {
+        if let &[t0, t1, t2, t3] = self.tags.as_slice() {
             (t0 == tag) | (t1 == tag) | (t2 == tag) | (t3 == tag)
         } else {
             self.tags.contains(&tag)
-        };
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
         }
-        hit
     }
 
-    /// Records a hit that was proven without probing (the shard's batched
-    /// replay memoizes `(func, idx)` between fills, see
-    /// [`crate::LutShard::replay`]); keeps the counters identical to an
-    /// actual probe.
+    /// Adds probes to the counters that [`holds`](Self::holds) did not
+    /// count: the shard's batched replay counts each lane's hits (memo-
+    /// proven ones included, see [`crate::LutShard::replay`]) and misses
+    /// at once, with the same totals as one [`lookup`](Self::lookup) per
+    /// probe.
     #[inline]
-    pub(crate) fn count_hit(&mut self) {
-        self.hits += 1;
+    pub(crate) fn tally(&mut self, hits: u64, misses: u64) {
+        self.hits += hits;
+        self.misses += misses;
     }
 
     /// Installs the tag of `(func, idx)` through the cyclic write pointer
@@ -101,7 +105,11 @@ impl L1Lut {
     #[inline]
     pub fn fill(&mut self, func: FuncId, idx: SampleIdx) {
         self.tags[self.write_ptr] = tag_of(func, idx);
-        self.write_ptr = (self.write_ptr + 1) % self.tags.len();
+        // A wrap test, not `% len`: a division on every miss.
+        self.write_ptr += 1;
+        if self.write_ptr == self.tags.len() {
+            self.write_ptr = 0;
+        }
     }
 
     /// `(hits, misses)` since construction or the last [`reset_stats`].

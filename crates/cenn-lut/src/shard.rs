@@ -49,7 +49,12 @@ impl RowCtx {
     /// `table.clamp_idx(SampleIdx::of(x, spacing))`.
     #[inline]
     pub fn idx_of(&self, x: Q16_16) -> SampleIdx {
-        let raw = SampleIdx::of(x, self.log2_inv_spacing).0;
+        self.clamp(SampleIdx::of(x, self.log2_inv_spacing).0)
+    }
+
+    /// Raw sample index `raw` clamped onto the table.
+    #[inline]
+    fn clamp(&self, raw: i32) -> SampleIdx {
         SampleIdx(raw.max(self.min_idx).min(self.max_idx))
     }
 }
@@ -105,44 +110,6 @@ impl LutShard {
         (self.pe_base..self.pe_base + self.l1s.len()).contains(&pe)
     }
 
-    #[inline]
-    fn local_pe(&self, pe: usize) -> usize {
-        debug_assert!(self.owns_pe(pe), "PE {pe} not owned by this shard");
-        pe - self.pe_base
-    }
-
-    /// The L1 → L2 → DRAM tag walk for an already-derived clamped index,
-    /// filling tags on the way back, with the 8-point burst installed
-    /// into L2 on a DRAM fetch (§4.1). Returns the level that hit. Every
-    /// counter update of the cache walk lives here, so batched and scalar
-    /// lookups share one accounting truth.
-    #[inline]
-    fn walk(&mut self, table: &OffChipLut, local: usize, func: FuncId, idx: SampleIdx) -> Level {
-        self.stats.accesses += 1;
-        if self.l1s[local].lookup(func, idx) {
-            self.stats.l1_hits += 1;
-            return Level::L1;
-        }
-        self.l1s[local].fill(func, idx);
-        if self.l2.lookup(func, idx) {
-            self.stats.l2_hits += 1;
-            return Level::L2;
-        }
-        // DRAM burst: install the 8-aligned window's tags via the same
-        // hash used for reads. Out-of-range window points clamp onto the
-        // table edge, so filling the clamped sub-range once is exactly
-        // the per-point loop's final state.
-        self.stats.dram_fetches += 1;
-        self.stats.dram_points += DRAM_BURST_POINTS as u64;
-        let window = L2Lut::burst_window(idx);
-        let lo = table.clamp_idx(SampleIdx(window.start)).0;
-        let hi = table.clamp_idx(SampleIdx(window.end - 1)).0;
-        for i in lo..=hi {
-            self.l2.fill(func, SampleIdx(i));
-        }
-        Level::Dram
-    }
-
     /// Full look-up of `func` at state `x` on behalf of global PE `pe`:
     /// walks the cache tags, then evaluates the off-chip entry through
     /// the TUM, returning the approximated `l(x)` and the access outcome.
@@ -160,13 +127,22 @@ impl LutShard {
         func: FuncId,
         x: Q16_16,
     ) -> (Q16_16, AccessOutcome) {
-        let local = self.local_pe(pe);
+        debug_assert!(self.owns_pe(pe), "PE {pe} not owned by this shard");
         let table = &tables[func.0 as usize];
-        let spacing = table.spec().log2_inv_spacing;
-        let idx = table.clamp_idx(SampleIdx::of(x, spacing));
-        let level = self.walk(table, local, func, idx);
-        let eval = Tum::eval(table.at(idx), x, spacing, table.exact_adds());
-        self.stats.exact_hits += u64::from(eval.exact);
+        let ctx = RowCtx::from_spec(func, table.spec());
+        let idx = ctx.idx_of(x);
+        let l1 = &mut self.l1s[pe - self.pe_base];
+        let level = if l1.lookup(func, idx) {
+            Level::L1
+        } else if refill(l1, &mut self.l2, &ctx, idx) {
+            Level::L2
+        } else {
+            Level::Dram
+        };
+        let eval = Tum::eval(table.at(idx), x, ctx.log2_inv_spacing, table.exact_adds());
+        let by = |l| u64::from(level == l);
+        let counts = shard_counts(1, by(Level::L2), by(Level::Dram), eval.exact.into());
+        self.stats.merge(&counts);
         (
             eval.value,
             AccessOutcome {
@@ -186,12 +162,24 @@ impl LutShard {
     /// tags only, so the values are [`OffChipLut::value`]'s whatever the
     /// walk did. Allocates nothing.
     ///
+    /// A one-function row derives each lane's index as the walk reaches
+    /// it, its state row held out of the loop. A row of several functions
+    /// runs in two phases per chunk of lanes, a chunk being as many lanes
+    /// as a stack buffer of `INDEX_BUF` indices holds all functions of:
+    /// first each function reads its state row once, writing every
+    /// lane's clamped index into the buffer and counting δ = 0; then the
+    /// tag walk takes the buffered indices in lane order, functions
+    /// innermost. A lane of more than `INDEX_BUF` functions is a chunk of
+    /// its own, walked `INDEX_BUF` functions at a time. In both loops, a
+    /// row of up to `MEMO_FACTORS` functions goes through a per-call memo
+    /// before the L1 probe, and the counters stay in registers: each
+    /// lane's PE is credited once per lane, and the shard once per call.
+    ///
     /// # Panics
     ///
     /// Panics if the lane slices' lengths differ, a PE is not owned by
-    /// this shard, a column lies outside a row, or a `ctx.func` is not in
-    /// `tables`. Each `ctx` must be built from its table's spec: a debug
-    /// build asserts it.
+    /// this shard, or a column lies outside a row. Each `ctx` must be
+    /// built from its table's spec in `tables`: a debug build asserts it.
     // Out of line: inlined into a sweep's fan-out, the walk's state
     // spills to the stack.
     #[inline(never)]
@@ -207,72 +195,92 @@ impl LutShard {
         debug_assert!(ctxs
             .iter()
             .all(|c| *c == RowCtx::from_spec(c.func, tables[c.func.0 as usize].spec())));
-        let memoize = ctxs.len() <= MEMO_FACTORS;
         let mut run = Replay {
             memos: [[Memo::EMPTY; PES_PER_L2]; MEMO_FACTORS],
             epochs: [0u32; PES_PER_L2],
-            proven: 0,
-            exact: 0,
         };
+        let (mut l2_hits, mut dram, mut exact) = (0, 0, 0);
         if let [ctx] = ctxs {
-            // One function: its table and state row stay out of the loop.
-            let (table, xs) = (&tables[ctx.func.0 as usize], row(0));
-            for (&pe, &c) in pes.iter().zip(cols) {
-                let local = self.local_pe(pe as usize);
-                self.replay_one(&mut run, table, ctx, local, Some(0), xs[c as usize]);
-            }
-        } else {
-            for (&pe, &c) in pes.iter().zip(cols) {
-                let local = self.local_pe(pe as usize);
-                for (k, ctx) in ctxs.iter().enumerate() {
-                    let table = &tables[ctx.func.0 as usize];
-                    let slot = memoize.then_some(k);
-                    self.replay_one(&mut run, table, ctx, local, slot, row(k)[c as usize]);
+            let (xs, ctx) = (row(0), *ctx);
+            let lanes = pes.iter().zip(cols).map(|(&pe, &c)| {
+                let x = xs[c as usize];
+                exact += u64::from(Tum::delta(x, ctx.log2_inv_spacing).is_zero());
+                (pe, [ctx.idx_of(x).0])
+            });
+            (l2_hits, dram) = self.walk::<true, _>(&mut run, ctxs, lanes);
+        } else if !ctxs.is_empty() {
+            let mut idx = [0i32; INDEX_BUF];
+            let per_chunk = (INDEX_BUF / ctxs.len()).max(1);
+            for (pes, cols) in pes.chunks(per_chunk).zip(cols.chunks(per_chunk)) {
+                for (g, group) in ctxs.chunks(INDEX_BUF).enumerate() {
+                    // Index rows: lane `j`'s indices at `idx[j * n..][..n]`.
+                    let n = group.len();
+                    for (k, ctx) in group.iter().enumerate() {
+                        let (xs, ctx) = (row(g * INDEX_BUF + k), *ctx);
+                        for (lane, &c) in idx.chunks_exact_mut(n).zip(cols) {
+                            let x = xs[c as usize];
+                            exact += u64::from(Tum::delta(x, ctx.log2_inv_spacing).is_zero());
+                            lane[k] = ctx.idx_of(x).0;
+                        }
+                    }
+                    // Tag walk.
+                    let lanes = pes.iter().copied().zip(idx.chunks_exact(n));
+                    let (by_l2, by_dram) = if ctxs.len() <= MEMO_FACTORS {
+                        self.walk::<true, _>(&mut run, group, lanes)
+                    } else {
+                        self.walk::<false, _>(&mut run, group, lanes)
+                    };
+                    (l2_hits, dram) = (l2_hits + by_l2, dram + by_dram);
                 }
             }
         }
-        self.stats.accesses += run.proven;
-        self.stats.l1_hits += run.proven;
-        self.stats.exact_hits += run.exact;
+        let accesses = (pes.len() * ctxs.len()) as u64;
+        self.stats
+            .merge(&shard_counts(accesses, l2_hits, dram, exact));
     }
 
-    /// One replayed look-up of `ctx`'s function at state `x` for local PE
-    /// `local`, counting an exact hit where δ = 0. With a memo slot, an
-    /// index this PE provenly had in its L1 at the current fill epoch is
-    /// an L1 hit without a probe (same counters). Otherwise the walk runs,
-    /// and a refill advances the epoch, invalidating every stale memo of
-    /// the PE.
+    /// The tag walk of `lanes`, each a global PE id and its clamped index
+    /// of each function of `group`, functions innermost. With `MEMO` (at
+    /// most `MEMO_FACTORS` functions), an index the PE provenly had in its
+    /// L1 at its current fill epoch (per `run`) is an L1 hit without a
+    /// probe, and each refill advances the epoch, invalidating the PE's
+    /// stale memos. Credits each lane's PE with its hits and misses, and
+    /// returns how many look-ups the L2 and DRAM served.
     #[inline(always)]
-    fn replay_one(
+    fn walk<const MEMO: bool, L: AsRef<[i32]>>(
         &mut self,
         run: &mut Replay,
-        table: &OffChipLut,
-        ctx: &RowCtx,
-        local: usize,
-        slot: Option<usize>,
-        x: Q16_16,
-    ) {
-        let idx = ctx.idx_of(x);
-        run.exact += u64::from(Tum::delta(x, ctx.log2_inv_spacing).is_zero());
-        let epoch = &mut run.epochs[local];
-        let memo = slot.map(|k| &mut run.memos[k][local]);
-        if memo
-            .as_ref()
-            .is_some_and(|m| m.idx == idx.0 && m.epoch == *epoch)
-        {
-            self.l1s[local].count_hit();
-            run.proven += 1;
-            return;
+        group: &[RowCtx],
+        lanes: impl Iterator<Item = (u32, L)>,
+    ) -> (u64, u64) {
+        let (mut l2_hits, mut dram) = (0, 0);
+        for (pe, lane) in lanes {
+            let local = pe as usize - self.pe_base;
+            let (l1, epoch) = (&mut self.l1s[local], &mut run.epochs[local]);
+            let mut missed = 0;
+            for (k, (ctx, &i)) in group.iter().zip(lane.as_ref()).enumerate() {
+                let memo = MEMO.then(|| &mut run.memos[k][local]);
+                let proven = memo
+                    .as_ref()
+                    .is_some_and(|m| m.idx == i && m.epoch == *epoch);
+                if !proven && !l1.holds(ctx.func, SampleIdx(i)) {
+                    missed += 1;
+                    *epoch = epoch.wrapping_add(u32::from(MEMO));
+                    match refill(l1, &mut self.l2, ctx, SampleIdx(i)) {
+                        true => l2_hits += 1,
+                        false => dram += 1,
+                    }
+                }
+                if let Some(memo) = memo {
+                    *memo = Memo {
+                        idx: i,
+                        epoch: *epoch,
+                    };
+                }
+            }
+            l1.tally(group.len() as u64 - missed, missed);
         }
-        if self.walk(table, local, ctx.func, idx) != Level::L1 {
-            *epoch = epoch.wrapping_add(1);
-        }
-        if let Some(memo) = memo {
-            *memo = Memo {
-                idx: idx.0,
-                epoch: *epoch,
-            };
-        }
+        (l2_hits, dram)
     }
 
     /// Statistics accumulated by this shard's PEs.
@@ -319,21 +327,70 @@ impl Memo {
     };
 }
 
-/// The state of one [`LutShard::replay`] call: each PE's memo per
-/// function slot and its L1 fill epoch, and the memo-proven L1 hits and
-/// exact hits it adds once the lanes are done (a counter in the shard
-/// would chain every lane through memory).
+/// The memo state of one [`LutShard::replay`] call: each PE's memo per
+/// function slot, and its L1 fill epoch.
 struct Replay {
     memos: [[Memo; PES_PER_L2]; MEMO_FACTORS],
     epochs: [u32; PES_PER_L2],
-    proven: u64,
-    exact: u64,
 }
 
-/// Functions per lane that the replay memoizes on the stack; wider lanes
-/// (Hodgkin–Huxley's six-factor membrane layer) take the plain walk: their
-/// L1s refill too often for a memo to pay.
+/// The L1 miss path of the tag walk, for an already-clamped index of
+/// `ctx`'s function: installs its tag in `l1` and probes the L2, which on
+/// a miss fetches the DRAM burst. Returns whether the L2 served it.
+/// Scalar and batched lookups share it, and count its outcome each in
+/// their own way.
+// Inlined into the replay's loops; only the rare DRAM burst is a call.
+#[inline(always)]
+fn refill(l1: &mut L1Lut, l2: &mut L2Lut, ctx: &RowCtx, idx: SampleIdx) -> bool {
+    l1.fill(ctx.func, idx);
+    let hit = l2.lookup(ctx.func, idx);
+    if !hit {
+        burst(l2, ctx, idx);
+    }
+    hit
+}
+
+/// The shard counters of `accesses` look-ups of which the L2 served
+/// `l2_hits` and DRAM `dram` (the rest hit in L1), `exact` of them at a
+/// sample point: the one accounting of scalar and batched lookups.
+fn shard_counts(accesses: u64, l2_hits: u64, dram: u64, exact: u64) -> LutStats {
+    LutStats {
+        accesses,
+        l1_hits: accesses - l2_hits - dram,
+        l2_hits,
+        dram_fetches: dram,
+        dram_points: dram * DRAM_BURST_POINTS as u64,
+        exact_hits: exact,
+    }
+}
+
+/// The DRAM fetch of an L2 miss on `idx`: installs the tags of its
+/// 8-aligned burst window (§4.1) via the same hash used for reads.
+/// Out-of-range window points clamp onto the table edge, so filling the
+/// clamped sub-range once is exactly the per-point loop's final state.
+// Out of line and cold: inlined, it bloats every loop the walk is
+// inlined into.
+#[cold]
+#[inline(never)]
+fn burst(l2: &mut L2Lut, ctx: &RowCtx, idx: SampleIdx) {
+    let window = L2Lut::burst_window(idx);
+    let (lo, hi) = (ctx.clamp(window.start).0, ctx.clamp(window.end - 1).0);
+    for i in lo..=hi {
+        l2.fill(ctx.func, SampleIdx(i));
+    }
+}
+
+/// Functions per lane that [`LutShard::replay`] memoizes on the stack, in
+/// either of its loops; wider lanes (Hodgkin–Huxley's six-factor membrane
+/// layer) take the plain walk: their L1s refill too often for a memo to
+/// pay.
 const MEMO_FACTORS: usize = 4;
+
+/// Sample indices a multi-function [`LutShard::replay`] derives ahead of
+/// its tag walk: one chunk of lanes × functions (2 KiB of stack).
+/// Hodgkin–Huxley's six-function rows of 64 lanes (128 columns over 8 PE
+/// columns, 4 PEs per shard) fit in one chunk.
+const INDEX_BUF: usize = 512;
 
 #[cfg(test)]
 mod tests {
@@ -403,6 +460,36 @@ mod tests {
         );
         for pe in 4..8 {
             assert_eq!(batched.pe_stats(pe), scalar.pe_stats(pe));
+        }
+    }
+
+    #[test]
+    fn lanes_wider_than_the_index_buffer_match_scalar_lookups() {
+        // More functions per lane than the index buffer holds: each lane
+        // is a chunk of its own, walked a buffer of functions at a time.
+        // Function `k` reads state row `k % 3`, so the small L1s refill.
+        let (tables, f) = tables();
+        let k = 2 * INDEX_BUF + 3;
+        let ctxs = vec![RowCtx::from_spec(f, tables[0].spec()); k];
+        let rows: Vec<Vec<Q16_16>> = (0..3)
+            .map(|r| {
+                (0..5)
+                    .map(|c| Q16_16::from_f64(c as f64 * 1.5 - r as f64))
+                    .collect()
+            })
+            .collect();
+        let pes = [4u32, 5, 4, 7, 6];
+        let mut scalar = LutShard::new(4, 4, 2, 8);
+        for (c, &pe) in pes.iter().enumerate() {
+            for j in 0..k {
+                scalar.lookup(&tables, pe as usize, f, rows[j % 3][c]);
+            }
+        }
+        let mut batched = LutShard::new(4, 4, 2, 8);
+        batched.replay(&tables, &ctxs, &pes, &[0, 1, 2, 3, 4], |j| &rows[j % 3]);
+        assert_eq!(batched.stats(), scalar.stats());
+        for pe in 4..8 {
+            assert_eq!(batched.pe_stats(pe), scalar.pe_stats(pe), "PE {pe}");
         }
     }
 
