@@ -34,9 +34,11 @@ USAGE:
       byte-for-byte reproducible.
       --memory-budget SIZE (accepts K/M/G suffixes) runs the grid
       streamed out-of-core: only a bounded window of grid rows stays
-      resident, with halo exchange against CENNCKPT state chunks spilled
-      to --spool (default: a temp directory of its own, removed when the
-      command ends, whether or not it succeeds; a --spool DIR is kept).
+      resident (a SIZE below one row's window is refused with an error
+      naming that window's bytes), with halo exchange against CENNCKPT
+      state chunks spilled to --spool (default: a temp directory of its
+      own, removed when the command ends, whether or not it succeeds; a
+      --spool DIR is kept).
       The seeded state is written straight into the spool and the closing
       digest and ranges are read back chunk by chunk, so the run holds
       only its budget; --render and --pgm still assemble the whole grid.

@@ -40,7 +40,7 @@ const RUN: [&str; 9] = [
     "--steps",
     "2",
     "--memory-budget",
-    "16K",
+    "32K",
 ];
 
 #[test]

@@ -94,7 +94,7 @@ pub struct StreamConfig {
     /// Byte budget for the resident working set. The engine solves for the
     /// largest chunk height whose window (chunk + halo rows, sweep
     /// scratch, I/O staging) fits the budget; a budget smaller than a
-    /// single-row window degrades to one-row chunks (best effort).
+    /// single-row window is refused with [`StreamError::BudgetBelowRow`].
     pub memory_budget: Option<u64>,
     /// Explicit chunk height in rows (overrides `memory_budget`; clamped
     /// to `[1, rows]`). Mostly for tests that pin window geometry.
@@ -140,6 +140,13 @@ pub enum StreamError {
     /// A spooled chunk or the journal is malformed or inconsistent with
     /// the model.
     Corrupt(String),
+    /// The memory budget cannot hold a window of one chunk row.
+    BudgetBelowRow {
+        /// The budget, bytes.
+        budget: u64,
+        /// What a one-row window holds resident, bytes.
+        row_cost: u64,
+    },
 }
 
 impl std::fmt::Display for StreamError {
@@ -149,6 +156,11 @@ impl std::fmt::Display for StreamError {
             Self::Model(e) => write!(f, "streamed engine model error: {e}"),
             Self::Io(e) => write!(f, "spool I/O failed: {e}"),
             Self::Corrupt(m) => write!(f, "spool corrupt: {m}"),
+            Self::BudgetBelowRow { budget, row_cost } => write!(
+                f,
+                "memory budget of {budget} bytes is below one row's window \
+                 ({row_cost} bytes resident)"
+            ),
         }
     }
 }
@@ -454,7 +466,8 @@ impl Engine<Spooled> {
     /// # Errors
     ///
     /// [`StreamError::Unsupported`] if the model has non-dynamic layers,
-    /// [`StreamError::Io`] on spool I/O failure.
+    /// [`StreamError::BudgetBelowRow`] if the budget cannot hold one row's
+    /// window, [`StreamError::Io`] on spool I/O failure.
     pub fn start(seed: &Engine<Fields>, cfg: StreamConfig) -> Result<Self, StreamError> {
         let mut s = Self::open(seed.core.clone(), cfg, true)?;
         s.seed_spool(|input, l, r, out| seed.store.quantize_row(input, l, r, out))?;
@@ -471,7 +484,8 @@ impl Engine<Spooled> {
     /// # Errors
     ///
     /// [`StreamError::Unsupported`] if the model has non-dynamic layers,
-    /// [`StreamError::Io`] on spool I/O failure.
+    /// [`StreamError::BudgetBelowRow`] if the budget cannot hold one row's
+    /// window, [`StreamError::Io`] on spool I/O failure.
     pub fn from_sim(sim: &CennSim, cfg: StreamConfig) -> Result<Self, StreamError> {
         let mut core = Core::new(sim.model().clone(), sim.eval_mode())?;
         (core.steps, core.time, core.run_cells) =
@@ -660,7 +674,7 @@ impl Engine<Spooled> {
         core.build_bands();
         let chunk_rows = match (cfg.chunk_rows, cfg.memory_budget) {
             (Some(g), _) => g.clamp(1, rows),
-            (None, Some(b)) => WindowCost::of(&core).solve(b),
+            (None, Some(b)) => WindowCost::of(&core).solve(b)?,
             (None, None) => rows,
         };
         let r_max = rows.min(chunk_rows + 2 * halo);
@@ -1162,10 +1176,16 @@ impl WindowCost {
         ((resident + input_rows + chunk_bufs * g) * row + staging) as u64 + self.sweep
     }
 
-    /// The chunk height for `budget`: the largest whose windows fit it. A
-    /// budget below one row's windows degrades to one-row chunks (best
-    /// effort).
-    fn solve(&self, budget: u64) -> usize {
+    /// The chunk height for `budget`: the largest whose windows fit it.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::BudgetBelowRow`] if even one row's windows do not.
+    fn solve(&self, budget: u64) -> Result<usize, StreamError> {
+        let row_cost = self.bytes(1);
+        if row_cost > budget {
+            return Err(StreamError::BudgetBelowRow { budget, row_cost });
+        }
         let (mut lo, mut hi) = (1, self.rows);
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
@@ -1175,7 +1195,7 @@ impl WindowCost {
                 hi = mid - 1;
             }
         }
-        lo
+        Ok(lo)
     }
 }
 
@@ -1280,10 +1300,19 @@ mod tests {
         let mut core = Core::new(b.build(0.1).unwrap(), FuncEval::Lut).unwrap();
         core.build_bands();
         let cost = WindowCost::of(&core);
-        let g_small = cost.solve(1);
-        let g_mid = cost.solve(64 * 1024);
-        let g_big = cost.solve(u64::MAX);
-        assert_eq!(g_small, 1, "tiny budget degrades to one-row chunks");
+        let one_row = cost.bytes(1);
+        assert!(
+            matches!(
+                cost.solve(one_row - 1),
+                Err(StreamError::BudgetBelowRow { budget, row_cost })
+                    if budget == one_row - 1 && row_cost == one_row
+            ),
+            "a budget below one row's window is refused"
+        );
+        let g_small = cost.solve(one_row).unwrap();
+        let g_mid = cost.solve(64 * 1024).unwrap();
+        let g_big = cost.solve(u64::MAX).unwrap();
+        assert_eq!(g_small, 1, "one row's cost buys one-row chunks");
         assert!(g_small <= g_mid && g_mid <= g_big, "monotone in budget");
         assert_eq!(g_big, 64, "huge budget clamps to the grid");
         assert!((1..64).contains(&g_mid), "mid budget lands between");

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use cenn_core::{
     mapping, Boundary, CennModelBuilder, CennSim, Factor, Grid, Integrator, LayerId, StreamConfig,
-    StreamSim, Template, WeightExpr,
+    StreamError, StreamSim, Template, WeightExpr,
 };
 use cenn_obs::MetricsHub;
 use proptest::prelude::*;
@@ -373,7 +373,8 @@ proptest! {
         // scratch does not grow with the window, so every budget that buys
         // one row — at least what a run in one-row chunks peaks at — bounds
         // the peak, for the single-LUT-layer Euler model and the two-layer
-        // Heun model with inputs.
+        // Heun model with inputs. A smaller budget is refused, naming that
+        // one-row peak as its cost.
         let init = Grid::from_fn(rows, cols, |r, c| 0.1 + 0.01 * ((r + c) % 7) as f64);
         let in_core = if heun {
             heun_sim(rows, cols, &init)
@@ -387,13 +388,20 @@ proptest! {
         };
         let dir = spool_dir("budget", case);
         let (_, one_row) = peak_of(StreamConfig::new(&dir).with_chunk_rows(1));
-        let (chunk, peak) = peak_of(StreamConfig::new(&dir).with_memory_budget(budget));
-        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = StreamConfig::new(&dir).with_memory_budget(budget);
         if budget >= one_row {
+            let (chunk, peak) = peak_of(cfg);
             prop_assert!(peak <= budget, "{rows}x{cols} in {chunk}-row chunks: {peak} > {budget}");
         } else {
-            prop_assert_eq!(chunk, 1, "a budget below one row's cost takes one-row chunks");
+            match StreamSim::from_sim(&in_core, cfg).err() {
+                Some(StreamError::BudgetBelowRow { budget: b, row_cost }) => {
+                    prop_assert_eq!(b, budget);
+                    prop_assert_eq!(row_cost, one_row, "the refusal names one row's peak");
+                }
+                other => prop_assert!(false, "{rows}x{cols} under {budget}: {other:?}"),
+            }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -152,8 +152,9 @@ impl FixedRunner {
     ///
     /// [`StreamError::Unsupported`] when the runner already streams (a
     /// second switch would rewind the run) or the model has non-dynamic
-    /// layers; [`StreamError::Io`] on spool failures. On error the runner
-    /// keeps the engine it had, built or not.
+    /// layers; [`StreamError::BudgetBelowRow`] when `bytes` cannot hold
+    /// one row's window; [`StreamError::Io`] on spool failures. On error
+    /// the runner keeps the engine it had, built or not.
     pub fn set_memory_budget(
         &mut self,
         bytes: u64,
@@ -625,16 +626,22 @@ mod tests {
             model: hh.model.clone_with_integrator(Integrator::Heun),
             ..hh
         };
+        // Each budget windows its grid; Heun's Hodgkin–Huxley holds 9,680
+        // bytes in a one-row window.
         let setups = [
-            ("fisher", Fisher::default().build(24, 16).unwrap()),
-            ("izhikevich", Izhikevich::default().build(24, 16).unwrap()),
-            ("hh-heun", hh_heun),
+            ("fisher", Fisher::default().build(24, 16).unwrap(), 8),
+            (
+                "izhikevich",
+                Izhikevich::default().build(24, 16).unwrap(),
+                8,
+            ),
+            ("hh-heun", hh_heun, 12),
         ];
-        for (name, setup) in setups {
+        for (name, setup, kib) in setups {
             let mut in_core = FixedRunner::new(setup.clone()).unwrap();
             let mut streamed = FixedRunner::new(setup).unwrap();
             let dir = spool(&format!("fold_{name}"));
-            streamed.set_memory_budget(8 * 1024, &dir).unwrap();
+            streamed.set_memory_budget(kib * 1024, &dir).unwrap();
             assert!(streamed.stream().unwrap().n_windows() > 1, "{name}");
             in_core.run(20);
             streamed.run(20);

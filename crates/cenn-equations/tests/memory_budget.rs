@@ -91,9 +91,11 @@ fn budgeted_run(side: usize, budget: u64) -> (usize, usize) {
 
 #[test]
 fn budgeted_set_up_never_builds_whole_grid_tiles_or_lanes() {
-    let budget = 256 << 10;
-    let bound = 2 * budget as usize + ALLOWANCE;
-    for side in [512, 1024] {
+    // Each budget buys a window of at least one row: at 1024² one row's
+    // window holds 357,048 bytes (its band rows and row pattern grow
+    // with the width), and a smaller budget is refused.
+    for (side, budget) in [(512, 256 << 10), (1024, 384 << 10)] {
+        let bound = 2 * budget as usize + ALLOWANCE;
         let (high, held) = budgeted_run(side, budget);
         eprintln!("{side}²: high-water {high} bytes, held {held} bytes");
         assert!(
