@@ -1081,9 +1081,11 @@ impl<S: Store> Engine<S> {
         Ok(digest.finish())
     }
 
-    /// Largest resident working set so far, bytes: the state slabs
-    /// in-core; window buffers, sweep scratch, the row pattern and I/O
-    /// staging when spooled. Geometry-derived, so identical at every thread count.
+    /// Largest resident working set so far, bytes: in-core, the state and
+    /// input slabs and, once stepping, the RHS slab (Heun's corrector RHS
+    /// and pre-step save too), the row map, the band rows and the row
+    /// pattern; spooled, the window buffers, band rows, row pattern and
+    /// I/O staging. Geometry-derived, so identical at every thread count.
     pub fn peak_resident_bytes(&self) -> u64 {
         self.store.peak_resident_bytes()
     }
@@ -1257,7 +1259,7 @@ pub struct Resident {
     window: Option<GridWindow>,
 }
 
-/// The in-core window: the identity row map, plus the three slabs only
+/// The in-core window: the identity row map, plus the slabs only
 /// stepping needs.
 #[derive(Debug, Clone)]
 struct GridWindow {
@@ -1265,11 +1267,12 @@ struct GridWindow {
     /// RHS of the Euler step and of Heun's predictor pass (algebraic
     /// sweeps stage their output in their layer's span).
     aux: SoaGrid<Q16_16>,
-    /// RHS of Heun's corrector pass.
-    aux2: SoaGrid<Q16_16>,
-    /// Persistent pre-step snapshot used by Heun's corrector (reused
-    /// across steps instead of cloning the state vector every step).
-    saved: SoaGrid<Q16_16>,
+    /// Heun only: the RHS of its corrector pass, and the pre-step
+    /// snapshot the corrector reads (reused across steps instead of
+    /// cloning the state vector every step).
+    heun: Option<(SoaGrid<Q16_16>, SoaGrid<Q16_16>)>,
+    /// [`Core::sweep_bytes`] once the band rows are built.
+    sweep_bytes: u64,
 }
 
 impl Store for Resident {
@@ -1279,20 +1282,21 @@ impl Store for Resident {
         1
     }
 
-    /// Builds the grid-spanning window and the band rows, once.
+    /// Builds the grid-spanning window (Heun's two slabs only for Heun)
+    /// and the band rows, once.
     fn begin_step(&mut self, core: &mut Core) {
         if self.window.is_some() {
             return;
         }
         let (rows, cols) = self.plan.shape();
-        let blank = SoaGrid::new(self.states.n_layers(), rows, cols, Q16_16::ZERO);
-        let (aux, aux2, saved) = (blank.clone(), blank.clone(), blank);
+        let blank = || SoaGrid::new(self.states.n_layers(), rows, cols, Q16_16::ZERO);
+        let heun = core.model.integrator() == Integrator::Heun;
         core.build_bands();
         self.window = Some(GridWindow {
             row_map: (0..rows as u32).collect(),
-            aux,
-            aux2,
-            saved,
+            aux: blank(),
+            heun: heun.then(|| (blank(), blank())),
+            sweep_bytes: core.sweep_bytes(),
         });
     }
 
@@ -1301,10 +1305,9 @@ impl Store for Resident {
             .window
             .as_mut()
             .expect("the in-core window is built when a step begins");
-        let (rhs, heun) = if pass == 0 {
-            (&mut w.aux, None)
-        } else {
-            (&mut w.aux2, Some((&w.saved, &w.aux)))
+        let (rhs, heun) = match &mut w.heun {
+            Some((aux2, saved)) if pass > 0 => (aux2, Some((&*saved, &w.aux))),
+            _ => (&mut w.aux, None),
         };
         WindowMut {
             rows: (0, self.plan.shape().0),
@@ -1317,10 +1320,10 @@ impl Store for Resident {
         }
     }
 
-    fn prepare_update(&mut self, core: &Core, pass: usize, _w: usize) -> Result<(), Infallible> {
-        if pass == 0 && core.model.integrator() == Integrator::Heun {
-            let w = self.window.as_mut().expect("built when the step began");
-            w.saved.copy_from(&self.states);
+    fn prepare_update(&mut self, _core: &Core, pass: usize, _w: usize) -> Result<(), Infallible> {
+        let w = self.window.as_mut().expect("built when the step began");
+        if let (0, Some((_, saved))) = (pass, &mut w.heun) {
+            saved.copy_from(&self.states);
         }
         Ok(())
     }
@@ -1335,15 +1338,16 @@ impl Store for Resident {
         Ok(())
     }
 
-    /// The state and input slabs, and from the first step on the two RHS
-    /// slabs and Heun's save.
+    /// The state and input slabs, and from the first step on the window
+    /// it built: the RHS slab (and Heun's two), the row map, and the
+    /// sweep's band rows and row pattern.
     fn peak_resident_bytes(&self) -> u64 {
-        let window = self.window.iter().flat_map(|w| [&w.aux, &w.aux2, &w.saved]);
-        [&self.states, &self.inputs]
-            .into_iter()
-            .chain(window)
-            .map(|g| std::mem::size_of_val(g.slab()) as u64)
-            .sum()
+        let bytes = |g: &SoaGrid<Q16_16>| std::mem::size_of_val(g.slab()) as u64;
+        let window = self.window.as_ref().map_or(0, |w| {
+            let heun = w.heun.as_ref().map_or(0, |(a, b)| bytes(a) + bytes(b));
+            bytes(&w.aux) + heun + 4 * w.row_map.len() as u64 + w.sweep_bytes
+        });
+        bytes(&self.states) + bytes(&self.inputs) + window
     }
 }
 
